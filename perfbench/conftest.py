@@ -1,0 +1,12 @@
+"""Make ``repro`` (from ``src``) and the benchmark's modules importable.
+
+    python3 -m pytest perfbench -q
+"""
+
+import sys
+from pathlib import Path
+
+_HERE = Path(__file__).resolve().parent
+for path in (_HERE.parent / "src", _HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
