@@ -10,17 +10,30 @@ a shared ``cache_dir`` publish their verdicts to the same on-disk cache,
 so a re-run of the batch (or a later sequential run) is answered from
 disk.
 
+Every batch runs on a :class:`WorkerPool`. A caller that verifies many
+batches over its lifetime (the ``repro serve`` daemon) passes one in:
+the pool opens on the first batch, stays warm across batches, so a
+batch costs one pickle round trip instead of a fork, a run and a join,
+and is shut down by its owner. A one-shot call (``repro verify-all``)
+passes none, and :func:`run_batch` opens a pool, runs and closes it.
+
 Results always come back in task order, regardless of which worker
 finished first. The pool degrades gracefully: ``workers <= 1``, a task
 that does not pickle, an executor that cannot start (restricted
-environments), or a worker killed mid-batch (OOM, signal — the pool
-reports :class:`BrokenProcessPool`) all fall back to in-process
-sequential execution with identical results.
+environments), or a worker killed mid-batch or between batches (OOM,
+signal — the pool reports :class:`BrokenProcessPool`) all fall back to
+in-process sequential execution with identical results. A broken pool
+is shut down on the spot; the next batch opens a fresh one.
+
+:func:`run_on_pool` is the separate fresh-pool-per-call map used by the
+kernel's sharded sweeps, whose workers inherit the compiled plan through
+fork and so need a new fork per sweep.
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +56,7 @@ from repro.verification.service import VerificationService
 
 __all__ = [
     "VerificationTask",
+    "WorkerPool",
     "batch_report",
     "pack_states",
     "resolve_builder",
@@ -233,6 +247,69 @@ def _picklable(tasks: Sequence[VerificationTask]) -> bool:
         return False
 
 
+class WorkerPool:
+    """A process pool opened on first use and kept warm across batches.
+
+    Pass one to :func:`run_batch` to run every batch on the same worker
+    processes. A pool that breaks (a worker died) is shut down by
+    :meth:`discard` and the next :meth:`executor` call opens a fresh
+    one; :meth:`close` shuts it down for good. Safe to share between
+    threads.
+
+    Attributes:
+        workers: Worker processes per opened pool.
+        starts: Pools opened so far.
+        replaced: Broken pools shut down so far.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = max(1, workers)
+        self.starts = 0
+        self.replaced = 0
+        self._executor: ProcessPoolExecutor | None = None
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, opened on the first call after (re)start.
+
+        Raises:
+            RuntimeError: after :meth:`close`.
+            OSError, ValueError: if the executor cannot start.
+        """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+                self.starts += 1
+            return self._executor
+
+    def discard(self, executor: ProcessPoolExecutor) -> None:
+        """Shut down ``executor`` after it broke; joins its workers."""
+        with self._lock:
+            if self._executor is not executor:
+                return  # already replaced or closed
+            self._executor = None
+            self.replaced += 1
+        executor.shutdown(wait=True, cancel_futures=True)
+
+    def close(self, *, cancel: bool = False) -> None:
+        """Shut the pool down and join its workers; ``cancel`` drops
+        work still queued on it (work already running finishes)."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=cancel)
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
 def run_on_pool(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
@@ -276,8 +353,9 @@ def run_batch(
     workers: int = 1,
     cache_dir: str | None = None,
     tracer: Tracer | None = None,
+    pool: WorkerPool | None = None,
 ) -> list[dict[str, Any]]:
-    """Verify every task, fanning out over ``workers`` processes.
+    """Verify every task, fanning out over a process pool.
 
     Returns one verdict record per task, **in task order**. Records are
     the JSON-able summaries of
@@ -286,19 +364,28 @@ def run_batch(
     executing process name) and ``task_seconds`` (build + verify
     wall-clock inside that process).
 
-    Falls back to sequential in-process execution when ``workers <= 1``,
-    when a task fails to pickle, or when the process pool cannot be
-    created. A worker raising is not masked — the underlying verification
-    error propagates, as it would sequentially.
+    With a ``pool`` the batch runs on it and the pool stays open for
+    the caller's next batch (``workers`` is then ignored). Without one,
+    ``workers > 1`` opens a pool of ``min(workers, len(tasks))``
+    processes for this batch only and closes it afterwards.
+
+    Falls back to sequential in-process execution when no pool is given
+    and ``workers <= 1``, when a task fails to pickle, when the process
+    pool cannot be created, or when it breaks (a worker died): the
+    broken pool is shut down first, so the next batch on ``pool`` opens
+    a fresh one. A worker raising is not masked — the underlying
+    verification error propagates, as it would sequentially.
 
     With a ``tracer``, the batch emits ``batch.start`` / ``batch.finish``
     around the run. On the sequential path the tracer is threaded into
     each task (``worker.task.start`` / ``worker.task.finish``, plus the
     service's cache events); pool workers cannot share the parent's
-    tracer, so for ``workers > 1`` one ``worker.task.finish`` event per
+    tracer, so on the pool path one ``worker.task.finish`` event per
     task is replayed from the result records as they are collected.
     """
     tasks = list(tasks)
+    if pool is not None:
+        workers = pool.workers
     if tracer is not None:
         tracer.emit(
             ev.BATCH_START,
@@ -307,7 +394,15 @@ def run_batch(
             cases=tuple(task.case for task in tasks),
         )
     started = time.perf_counter()
-    records = _run_batch_inner(tasks, workers, cache_dir, tracer)
+    if not tasks:
+        records = []
+    elif (pool is None and workers <= 1) or not _picklable(tasks):
+        records = _run_sequential(tasks, cache_dir, tracer)
+    elif pool is not None:
+        records = _run_on(pool, tasks, cache_dir, tracer)
+    else:
+        with WorkerPool(min(workers, len(tasks))) as own:
+            records = _run_on(own, tasks, cache_dir, tracer)
     if tracer is not None:
         tracer.emit(
             ev.BATCH_FINISH,
@@ -319,45 +414,50 @@ def run_batch(
     return records
 
 
-def _run_batch_inner(
+def _run_on(
+    pool: WorkerPool,
     tasks: list[VerificationTask],
-    workers: int,
     cache_dir: str | None,
     tracer: Tracer | None,
 ) -> list[dict[str, Any]]:
-    if not tasks:
-        return []
-    if workers <= 1 or not _picklable(tasks):
-        return _run_sequential(tasks, cache_dir, tracer)
     try:
-        executor = ProcessPoolExecutor(max_workers=workers)
+        executor = pool.executor()
     except (OSError, ValueError):
         return _run_sequential(tasks, cache_dir, tracer)
+    futures = []
     try:
-        with executor:
-            futures = [
-                executor.submit(_execute, task, cache_dir) for task in tasks
-            ]
-            records = []
-            for future in futures:
-                record = future.result()
-                if tracer is not None:
-                    tracer.emit(
-                        ev.WORKER_TASK_FINISH,
-                        case=record["case"],
-                        worker=record["worker"],
-                        cached=record["cached"],
-                        task_seconds=record["task_seconds"],
-                    )
-                records.append(record)
-            return records
-    except (BrokenProcessPool, pickle.PicklingError, TypeError, AttributeError):
-        # A worker died mid-batch (OOM, signal) or a task past the
-        # representative probe failed to serialize: degrade to the
-        # documented sequential fallback. Completed tasks re-answer from
-        # the shared cache; deterministic verification errors still
-        # propagate (they reproduce sequentially).
+        for task in tasks:
+            futures.append(executor.submit(_execute, task, cache_dir))
+        records = []
+        for future in futures:
+            record = future.result()
+            if tracer is not None:
+                tracer.emit(
+                    ev.WORKER_TASK_FINISH,
+                    case=record["case"],
+                    worker=record["worker"],
+                    cached=record["cached"],
+                    task_seconds=record["task_seconds"],
+                )
+            records.append(record)
+        return records
+    except BrokenProcessPool:
+        # A worker died mid-batch or since the last batch (OOM, signal):
+        # retire the pool so the next batch forks a fresh one, and rerun
+        # sequentially. Completed tasks re-answer from the shared cache;
+        # deterministic verification errors still propagate (they
+        # reproduce sequentially).
+        pool.discard(executor)
         return _run_sequential(tasks, cache_dir, tracer)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        # A task past the representative probe failed to serialize; the
+        # pool itself is healthy.
+        return _run_sequential(tasks, cache_dir, tracer)
+    finally:
+        # After an error, drop this batch's queued work so the pool is
+        # free for the next batch (no-op for finished futures).
+        for future in futures:
+            future.cancel()
 
 
 def verdicts_ok(records: Sequence[dict[str, Any]]) -> bool:

@@ -13,7 +13,7 @@ HTTP/JSON daemon (stdlib ``asyncio`` only — no new dependencies):
 - ``POST /simulate`` — seeded stabilization trials for a case;
 - ``GET /healthz`` — liveness probe, served straight off the event loop
   (it answers even while every worker is busy);
-- ``GET /stats`` — request, cache, store and dedup counters.
+- ``GET /stats`` — request, cache, store, dedup and worker-pool counters.
 
 Three scaling mechanisms sit between the socket and the checkers:
 
@@ -26,10 +26,12 @@ Three scaling mechanisms sit between the socket and the checkers:
    concurrent requests cause exactly one verification;
 2. **deduped batching** — cache-missing verify requests are collected
    for a short window (``batch_window``) and dispatched as one
-   :func:`~repro.verification.parallel.run_batch` call over the process
-   pool, honouring each request's ``engine=``/``method=``/``shards=``;
-   results are ingested back into the service so later duplicates are
-   memory hits;
+   :func:`~repro.verification.parallel.run_batch` call, honouring each
+   request's ``engine=``/``method=``/``shards=``; multi-task batches run
+   on one :class:`~repro.verification.parallel.WorkerPool` that opens on
+   the first such batch and stays warm for the daemon's lifetime
+   (replaced when a worker dies, shut down after the drain); results are
+   ingested back into the service so later duplicates are memory hits;
 3. **the sharded verdict store** — with ``cache_dir=`` verdicts persist
    in bucketed directories with an LRU warm tier and size-bounded
    eviction (``store_entries``/``store_bytes``), so a restarted daemon
@@ -59,7 +61,7 @@ from repro.observability.report import RunReport
 from repro.observability.tracer import Tracer
 from repro.quantitative import DEFAULT_FAULT_RATE
 from repro.verification.explorer import validate_engine
-from repro.verification.parallel import VerificationTask, run_batch
+from repro.verification.parallel import VerificationTask, WorkerPool, run_batch
 from repro.verification.service import (
     VerificationService,
     tolerance_fingerprint,
@@ -113,7 +115,9 @@ class VerificationDaemon:
         cache_dir: Root of the sharded verdict store; ``None`` keeps
             verdicts in memory only.
         workers: Process-pool width for batched verification misses
-            (``1`` = compute in the dispatcher thread).
+            (``1`` = compute in the dispatcher thread). The pool opens
+            on the first multi-task batch and is kept warm until
+            :meth:`stop`; single-task batches never use it.
         batch_window: Seconds cache-missing requests are collected
             before one batch is dispatched.
         max_batch: Largest batch handed to the pool at once.
@@ -176,6 +180,7 @@ class VerificationDaemon:
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers + 1, thread_name_prefix="repro-serve"
         )
+        self._pool = WorkerPool(self.workers)
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending: list[_Pending] = []
         self._batch_wakeup: asyncio.Event | None = None
@@ -225,7 +230,8 @@ class VerificationDaemon:
         With ``drain=True`` every accepted request — including queued
         batch members — is answered before the daemon shuts its worker
         pool down; ``drain=False`` abandons them (their connections are
-        reset).
+        reset) and cancels batch work still queued on the pool. Either
+        way every pool worker has been joined when this returns.
         """
         if self._server is not None:
             self._server.close()
@@ -242,6 +248,7 @@ class VerificationDaemon:
             except asyncio.CancelledError:
                 pass
         self._executor.shutdown(wait=drain)
+        self._pool.close(cancel=not drain)
 
     @property
     def inflight(self) -> int:
@@ -727,12 +734,10 @@ class VerificationDaemon:
         # Workers get no cache_dir: the daemon owns the store and
         # ingests the returned records itself (pool workers write the
         # flat layout, the daemon's store is sharded — mixing them
-        # would fork the corpus).
-        return run_batch(
-            tasks,
-            workers=self.workers if len(tasks) > 1 else 1,
-            cache_dir=None,
-        )
+        # would fork the corpus). A single task is cheaper computed
+        # right here than shipped to the pool and back.
+        pool = self._pool if len(tasks) > 1 and self.workers > 1 else None
+        return run_batch(tasks, cache_dir=None, pool=pool)
 
     def _ingest(self, pending: _Pending, record: dict[str, Any]) -> None:
         """Adopt one pool record into the service's cache layers."""
@@ -933,7 +938,7 @@ class VerificationDaemon:
         }
 
     def stats(self) -> dict[str, Any]:
-        """The ``GET /stats`` payload: request, cache and store counters."""
+        """The ``GET /stats`` payload: request, cache, store and pool counters."""
         service_stats = self.service.stats()
         hits = service_stats["hits"]
         lookups = hits + service_stats["misses"]
@@ -961,6 +966,15 @@ class VerificationDaemon:
                 for name, counter in sorted(self.metrics.counters.items())
                 if name.startswith("quantitative.")
             },
+            "pool": self._pool_stats(),
+        }
+
+    def _pool_stats(self) -> dict[str, int]:
+        """Worker-pool width, pools opened, and broken pools replaced."""
+        return {
+            "workers": self._pool.workers,
+            "starts": self._pool.starts,
+            "replaced": self._pool.replaced,
         }
 
     def report(self, **meta: Any) -> RunReport:
@@ -969,6 +983,8 @@ class VerificationDaemon:
             f"service.request.{name}": count
             for name, count in sorted(self.requests.items())
         }
+        for name, count in self._pool_stats().items():
+            counters[f"parallel.pool.{name}"] = count
         for name, counter in sorted(self.metrics.counters.items()):
             counters.setdefault(name, counter.count)
         timers = {

@@ -9,7 +9,10 @@ with :mod:`http.client` — no mocked transport — pinning:
 - in-flight dedup: N concurrent identical requests cause exactly one
   verification;
 - ``/healthz`` responsiveness while every executor thread is blocked;
-- graceful shutdown draining accepted requests.
+- graceful shutdown draining accepted requests;
+- the warm worker pool: multi-task batches share one pool, a dead
+  worker ends in correct verdicts and one fresh pool, and no pool
+  worker outlives the daemon.
 
 The store tests cover the sharded layout, the LRU warm tier,
 size-bounded eviction, index recovery across restarts, and the
@@ -18,16 +21,25 @@ truncated-entry-is-a-miss contract behind the atomic-write fix.
 
 import json
 import http.client
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import repro.verification.server as server_module
 from repro.observability import (
     EVENT_KINDS,
     RingBufferSink,
     Tracer,
 )
+from repro.verification.parallel import run_batch
 from repro.verification.server import (
     PROVENANCE_KEYS,
     DaemonThread,
@@ -148,6 +160,9 @@ class TestEndpointSchemas:
         assert stats["requests"]["computed"] == 1
         assert stats["service"]["misses"] >= 1
         assert stats["store"] is None  # no cache_dir on this daemon
+        # A workers=1 daemon computes in its dispatcher thread: the pool
+        # section is present but no pool ever opens.
+        assert stats["pool"] == {"workers": 1, "starts": 0, "replaced": 0}
 
     def test_index_lists_endpoints(self, daemon):
         status, payload = get(daemon, "/")
@@ -436,6 +451,231 @@ class TestObservability:
         assert report.counters["service.request.verify"] == 1
         assert report.counters["service.request.total"] == 1
         assert report.meta["run"] == "test"
+        assert report.counters["parallel.pool.workers"] == 1
+        assert report.counters["parallel.pool.starts"] == 0
+        assert report.counters["parallel.pool.replaced"] == 0
+
+
+# ----------------------------------------------------------------------
+# The warm worker pool behind multi-task batches
+# ----------------------------------------------------------------------
+
+#: Distinct cold quantify misses, dealt two per batch.
+_QUANTIFY_MISSES = [
+    {"case": "dijkstra-ring", "size": 3, "quantify": True},
+    {"case": "mis-cycle", "size": 4, "quantify": True},
+    {"case": "matching-cycle", "size": 3, "quantify": True},
+    {"case": "coloring-chain", "size": 3, "quantify": True},
+    {"case": "mis-cycle", "size": 5, "quantify": True},
+    {"case": "dijkstra-ring", "size": 4, "quantify": True},
+]
+
+
+def _verdict(record):
+    """A verdict record minus call provenance and wall-clock timings."""
+    drop = set(PROVENANCE_KEYS) | {"worker", "task_seconds", "seconds"}
+    verdict = {key: value for key, value in record.items() if key not in drop}
+    if "quantitative" in verdict:
+        verdict["quantitative"] = {
+            key: value
+            for key, value in verdict["quantitative"].items()
+            if key != "seconds"
+        }
+    return verdict
+
+
+def _fire(handle, bodies):
+    """POST every body concurrently; responses in body order."""
+    results = [None] * len(bodies)
+
+    def fire(index, body):
+        results[index] = post(handle, "/verify", body)
+
+    threads = [
+        threading.Thread(target=fire, args=(index, body))
+        for index, body in enumerate(bodies)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert all(status == 200 for status, _ in results)
+    return [record for _, record in results]
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Every ``(tasks, records)`` pair the daemon's batches return."""
+    seen = []
+
+    def recording_run_batch(tasks, **kwargs):
+        records = run_batch(tasks, **kwargs)
+        seen.append((list(tasks), records))
+        return records
+
+    monkeypatch.setattr(server_module, "run_batch", recording_run_batch)
+    return seen
+
+
+def _assert_matches_in_process(batch, responses):
+    """Pool records and responses equal the in-process verdicts."""
+    tasks, records = batch
+    expected = [_verdict(r) for r in run_batch(tasks, workers=1)]
+    assert [_verdict(r) for r in records] == expected
+    by_case = {task.case: verdict for task, verdict in zip(tasks, expected)}
+    for response in responses:
+        assert _verdict(response) == by_case[response["case"]]
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _wait_for_zombie(pid, timeout=10.0):
+    """Wait until ``pid`` has died (a zombie until its parent reaps it)."""
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} did not die")
+
+
+class TestWarmPool:
+    def test_multi_task_batches_share_one_warm_pool(self, batches):
+        before = {child.pid for child in multiprocessing.active_children()}
+        handle = DaemonThread(workers=2, batch_window=0.25).start()
+        try:
+            first = _fire(handle, _QUANTIFY_MISSES[:2])
+            pool = [
+                child for child in multiprocessing.active_children()
+                if child.pid not in before
+            ]
+            assert len(pool) == 2
+            second = _fire(handle, _QUANTIFY_MISSES[2:4])
+            stats = get(handle, "/stats")[1]
+        finally:
+            handle.stop()
+        assert [len(tasks) for tasks, _ in batches] == [2, 2]
+        assert stats["pool"] == {"workers": 2, "starts": 1, "replaced": 0}
+        _assert_matches_in_process(batches[0], first)
+        _assert_matches_in_process(batches[1], second)
+        # Both batches ran on the pool's two processes, never in-process.
+        names = {child.name for child in pool}
+        workers = {r["worker"] for _, records in batches for r in records}
+        assert workers <= names
+        report = handle.daemon.report()
+        assert report.counters["parallel.pool.starts"] == 1
+        assert report.counters["parallel.pool.replaced"] == 0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="needs /proc"
+    )
+    def test_dead_worker_is_replaced_by_one_fresh_pool(self, batches):
+        before = {child.pid for child in multiprocessing.active_children()}
+        handle = DaemonThread(workers=2, batch_window=0.25).start()
+        try:
+            _fire(handle, _QUANTIFY_MISSES[:2])
+            old_pool = [
+                child for child in multiprocessing.active_children()
+                if child.pid not in before
+            ]
+            assert len(old_pool) == 2
+            old_pids = [child.pid for child in old_pool]
+            os.kill(old_pids[0], signal.SIGKILL)
+            _wait_for_zombie(old_pids[0])
+            time.sleep(0.2)  # the executor notices the death promptly
+            rerun = _fire(handle, _QUANTIFY_MISSES[2:4])
+            # The broken pool is shut down and every worker reaped
+            # before the rerun answers: no zombie, no orphan.
+            assert all(_gone(pid) for pid in old_pids)
+            after_rerun = get(handle, "/stats")[1]["pool"]
+            fresh = _fire(handle, _QUANTIFY_MISSES[4:6])
+            stats = get(handle, "/stats")[1]
+        finally:
+            handle.stop()
+        assert after_rerun == {"workers": 2, "starts": 1, "replaced": 1}
+        # The rerun was sequential and its verdicts correct.
+        assert all(r["worker"] == "MainProcess" for r in batches[1][1])
+        _assert_matches_in_process(batches[1], rerun)
+        # The next batch opened exactly one new pool.
+        assert stats["pool"] == {"workers": 2, "starts": 2, "replaced": 1}
+        old_names = {child.name for child in old_pool}
+        new_workers = {r["worker"] for r in batches[2][1]}
+        assert not new_workers & (old_names | {"MainProcess"})
+        _assert_matches_in_process(batches[2], fresh)
+        assert multiprocessing.active_children() == []
+
+    def test_stop_without_drain_joins_the_pool(self):
+        handle = DaemonThread(workers=2, batch_window=0.25).start()
+        _fire(handle, _QUANTIFY_MISSES[:2])
+        assert handle.daemon.stats()["pool"]["starts"] == 1
+        handle.stop(drain=False)
+        assert multiprocessing.active_children() == []
+
+
+def _children(pid):
+    """PIDs whose parent is ``pid`` (Linux ``/proc``)."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry.name))
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigterm_drain_of_repro_serve_leaves_no_pool_worker():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2", "--batch-window", "0.25", "--metrics"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        banner = process.stdout.readline()
+        assert "listening on http://" in banner, banner
+        host, port = banner.split("http://", 1)[1].split()[0].rsplit(":", 1)
+        handle = SimpleNamespace(host=host, port=int(port))
+        records = _fire(handle, _QUANTIFY_MISSES[:2])
+        assert all(record["ok"] for record in records)
+        workers = _children(process.pid)
+        assert len(workers) == 2
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=60)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    assert process.returncode == 0, output
+    counters = dict(
+        line.split() for line in output.splitlines()
+        if line.strip().startswith("parallel.pool.")
+    )
+    assert counters == {
+        "parallel.pool.workers": "2",
+        "parallel.pool.starts": "1",
+        "parallel.pool.replaced": "0",
+    }
+    assert all(_gone(pid) for pid in workers)
 
 
 # ----------------------------------------------------------------------
