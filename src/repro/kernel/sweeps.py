@@ -26,6 +26,14 @@ module rewrites the sweeps as numpy array operations:
   subgraph acyclic with a vectorized Kahn peel; only when a cycle
   actually exists does the exact SCC analysis
   (:func:`~repro.verification.convergence.check_convergence`) run.
+- **One Kahn peel** (:func:`kahn_peel`): a round-synchronous peel of a
+  region over an edge list, yielding each round's frontier, so a state
+  that peels in round ``r`` has the longest path ``r`` to an exit. It
+  decides acyclicity over a materialized CSR
+  (:func:`bad_region_acyclic`), per shard and across shard boundaries
+  on the streaming path (:func:`peel_shard_edges`,
+  :func:`edge_list_acyclic`), and — run backwards from ``S`` — gives
+  the quantitative layer's adversarial game value as the round number.
 - **Frontier BFS**: reachability over ``offsets``/``targets`` as array
   gather/scatter (:func:`frontier_reach`).
 
@@ -66,6 +74,7 @@ __all__ = [
     "edge_list_acyclic",
     "first_bad_deadlock",
     "frontier_reach",
+    "kahn_peel",
     "merge_fragments",
     "peel_shard_edges",
     "vectorizable",
@@ -136,9 +145,19 @@ class _RangeContext:
         """The digit of every code in the range at ``position``."""
         cached = self._digits.get(position)
         if cached is None:
-            cached = (self.codes // self._weights[position]) % self._radices[
-                position
-            ]
+            # A weight or radix past the code dtype's maximum (one
+            # variable spanning a whole 2^15-state int16 space) would
+            # overflow as an operand; codes never reach it, so the
+            # quotient is 0 and the modulo is the identity.
+            top = _np.iinfo(self.codes.dtype).max
+            weight = self._weights[position]
+            radix = self._radices[position]
+            if weight > top:
+                cached = _np.zeros_like(self.codes)
+            else:
+                cached = self.codes // weight
+                if radix <= top:
+                    cached %= radix
             self._digits[position] = cached
         return cached
 
@@ -710,57 +729,109 @@ def _gather_ranges(starts, counts):
     return bases + _np.arange(total, dtype=_np.int64)
 
 
-def bad_region_acyclic(bad_mask, offsets, targets) -> bool:
-    """Whether the subgraph induced by the bad states is acyclic.
+def _csr_sources(offsets, like):
+    """The source row of every CSR edge, in edge order.
 
-    A vectorized Kahn peel: repeatedly remove bad states with no
-    remaining successor inside the bad region, decrementing their
-    predecessors' internal out-degrees through a reverse-CSR adjacency
-    built with one stable sort. The region is acyclic iff everything
-    peels away — in which case convergence holds under *any* fairness
-    and the exact (but per-node) SCC analysis is skipped entirely.
-
-    A peeled state has internal out-degree zero, so it never appears as
-    a predecessor of a later frontier — no aliveness bookkeeping is
-    needed, and a state enters the frontier exactly once (the round its
-    counter reaches zero).
+    Rows come in ``like``'s (narrow) code dtype when it can index every
+    row, in int64 otherwise.
     """
     _require_numpy()
-    n = bad_mask.size
-    degrees = _np.diff(offsets)
-    edge_sources = _np.repeat(bad_mask, degrees)
-    internal = _np.flatnonzero(edge_sources & bad_mask[targets])
-    if internal.size == 0:
-        return True
-    sources = _np.repeat(
-        _np.arange(n, dtype=_np.int64), degrees
-    )[internal]
-    sinks = targets[internal]
-    outdegree = _np.bincount(sources, minlength=n)
-    # Reverse CSR: predecessors grouped by sink, indexed by indptr.
-    order = _np.argsort(sinks, kind="stable")
-    by_sink_source = sources[order]
+    n = offsets.size - 1
+    dtype = _np.dtype(like)
+    if not (dtype.kind in "iu" and n <= _np.iinfo(dtype).max + 1):
+        dtype = _np.dtype(_np.int64)
+    return _np.repeat(_np.arange(n, dtype=dtype), _np.diff(offsets))
+
+
+def _reverse_csr(sources, sinks, n: int):
+    """Predecessors grouped by sink: ``(indptr, by_sink_source)``.
+
+    ``by_sink_source[indptr[v]:indptr[v + 1]]`` are the sources of the
+    edges into ``v``. Neither the Kahn peel nor the frontier BFS depends
+    on the order of a sink's predecessors, so one unstable ``argsort``
+    of the sinks groups them. ``by_sink_source`` keeps the dtype of
+    ``sources``.
+    """
+    _require_numpy()
     indptr = _np.empty(n + 1, dtype=_np.int64)
     indptr[0] = 0
     _np.cumsum(_np.bincount(sinks, minlength=n), out=indptr[1:])
-    remaining = int(_np.count_nonzero(bad_mask))
-    frontier = _np.flatnonzero(bad_mask & (outdegree == 0))
+    return indptr, sources[_np.argsort(sinks)]
+
+
+def kahn_peel(region, sources, sinks, outdegree=None):
+    """Round-synchronous Kahn peel of ``region`` over an edge list.
+
+    Yields one frontier per round, as sorted state indices. Round 0 is
+    every region state with no counted out-edge; after that a state
+    peels in the round after its last counted successor did, so a state
+    peeling in round ``r`` has ``r == 1 + max`` round over its
+    successors (the longest path to an exit). A state on or above a
+    cycle never peels and is never yielded, and an edge whose sink never
+    peels — a sink outside ``region``, say — blocks its source forever.
+
+    Every edge source must lie in ``region``. ``outdegree`` is each
+    state's counted out-edges (default: the edges given) and is
+    decremented in place; a caller can count extra edges that are not
+    in the list, whose sinks therefore never peel (the shard-local peel
+    counts its boundary edges this way). Each round gathers the
+    frontier's predecessors from a reverse CSR (:func:`_reverse_csr`) and
+    decrements their counters with one ``unique(return_counts=True)``;
+    a peeled state has no counted edge left, so it is never decremented
+    again and enters the frontier exactly once.
+    """
+    _require_numpy()
+    n = region.size
+    if outdegree is None:
+        outdegree = _np.bincount(sources, minlength=n)
+    indptr, by_sink_source = _reverse_csr(sources, sinks, n)
+    ends = indptr[1:]
+    frontier = _np.flatnonzero(region & (outdegree == 0))
     while frontier.size:
-        remaining -= int(frontier.size)
+        yield frontier
+        # The frontier may hold narrow codes: index ``ends`` rather than
+        # adding 1 to them, which would wrap at the dtype's maximum.
         starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        predecessors = by_sink_source[_gather_ranges(starts, counts)]
-        if predecessors.size == 0:
-            break
-        if predecessors.size * 16 >= n:
-            outdegree -= _np.bincount(predecessors, minlength=n)
-        else:
-            _np.subtract.at(outdegree, predecessors, 1)
-        # Only states whose counter just hit zero can join the frontier;
-        # filtering before the dedup keeps the unique() input tiny.
-        hit = predecessors[outdegree[predecessors] == 0]
-        frontier = _np.unique(hit)
+        predecessors = by_sink_source[
+            _gather_ranges(starts, ends[frontier] - starts)
+        ]
+        if not predecessors.size:
+            return
+        predecessors, hits = _np.unique(predecessors, return_counts=True)
+        left = outdegree[predecessors] - hits
+        outdegree[predecessors] = left
+        frontier = predecessors[left == 0]
+
+
+def _peel_levels(region, sources, sinks):
+    """The round each state peels in (:func:`kahn_peel`), ``-1`` if never."""
+    levels = _np.full(region.size, -1, dtype=_np.int64)
+    for level, frontier in enumerate(kahn_peel(region, sources, sinks)):
+        levels[frontier] = level
+    return levels
+
+
+def _peels_away(region, sources, sinks) -> bool:
+    remaining = int(_np.count_nonzero(region))
+    for frontier in kahn_peel(region, sources, sinks):
+        remaining -= frontier.size
     return remaining == 0
+
+
+def bad_region_acyclic(bad_mask, offsets, targets) -> bool:
+    """Whether the subgraph induced by the bad states is acyclic.
+
+    The Kahn peel (:func:`kahn_peel`) of the bad region over its
+    bad→bad edges; edges into good states are exits and are not
+    counted. The region is acyclic iff everything peels away — in which
+    case convergence holds under *any* fairness and the exact (but
+    per-node) SCC analysis is skipped entirely.
+    """
+    _require_numpy()
+    internal = _np.repeat(bad_mask, _np.diff(offsets))
+    internal &= bad_mask[targets]
+    sources = _csr_sources(offsets, targets.dtype)
+    return _peels_away(bad_mask, sources[internal], targets[internal])
 
 
 def peel_shard_edges(lo, hi, bad_slice, sources, sinks):
@@ -770,8 +841,9 @@ def peel_shard_edges(lo, hi, bad_slice, sources, sinks):
     whose source lies in ``lo .. hi-1``; ``bad_slice`` is the bad mask
     over that range. Every in-shard chain that provably drains without
     leaving the shard is peeled here (sound: a state peels only once all
-    its bad successors have, and boundary-crossing sinks never do), so
-    the streaming verdict path retains only the boundary frontier for
+    its bad successors have, and boundary-crossing sinks never do — the
+    peel counts them in the initial out-degree but cannot reach them),
+    so the streaming verdict path retains only the boundary frontier for
     the global exchange.
 
     Returns ``(resolved, sources, sinks)``: ``resolved`` marks the
@@ -782,40 +854,19 @@ def peel_shard_edges(lo, hi, bad_slice, sources, sinks):
     """
     _require_numpy()
     n = hi - lo
-    resolved = _np.zeros(n, dtype=bool)
-    if sources.size == 0:
-        resolved |= bad_slice
-        return resolved, sources, sinks
     local_src = sources - lo
     in_shard = (sinks >= lo) & (sinks < hi)
-    outdegree = _np.bincount(local_src, minlength=n)
-    # Reverse adjacency over in-shard edges only: out-of-shard sinks
-    # never peel locally, so they never need predecessor lookups.
-    internal = _np.flatnonzero(in_shard)
-    r_sources = local_src[internal]
-    r_sinks = sinks[internal] - lo
-    order = _np.argsort(r_sinks, kind="stable")
-    by_sink_source = r_sources[order]
-    indptr = _np.empty(n + 1, dtype=_np.int64)
-    indptr[0] = 0
-    _np.cumsum(_np.bincount(r_sinks, minlength=n), out=indptr[1:])
-    frontier = _np.flatnonzero(bad_slice & (outdegree == 0))
-    while frontier.size:
+    local_sinks = sinks[in_shard] - lo
+    resolved = _np.zeros(n, dtype=bool)
+    for frontier in kahn_peel(
+        bad_slice,
+        local_src[in_shard],
+        local_sinks,
+        outdegree=_np.bincount(local_src, minlength=n),
+    ):
         resolved[frontier] = True
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        predecessors = by_sink_source[_gather_ranges(starts, counts)]
-        if predecessors.size == 0:
-            break
-        if predecessors.size * 16 >= n:
-            outdegree -= _np.bincount(predecessors, minlength=n)
-        else:
-            _np.subtract.at(outdegree, predecessors, 1)
-        hit = predecessors[outdegree[predecessors] == 0]
-        frontier = _np.unique(hit)
-    sink_resolved = _np.zeros(sinks.size, dtype=bool)
-    sink_resolved[internal] = resolved[r_sinks]
-    keep = ~resolved[local_src] & ~sink_resolved
+    keep = ~resolved[local_src]
+    keep[in_shard] &= ~resolved[local_sinks]
     return resolved, sources[keep], sinks[keep]
 
 
@@ -830,53 +881,31 @@ def edge_list_acyclic(sources, sinks, bad_mask) -> bool:
     :func:`bad_region_acyclic` computes over a materialized CSR.
     """
     _require_numpy()
-    remaining = int(_np.count_nonzero(bad_mask))
-    if sources.size == 0:
-        # No surviving edges: every unresolved state peels in round one.
-        return True
-    n = bad_mask.size
-    outdegree = _np.bincount(sources, minlength=n)
-    order = _np.argsort(sinks, kind="stable")
-    by_sink_source = sources[order]
-    indptr = _np.empty(n + 1, dtype=_np.int64)
-    indptr[0] = 0
-    _np.cumsum(_np.bincount(sinks, minlength=n), out=indptr[1:])
-    frontier = _np.flatnonzero(bad_mask & (outdegree == 0))
-    while frontier.size:
-        remaining -= int(frontier.size)
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        predecessors = by_sink_source[_gather_ranges(starts, counts)]
-        if predecessors.size == 0:
-            break
-        if predecessors.size * 16 >= n:
-            outdegree -= _np.bincount(predecessors, minlength=n)
-        else:
-            _np.subtract.at(outdegree, predecessors, 1)
-        hit = predecessors[outdegree[predecessors] == 0]
-        frontier = _np.unique(hit)
-    return remaining == 0
+    return _peels_away(bad_mask, sources, sinks)
 
 
 def frontier_reach(offsets, targets, roots, size: int):
     """The states reachable from ``roots``, as a boolean mask.
 
     Frontier BFS as array gather/scatter: each round gathers the whole
-    frontier's CSR edge ranges at once, dedupes, and scatters into the
-    visited mask — no per-state Python.
+    frontier's CSR edge ranges at once, drops the visited successors,
+    scatters the rest into the visited mask and dedupes them into the
+    next frontier — no per-state Python.
     """
     _require_numpy()
     visited = _np.zeros(size, dtype=bool)
     frontier = _np.unique(_np.asarray(list(roots), dtype=_np.int64))
     visited[frontier] = True
-    offsets = _np.asarray(offsets, dtype=_np.int64)
-    targets = _np.asarray(targets, dtype=_np.int64)
+    offsets = _np.asarray(offsets)
+    targets = _np.asarray(targets)
+    ends = offsets[1:]
     while frontier.size:
+        # Narrow successor codes: index ``ends``, never add 1 to them.
         starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        successors = targets[_gather_ranges(starts, counts)]
-        successors = _np.unique(successors)
+        successors = targets[
+            _gather_ranges(starts, ends[frontier] - starts)
+        ]
         successors = successors[~visited[successors]]
         visited[successors] = True
-        frontier = successors
+        frontier = _np.unique(successors)
     return visited

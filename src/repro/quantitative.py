@@ -36,9 +36,11 @@ verified transition system into numbers:
 - **Worst-case convergence span**: the game value against the
   adversarial scheduler, which at every state picks the enabled
   transition maximizing remaining time. Computed exactly by max-player
-  value iteration in attractor order over the same CSR graph; states
-  the adversary can trap outside the target (a cycle or deadlock that
-  avoids it) get ``math.inf``.
+  value iteration in attractor order over the same CSR graph — with
+  numpy, as the round numbers of the kernel's own Kahn peel run
+  backwards from the target (:func:`repro.kernel.sweeps.kahn_peel`);
+  states the adversary can trap outside the target (a cycle or
+  deadlock that avoids it) get ``math.inf``.
 
 - **A masking-distance-style score** in ``[0, 1]`` combining the
   fault-span escape probability (the chance a uniformly random span
@@ -467,23 +469,38 @@ def _classify_scalar(n: int, offsets, targets, is_target) -> list[bool]:
     return doomed
 
 
-def _classify_vector(n: int, offsets, targets, is_target):
-    """Vectorized :func:`_classify_scalar`: reverse CSR + frontier BFS."""
-    from repro.kernel.sweeps import frontier_reach
+def _index_array(values):
+    """``values`` as an integer array; a numpy array keeps its dtype."""
+    if isinstance(values, _np.ndarray):
+        return values
+    return _np.asarray(values, dtype=_np.int64)
+
+
+def _absorbing_edges(offsets, targets, is_target):
+    """The edges out of non-target states, as ``(sources, sinks)`` arrays.
+
+    Target states are absorbing, so their own edges never count —
+    neither for reachability to the target nor in the adversarial game.
+    Sources come in the targets' (narrow) code dtype.
+    """
+    from repro.kernel.sweeps import _csr_sources
 
     np = _np
-    off = np.asarray(offsets, dtype=np.int64)
-    tgt = np.asarray(targets, dtype=np.int64)
-    counts = off[1:] - off[:-1]
-    src = np.repeat(np.arange(n, dtype=np.int64), counts)
-    is_t = np.asarray(is_target, dtype=bool)
-    keep = ~is_t[src]  # target states are absorbing
-    rev_src = tgt[keep]
-    rev_dst = src[keep]
-    rev_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rev_src, minlength=n), out=rev_offsets[1:])
-    rev_targets = rev_dst[np.argsort(rev_src, kind="stable")]
-    target_roots = np.flatnonzero(is_t)
+    off = _index_array(offsets)
+    tgt = _index_array(targets)
+    counted = ~np.repeat(np.asarray(is_target, dtype=bool), np.diff(off))
+    return _csr_sources(off, tgt.dtype)[counted], tgt[counted]
+
+
+def _classify_vector(n: int, offsets, targets, is_target):
+    """Vectorized :func:`_classify_scalar`: reverse CSR + frontier BFS."""
+    from repro.kernel.sweeps import _reverse_csr, frontier_reach
+
+    np = _np
+    rev_offsets, rev_targets = _reverse_csr(
+        *_absorbing_edges(offsets, targets, is_target), n
+    )
+    target_roots = np.flatnonzero(np.asarray(is_target, dtype=bool))
     reaches = (
         frontier_reach(rev_offsets, rev_targets, target_roots, n)
         if target_roots.size
@@ -621,11 +638,22 @@ def _solve(
 def _adversarial_values(n: int, offsets, targets, is_target) -> list[float]:
     """Exact game value against the adversarial scheduler, per state.
 
-    Max-player value iteration evaluated in attractor order: a state
-    joins the finite region only once *every* enabled transition leads
-    into it (the adversary picks the worst), at which point its value
-    is ``1 + max`` over the successors — all already final. States the
-    adversary can keep outside the target (a cycle avoiding it, or a
+    Dispatches like :func:`_solve`: the kernel's Kahn peel with numpy,
+    the pure-Python attractor walk otherwise (or under
+    ``FORCE_SCALAR``). Both return exactly the same values.
+    """
+    if HAVE_NUMPY and not FORCE_SCALAR:
+        return _adversarial_vector(n, offsets, targets, is_target)
+    return _adversarial_scalar(n, offsets, targets, is_target)
+
+
+def _adversarial_scalar(n: int, offsets, targets, is_target) -> list[float]:
+    """Pure-Python game value: max-player value iteration in attractor order.
+
+    A state joins the finite region only once *every* enabled transition
+    leads into it (the adversary picks the worst), at which point its
+    value is ``1 + max`` over the successors — all already final. States
+    the adversary can keep outside the target (a cycle avoiding it, or a
     deadlock) never join and stay ``math.inf``.
     """
     predecessors: list[list[int]] = [[] for _ in range(n)]
@@ -654,6 +682,31 @@ def _adversarial_values(n: int, offsets, targets, is_target) -> list[float]:
                 values[back] = best[back]
                 queue.append(back)
     return values
+
+
+def _adversarial_vector(n: int, offsets, targets, is_target) -> list[float]:
+    """The game value as the round of the kernel's Kahn peel from ``S``.
+
+    The same backward attractor, run round-synchronously by
+    :func:`repro.kernel.sweeps.kahn_peel` over the edges out of
+    non-target states: targets peel in round 0, and a state peels in
+    round ``r`` once its last successor has, so ``r = 1 + max`` over the
+    successors — exactly the adversary's value. A deadlocked non-target
+    is kept out of the peeled region (the adversary stops it there
+    forever), so it and every state that can be steered into it or into
+    a cycle avoiding the target never peel and get ``math.inf``.
+    """
+    from repro.kernel.sweeps import _peel_levels
+
+    np = _np
+    is_t = np.asarray(is_target, dtype=bool)
+    region = is_t | (np.diff(_index_array(offsets)) > 0)
+    levels = _peel_levels(
+        region, *_absorbing_edges(offsets, targets, is_target)
+    )
+    values = levels.astype(np.float64)
+    values[levels < 0] = math.inf
+    return values.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ report ``math.inf``. On top of that the suite pins:
 
 - bit-parity of the pure-Python scalar sweep against the vectorized
   numpy sweep (``FORCE_SCALAR``);
-- the adversarial game value dominating the random-daemon expectation;
+- the adversarial game value dominating the random-daemon expectation,
+  and its kernel-peel path equal (``==``, ``inf`` included) to the
+  pure-Python attractor walk on the library and on random CSR graphs;
 - fault-rate weighting (named fault actions are downweighted);
 - the :class:`QuantitativeReport` schema and Verdict conformance;
 - structured refusals (``memory_budget``, ``fault_rate <= 0``,
@@ -20,6 +22,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.quantitative as quantitative
@@ -34,6 +38,7 @@ from repro.core import (
 )
 from repro.core.errors import ValidationError
 from repro.protocols.library import CASES, build_case
+from repro.protocols.token_ring import build_dijkstra_ring
 from repro.quantitative import (
     DEFAULT_FAULT_RATE,
     DENSE_AGREEMENT_RTOL,
@@ -45,9 +50,13 @@ from repro.quantitative import (
     quantify,
     worst_case_steps,
 )
+from repro.verification.explorer import build_transition_system
 from repro.verification.service import VerificationService, tolerance_fingerprint
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+
+if HAVE_NUMPY:
+    import numpy as np
 
 #: Small instances of every registered protocol — the differential bar
 #: is "every library protocol", kept at toy sizes so the dense reference
@@ -172,6 +181,118 @@ class TestScalarVectorParity:
         assert scalar.path != vector.path or scalar.path == "dict"
 
 
+def _csr_of(rows):
+    """``(offsets, targets)`` lists of a graph given as successor rows."""
+    offsets = [0]
+    targets = []
+    for row in rows:
+        targets.extend(row)
+        offsets.append(len(targets))
+    return offsets, targets
+
+
+@st.composite
+def _csr_graphs(draw):
+    """Small random graphs as ``(rows, is_target, code dtype)``.
+
+    A row may be empty (a deadlock), name its own state (a self-loop) or
+    repeat a successor (parallel edges); the target mask may be all or
+    nothing as well as random.
+    """
+    n = draw(st.integers(0, 9))
+    rows = [
+        draw(st.lists(st.integers(0, n - 1), max_size=4)) for _ in range(n)
+    ]
+    is_target = draw(
+        st.one_of(
+            st.just([True] * n),
+            st.just([False] * n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        )
+    )
+    dtype = draw(st.sampled_from(["int16", "int32", "int64"]))
+    return rows, is_target, dtype
+
+
+class TestAdversarialParity:
+    """The kernel-peel game value equals the pure-Python attractor walk.
+
+    Exact float equality, ``math.inf`` included: the vector path's value
+    is the peel round, an integer, and the scalar path sums ``1.0``s.
+    """
+
+    @staticmethod
+    def _both_paths(program, invariant, states, engine, monkeypatch):
+        system = build_transition_system(program, states, engine=engine)
+        vector = worst_case_steps(program, states, invariant, system=system)
+        monkeypatch.setattr(quantitative, "FORCE_SCALAR", True)
+        scalar = worst_case_steps(program, states, invariant, system=system)
+        assert vector == scalar
+        return vector
+
+    @needs_numpy
+    @pytest.mark.parametrize("name,size", LIBRARY, ids=[n for n, _ in LIBRARY])
+    @pytest.mark.parametrize("engine", ["packed", "dict"])
+    def test_library(self, name, size, engine, monkeypatch):
+        program, invariant, states = _case(name, size)
+        self._both_paths(program, invariant, states, engine, monkeypatch)
+
+    @needs_numpy
+    @pytest.mark.parametrize("engine", ["packed", "dict"])
+    def test_trapping_ring(self, engine, monkeypatch):
+        # K = 2 counters are too few for a 4-ring: the adversary keeps
+        # half the states cycling outside S forever.
+        program, invariant = build_dijkstra_ring(4, 2)
+        states = list(program.state_space())
+        values = self._both_paths(
+            program, invariant, states, engine, monkeypatch
+        )
+        assert any(math.isinf(v) for v in values)
+        assert any(not math.isinf(v) for v in values)
+
+    @pytest.mark.parametrize("force_scalar", [False, True])
+    def test_known_values(self, force_scalar, monkeypatch):
+        # 0: target (its own edge to 5 does not count); 1 -> 0;
+        # 2 -> 1, 0, 0 (parallel edges); 3: deadlock; 4 -> 3 or 0;
+        # 5 -> 5 (self-loop) or 0.
+        rows = [[5], [0], [1, 0, 0], [], [3, 0], [5, 0]]
+        offsets, targets = _csr_of(rows)
+        is_target = [True, False, False, False, False, False]
+        monkeypatch.setattr(quantitative, "FORCE_SCALAR", force_scalar)
+        values = quantitative._adversarial_values(
+            len(rows), offsets, targets, is_target
+        )
+        assert values == [0.0, 1.0, 2.0, math.inf, math.inf, math.inf]
+
+    @needs_numpy
+    @settings(max_examples=300, deadline=None)
+    @given(_csr_graphs())
+    @example(([[]], [False], "int64"))  # a lone deadlock
+    @example(([[0]], [False], "int16"))  # a lone self-loop
+    @example(([[1, 1], []], [False, True], "int32"))  # parallel edges
+    @example(([[1], [0, 0]], [True, True], "int64"))  # all targets
+    @example(([[1], [0, 0]], [False, False], "int64"))  # no target
+    @example(([], [], "int16"))  # no states
+    def test_random_graphs(self, graph):
+        rows, is_target, dtype = graph
+        offsets, targets = _csr_of(rows)
+        n = len(rows)
+        scalar = quantitative._adversarial_scalar(
+            n, offsets, targets, is_target
+        )
+        # Lists, as the dict engine hands them over, and narrow arrays,
+        # as the packed kernel does.
+        assert quantitative._adversarial_vector(
+            n, offsets, targets, is_target
+        ) == scalar
+        assert quantitative._adversarial_vector(
+            n,
+            np.asarray(offsets, dtype=np.int32),
+            np.asarray(targets, dtype=dtype),
+            np.asarray(is_target, dtype=bool),
+        ) == scalar
+
+
 class TestInfinitePropagation:
     def test_doomed_states_are_inf_on_both_paths(self, monkeypatch):
         # From n=3 a deadlocking branch exists: stuck() disables
@@ -277,6 +398,40 @@ class TestReport:
         assert "quantify" in repro.__all__
         assert "hitting_times" in repro.__all__
         assert "QuantitativeReport" in repro.__all__
+
+    def test_score_as_documented(self):
+        # dec plus n = 1 -> n := 2: the random daemon converges from
+        # everywhere (E = 0, 3, 4, 5; mean 3), but the adversary bounces
+        # 1 -> 2 -> 1 forever. escape counts only doomed states, so it
+        # stays 0 with an infinite worst case, and the normalization
+        # divides by the span size (4), not by the worst case:
+        # score = 3 / (3 + 4).
+        at_one = Predicate(lambda s: s["n"] == 1, name="n = 1", support=("n",))
+        bounce = Action("bounce", at_one, Assignment({"n": 2}), reads=("n",))
+        report = quantify(_counter([_dec(), bounce]), TARGET)
+        assert report.escape_probability == 0.0
+        assert math.isinf(report.worst_case_steps)
+        assert report.ok is False
+        assert report.score == pytest.approx(3 / 7)
+
+    @needs_numpy
+    def test_int16_space_through_its_last_state(self, monkeypatch):
+        # 2^15 states keep int16 codes; under halving, state 32767 is
+        # the last the adversarial peel and the reverse BFS reach.
+        halve = Action(
+            "halve",
+            Predicate(lambda s: s["n"] > 0, name="n > 0", support=("n",)),
+            Assignment({"n": lambda s: s["n"] // 2}),
+            reads=("n",),
+        )
+        program = _counter([halve], hi=(1 << 15) - 1)
+        vector = quantify(program, TARGET)
+        monkeypatch.setattr(quantitative, "FORCE_SCALAR", True)
+        scalar = quantify(program, TARGET)
+        assert vector.path.startswith("vector")
+        assert vector.worst_case_steps == scalar.worst_case_steps == 15.0
+        assert vector.escape_probability == scalar.escape_probability == 0.0
+        assert vector.ok and scalar.ok
 
     def test_span_escape_probability(self):
         # Within the full space the span is everything, so nothing

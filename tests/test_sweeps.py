@@ -4,7 +4,10 @@ Three layers:
 
 - unit tests for the array primitives in :mod:`repro.kernel.sweeps`
   (closure scan, deadlock scan, Kahn acyclicity peel, frontier BFS, CSR
-  fragment merging) against hand-built CSR graphs;
+  fragment merging) against hand-built CSR graphs, plus properties of
+  the shared Kahn peel on random graphs at every code dtype: its levels
+  are the longest path to an exit, and every acyclicity check built on
+  it agrees with Tarjan's SCCs;
 - differential tests pinning the vectorized full-space path (forced by
   lowering ``VECTOR_MIN_STATES``) and the sharded path bit-identical to
   the scalar packed sweep across the protocol library and crafted
@@ -17,6 +20,8 @@ import multiprocessing
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Action,
@@ -35,6 +40,7 @@ from repro.kernel.shard import plan_shards
 from repro.kernel.verify import check_tolerance_packed
 from repro.protocols.library import build_case, case_names
 from repro.verification.checker import _check_tolerance as check_tolerance
+from repro.verification.convergence import _strongly_connected_components
 
 needs_numpy = pytest.mark.skipif(
     not sweeps.HAVE_NUMPY, reason="numpy is not installed"
@@ -140,6 +146,194 @@ class TestFrontierReach:
     def test_no_roots(self):
         offsets, targets = _csr({}, 3)
         assert not sweeps.frontier_reach(offsets, targets, [], 3).any()
+
+    def test_int16_targets_reach_the_last_state(self):
+        # State 32767 joins the (int16) frontier in the last round.
+        n = 1 << 15
+        children = {v: [2 * v, 2 * v + 1] for v in range(1, n // 2)}
+        offsets, targets = _csr(children, n)
+        visited = sweeps.frontier_reach(
+            offsets, targets.astype(np.int16), [1], n
+        )
+        assert visited.tolist() == [False] + [True] * (n - 1)
+
+
+#: The code dtypes the kernel narrows its CSR arrays to.
+CODE_DTYPES = ["int16", "int32", "int64"]
+
+
+@st.composite
+def _region_graphs(draw):
+    """``(n, region, edges)``: a random graph and a region mask.
+
+    Edges may be self-loops or parallel, and may leave the region.
+    """
+    n = draw(st.integers(0, 10))
+    region = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=25)) if n else []
+    return n, region, edges
+
+
+def _edge_arrays(edges, dtype):
+    sources = np.asarray([s for s, _ in edges], dtype=dtype)
+    sinks = np.asarray([t for _, t in edges], dtype=dtype)
+    return sources, sinks
+
+
+def _longest_path_to_exit(n, region, edges):
+    """Plain-Python peel levels: a region state's longest path to a state
+    with no out-edge, or -1 when some path from it reaches a cycle or
+    leaves the region."""
+    successors = [[] for _ in range(n)]
+    for source, sink in edges:
+        successors[source].append(sink)
+    memo = {}
+
+    def level(node, path):
+        if not region[node] or node in path:
+            return None
+        if node not in memo:
+            path.add(node)
+            best = 0
+            for successor in successors[node]:
+                below = level(successor, path)
+                if below is None:
+                    best = None
+                    break
+                best = max(best, below + 1)
+            path.discard(node)
+            memo[node] = best
+        return memo[node]
+
+    levels = [level(node, set()) for node in range(n)]
+    return [-1 if value is None else value for value in levels]
+
+
+def _acyclic_by_scc(n, bad, edges):
+    """Whether the bad-induced subgraph is acyclic, by Tarjan's SCCs."""
+    internal = {node: [] for node in range(n) if bad[node]}
+    for source, sink in edges:
+        if bad[source] and bad[sink]:
+            internal[source].append(sink)
+    components = _strongly_connected_components(list(internal), internal)
+    return all(
+        len(component) == 1 and component[0] not in internal[component[0]]
+        for component in components
+    )
+
+
+def _csr_of_edges(n, edges, dtype):
+    rows = {}
+    for source, sink in edges:
+        rows.setdefault(source, []).append(sink)
+    offsets, targets = _csr(rows, n)
+    offset_dtype = np.int64 if dtype == "int64" else np.int32
+    return offsets.astype(offset_dtype), targets.astype(dtype)
+
+
+@needs_numpy
+class TestKahnPeel:
+    @pytest.mark.parametrize("dtype", CODE_DTYPES)
+    @settings(max_examples=100, deadline=None)
+    @given(_region_graphs())
+    def test_levels_are_longest_path_to_exit(self, dtype, graph):
+        n, region, edges = graph
+        # The peel's contract: every edge source lies in the region.
+        edges = [(s, t) for s, t in edges if region[s]]
+        levels = sweeps._peel_levels(
+            np.asarray(region, dtype=bool), *_edge_arrays(edges, dtype)
+        )
+        assert levels.tolist() == _longest_path_to_exit(n, region, edges)
+
+    @pytest.mark.parametrize("dtype", CODE_DTYPES)
+    @settings(max_examples=100, deadline=None)
+    @given(_region_graphs())
+    def test_bad_region_acyclic_matches_scc(self, dtype, graph):
+        n, bad, edges = graph
+        offsets, targets = _csr_of_edges(n, edges, dtype)
+        assert sweeps.bad_region_acyclic(
+            np.asarray(bad, dtype=bool), offsets, targets
+        ) == _acyclic_by_scc(n, bad, edges)
+
+    @pytest.mark.parametrize("dtype", CODE_DTYPES)
+    @settings(max_examples=100, deadline=None)
+    @given(_region_graphs(), st.integers(1, 4))
+    def test_shard_peels_then_exchange_match_scc(self, dtype, graph, shards):
+        # The streaming path's two steps: a peel per shard that keeps
+        # boundary sinks alive, then the global edge-list exchange.
+        n, bad, edges = graph
+        bad_mask = np.asarray(bad, dtype=bool)
+        internal = [(s, t) for s, t in edges if bad[s] and bad[t]]
+        resolved = np.zeros(n, dtype=bool)
+        kept = []
+        for lo, hi in plan_shards(n, shards):
+            sources, sinks = _edge_arrays(
+                [(s, t) for s, t in internal if lo <= s < hi], dtype
+            )
+            drained, sources, sinks = sweeps.peel_shard_edges(
+                lo, hi, bad_mask[lo:hi], sources, sinks
+            )
+            resolved[lo:hi] = drained
+            kept.extend(zip(sources.tolist(), sinks.tolist()))
+        alive = [(s, t) for s, t in kept if not resolved[t]]
+        assert sweeps.edge_list_acyclic(
+            *_edge_arrays(alive, dtype), bad_mask & ~resolved
+        ) == _acyclic_by_scc(n, bad, edges)
+
+    @pytest.mark.parametrize("dtype", CODE_DTYPES)
+    def test_empty_region(self, dtype):
+        offsets, targets = _csr_of_edges(3, [(0, 1), (1, 2)], dtype)
+        bad = np.zeros(3, dtype=bool)
+        assert sweeps.bad_region_acyclic(bad, offsets, targets)
+        sources, sinks = _edge_arrays([], dtype)
+        assert sweeps._peel_levels(bad, sources, sinks).tolist() == [-1] * 3
+        assert sweeps.edge_list_acyclic(sources, sinks, bad)
+
+    @pytest.mark.parametrize("dtype", CODE_DTYPES)
+    def test_region_without_edges_peels_in_round_zero(self, dtype):
+        region = np.array([True, False, True])
+        sources, sinks = _edge_arrays([], dtype)
+        assert sweeps._peel_levels(region, sources, sinks).tolist() == [0, -1, 0]
+        offsets, targets = _csr_of_edges(3, [], dtype)
+        assert sweeps.bad_region_acyclic(region, offsets, targets)
+
+    def test_no_states(self):
+        empty = np.zeros(0, dtype=bool)
+        sources, sinks = _edge_arrays([], "int16")
+        assert sweeps._peel_levels(empty, sources, sinks).size == 0
+        offsets, targets = _csr_of_edges(0, [], "int16")
+        assert sweeps.bad_region_acyclic(empty, offsets, targets)
+
+    @pytest.mark.parametrize("dtype", CODE_DTYPES)
+    def test_long_chain_levels(self, dtype):
+        n = 1000
+        region = np.ones(n, dtype=bool)
+        edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        levels = sweeps._peel_levels(region, *_edge_arrays(edges, dtype))
+        assert levels.tolist() == list(range(n - 1, -1, -1))
+        offsets, targets = _csr_of_edges(n, edges, dtype)
+        assert sweeps.bad_region_acyclic(region, offsets, targets)
+        offsets, targets = _csr_of_edges(n, edges + [(n - 1, 1)], dtype)
+        assert not sweeps.bad_region_acyclic(region, offsets, targets)
+
+    def test_int16_codes_up_to_the_last_state(self):
+        # A 2^15-state space keeps int16 codes. Halving edges peel state
+        # 32767 in the last round, so that frontier holds the dtype's
+        # maximum, where adding 1 would wrap to -32768.
+        n = 1 << 15
+        edges = [(v, v // 2) for v in range(1, n)]
+        levels = sweeps._peel_levels(
+            np.ones(n, dtype=bool), *_edge_arrays(edges, "int16")
+        )
+        assert levels.tolist() == [v.bit_length() for v in range(n)]
+        offsets, targets = _csr_of_edges(n, edges, "int16")
+        bad = np.ones(n, dtype=bool)
+        bad[0] = False
+        assert sweeps.bad_region_acyclic(bad, offsets, targets)
+        assert not sweeps.bad_region_acyclic(
+            bad, *_csr_of_edges(n, edges + [(1, n - 1)], "int16")
+        )
 
 
 class TestPlanShards:
@@ -358,6 +552,40 @@ def test_opaque_predicate_without_support_falls_back(monkeypatch):
     scalar = _packed_report(program, opaque, TRUE)
     _force_vectorized(monkeypatch)
     assert _packed_report(program, opaque, TRUE) == scalar
+
+
+@needs_numpy
+def test_int16_space_verifies_through_its_last_state(monkeypatch):
+    # One variable spanning a 2^15-state space: int16 codes, a radix
+    # past int16's maximum, and a bad region whose Kahn peel reaches
+    # state 32767 only in its last round.
+    hi = (1 << 15) - 1
+    halve = Action(
+        "halve",
+        Predicate(lambda s: s["n"] > 0, name="n > 0", support=("n",)),
+        Assignment({"n": lambda s: s["n"] // 2}),
+        reads=("n",),
+        process="p",
+    )
+    program = Program(
+        "halving", [Variable("n", IntegerRangeDomain(0, hi), process="p")], [halve]
+    )
+    invariant = Predicate(lambda s: s["n"] == 0, name="n = 0", support=("n",))
+    _force_scalar(monkeypatch)
+    scalar = _packed_report(program, invariant, TRUE)
+    _force_vectorized(monkeypatch)
+    from repro.observability.metrics import MetricsRegistry
+
+    metrics = MetricsRegistry()
+    assert _packed_report(program, invariant, TRUE, metrics=metrics) == scalar
+    assert metrics.report().counters["kernel.sweep.vectorized"] >= 1
+    metrics = MetricsRegistry()
+    streamed = _packed_report(
+        program, invariant, TRUE, shards=3, memory_budget=1024, metrics=metrics
+    )
+    assert streamed == scalar
+    assert metrics.report().counters["kernel.mem.streaming"] == 1
+    assert scalar.ok
 
 
 @needs_numpy
