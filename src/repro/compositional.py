@@ -29,6 +29,28 @@ supports, and backstopped at runtime: a lying opaque callable that reads
 outside ``P`` raises :class:`~repro.core.errors.UnknownVariableError` on
 the partial state, which converts to a refusal, never a wrong verdict.
 
+How an obligation is evaluated
+------------------------------
+
+Each swept obligation is one instance of the shape above, evaluated by
+one function (:func:`_sweep`). Per certification, every constraint
+predicate and action guard is tabulated once over the packed codec of
+its own sorted support, and every action once over its sorted reads (an
+``enabled`` flag and, per written variable, the digit of the value it
+writes); the tables are filled by the kernel's compiled closures
+(:func:`repro.kernel.compile.compile_expr`) over a value list, so no
+:class:`State` is built. An obligation then takes the digits of its
+joint projection as numpy arrays, gathers each table at its mixed-radix
+key, and computes the failing set ``enabled & context & ~post[post-state
+key]`` in a handful of array operations; only the first failing code is
+decoded, into the refusal. The per-state loop over decoded states is
+kept as the fallback and the oracle: it runs when a guard or predicate
+is opaque (neither a :class:`~repro.core.expr.BoolExpr` source nor a
+``parts`` tree of them), a right-hand side is an opaque callable, a
+written value falls outside its variable's domain, tabulation raises
+(an :class:`~repro.core.errors.UnknownVariableError` among others), or
+numpy is not installed. Both paths give the same certificate.
+
 Refusals, not negatives
 -----------------------
 
@@ -40,11 +62,13 @@ service, the CLI's ``--method auto``) fall back to full exploration.
 
 from __future__ import annotations
 
+import itertools
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.actions import Action
 from repro.core.constraint_graph import ConstraintGraph
 from repro.core.constraints import Constraint, ConvergenceBinding
 from repro.core.design import NonmaskingDesign
@@ -53,14 +77,21 @@ from repro.core.errors import (
     UnknownVariableError,
     ValidationError,
 )
+from repro.core.expr import BoolExpr, Expr
 from repro.core.fingerprint import probe_states
 from repro.core.introspect import infer_predicate_reads
 from repro.core.predicates import TRUE, Predicate
 from repro.core.state import State
 from repro.kernel.codec import StateCodec
-from repro.kernel.compile import action_supports_ok
+from repro.kernel.compile import action_supports_ok, compile_expr
+from repro.kernel.sweeps import SweepUnsupported, _RangeContext
 from repro.observability import MetricsRegistry, Tracer
 from repro.staticcheck.interference import StaticCertificate, StaticDischarger
+
+try:  # numpy is optional: without it every obligation takes the loop
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the fallback CI leg
+    _np = None
 
 __all__ = [
     "DEFAULT_PROJECTION_LIMIT",
@@ -205,13 +236,71 @@ class _Refusal(Exception):
         self.detail = detail
 
 
+class _Table:
+    """A predicate or an action tabulated over its own sorted support.
+
+    ``holds[key]`` is the predicate's truth value (for an action, its
+    guard's) at the support code ``key``. An action's table also maps
+    each written variable to the digit of the value it writes at every
+    enabled key.
+    """
+
+    __slots__ = ("names", "weights", "holds", "writes")
+
+    def __init__(self, codec: StateCodec, holds, writes=None) -> None:
+        self.names = codec.names
+        self.weights = codec.weights
+        self.holds = holds
+        self.writes = writes or {}
+
+    def key(self, digit: Callable[[str], Any]):
+        """The table key at every joint code, given per-variable digits."""
+        key = 0
+        for name, weight in zip(self.names, self.weights):
+            key = key + digit(name) * weight
+        return key
+
+
+def _compiled(predicate: Predicate, codec: StateCodec) -> Callable | None:
+    """A ``values -> truth`` closure over ``codec``, or ``None`` if opaque.
+
+    A :class:`BoolExpr` source compiles directly; a ``parts`` tree
+    compiles when every operand does, combined as the recorded
+    combinator evaluates them.
+    """
+    source = predicate.source
+    if isinstance(source, BoolExpr):
+        return compile_expr(source, codec)
+    if predicate.parts is None:
+        return None
+    kind = predicate.parts[0]
+    fns = [_compiled(operand, codec) for operand in predicate.parts[1]]
+    if any(fn is None for fn in fns):
+        return None
+    if kind in ("and", "all"):
+        return lambda values: all(fn(values) for fn in fns)
+    if kind in ("or", "any"):
+        return lambda values: any(fn(values) for fn in fns)
+    if kind == "not":
+        return lambda values: not fns[0](values)
+    if kind == "implies":
+        return lambda values: not fns[0](values) or fns[1](values)
+    if kind == "count":
+        count = predicate.parts[2]
+        return lambda values: sum(1 for fn in fns if fn(values)) == count
+    return None
+
+
 class _Projector:
-    """Builds and sweeps projected state spaces with packed codecs."""
+    """Builds projected state spaces and evaluates obligations over them."""
 
     def __init__(self, design: NonmaskingDesign, limit: int) -> None:
         self._variables = design.program.variables
         self._limit = limit
         self._codecs: dict[frozenset[str], StateCodec] = {}
+        # id(predicate or action) -> (the object, its table or the
+        # reason it cannot be tabulated); the object pins the id.
+        self._tables: dict[int, tuple[object, _Table | str]] = {}
         self.max_projection = 0
         self.projected_states = 0
 
@@ -241,10 +330,176 @@ class _Projector:
         self.max_projection = max(self.max_projection, codec.size)
         return codec
 
-    def states(self, codec: StateCodec) -> Iterator[State]:
+    def table(self, subject: Predicate | Action) -> _Table:
+        """The table of ``subject``, built on first use.
+
+        Only called for subjects whose support lies inside an obligation's
+        joint projection, which :meth:`codec` has already bounded.
+
+        Raises:
+            SweepUnsupported: when ``subject`` cannot be tabulated.
+        """
+        entry = self._tables.get(id(subject))
+        if entry is None:
+            try:
+                if isinstance(subject, Action):
+                    built: _Table | str = self._tabulate_action(subject)
+                else:
+                    built = self._tabulate_predicate(subject)
+            except SweepUnsupported as error:
+                built = str(error)
+            entry = self._tables[id(subject)] = (subject, built)
+        built = entry[1]
+        if isinstance(built, str):
+            raise SweepUnsupported(built)
+        return built
+
+    def _tabulate_predicate(self, predicate: Predicate) -> _Table:
+        if predicate.support is None:
+            raise SweepUnsupported(f"predicate {predicate.name!r} has no support")
+        codec = self.codec(predicate.support, subject=predicate.name)
+        fn = _compiled(predicate, codec)
+        if fn is None:
+            raise SweepUnsupported(f"predicate {predicate.name!r} is opaque")
+        try:
+            holds = _np.fromiter(
+                (bool(fn(values)) for values in itertools.product(*codec.domain_values)),
+                dtype=bool,
+                count=codec.size,
+            )
+        except Exception as error:
+            raise SweepUnsupported(
+                f"predicate {predicate.name!r} raised during tabulation: {error!r}"
+            ) from error
+        return _Table(codec, holds)
+
+    def _tabulate_action(self, action: Action) -> _Table:
+        codec = self.codec(action.reads, subject=action.name)
+        guard = _compiled(action.guard, codec)
+        if guard is None:
+            raise SweepUnsupported(f"action {action.name!r} has an opaque guard")
+        written = self.codec(action.writes, subject=action.name)
+        updates = []
+        for target, rhs in action.effect.updates.items():
+            if isinstance(rhs, Expr):
+                evaluate = compile_expr(rhs, codec)
+                if evaluate is None:
+                    raise SweepUnsupported(
+                        f"action {action.name!r}: {target} reads outside its reads"
+                    )
+            elif callable(rhs):
+                raise SweepUnsupported(
+                    f"action {action.name!r}: {target} has an opaque right-hand side"
+                )
+            else:
+                evaluate = lambda values, _constant=rhs: _constant  # noqa: E731
+            position = written.position_of(target)
+            updates.append(
+                (
+                    target,
+                    evaluate,
+                    written._value_digits[position],
+                    _np.zeros(codec.size, dtype=_np.int64),
+                )
+            )
+        enabled = _np.zeros(codec.size, dtype=bool)
+        try:
+            for key, values in enumerate(itertools.product(*codec.domain_values)):
+                if not guard(values):
+                    continue
+                enabled[key] = True
+                for _target, evaluate, digits, column in updates:
+                    value = evaluate(values)
+                    digit = digits.get(value)
+                    if digit is None:
+                        raise SweepUnsupported(
+                            f"action {action.name!r} writes {value!r}, outside "
+                            "its variable's domain"
+                        )
+                    column[key] = digit
+        except SweepUnsupported:
+            raise
+        except Exception as error:
+            raise SweepUnsupported(
+                f"action {action.name!r} raised during tabulation: {error!r}"
+            ) from error
+        return _Table(
+            codec, enabled, {target: column for target, *_rest, column in updates}
+        )
+
+    def first_failure(
+        self,
+        codec: StateCodec,
+        action: Action | None,
+        context: tuple[tuple[Predicate, bool], ...],
+        post: Predicate,
+    ) -> State | None:
+        """The first state of ``codec`` where the obligation fails, if any.
+
+        The obligation: at every state where ``action`` is enabled (when
+        given) and each context predicate has its wanted truth value,
+        ``post`` holds after ``action`` fires (before, without one). The
+        table gather answers; the per-state loop answers when it cannot.
+        """
         self.projected_states += codec.size
+        try:
+            code = _gathered_failure(self, codec, action, context, post)
+        except SweepUnsupported:
+            return self._looped_failure(codec, action, context, post)
+        return None if code is None else codec.decode_state(code)
+
+    def _looped_failure(self, codec, action, context, post) -> State | None:
+        """The per-state oracle: decode each state and call the predicates."""
         for code in range(codec.size):
-            yield codec.decode_state(code)
+            state = codec.decode_state(code)
+            if action is not None and not action.enabled(state):
+                continue
+            if any(predicate(state) != wanted for predicate, wanted in context):
+                continue
+            if not post(action.execute(state) if action is not None else state):
+                return state
+        return None
+
+
+def _gathered_failure(
+    projector: _Projector,
+    codec: StateCodec,
+    action: Action | None,
+    context: tuple[tuple[Predicate, bool], ...],
+    post: Predicate,
+) -> int | None:
+    """The first failing code of ``codec``, by table gathers.
+
+    Raises:
+        SweepUnsupported: when numpy is missing or a table cannot be built.
+    """
+    if _np is None:
+        raise SweepUnsupported("numpy is not installed")
+    guard = None if action is None else projector.table(action)
+    wanted = [(projector.table(predicate), want) for predicate, want in context]
+    after = projector.table(post)
+    ctx = _RangeContext(codec, 0, codec.size)
+
+    def pre(name: str):
+        return ctx.digit(codec.position_of(name))
+
+    failing = _np.ones(codec.size, dtype=bool)
+    if guard is None:
+        post_digit = pre
+    else:
+        guard_key = guard.key(pre)
+        failing &= guard.holds[guard_key]
+
+        def post_digit(name: str):
+            column = guard.writes.get(name)
+            return pre(name) if column is None else column[guard_key]
+
+    for table, want in wanted:
+        held = table.holds[table.key(pre)]
+        failing &= held if want else ~held
+    failing &= ~after.holds[after.key(post_digit)]
+    first = int(failing.argmax())
+    return first if failing[first] else None
 
 
 def _discharge_static(
@@ -482,17 +737,21 @@ def _sweep(
     subject: str,
     variables: frozenset[str],
     projector: _Projector,
-    body,  # Callable[[State], bool]
+    *,
+    action: Action | None = None,
+    context: tuple[tuple[Predicate, bool], ...] = (),
+    post: Predicate,
 ) -> Obligation:
-    """Enumerate the projection of ``variables`` and require ``body`` on it."""
+    """Require ``guard and context => post(a(s))`` over the projection.
+
+    ``action`` supplies the guard and ``a`` (without one, ``post`` is
+    read at ``s`` itself); ``context`` pairs each predicate with the
+    truth value it must have for ``s`` to count.
+    """
     started = time.perf_counter()
     codec = projector.codec(variables, subject=subject)
-    checked = 0
     try:
-        for state in projector.states(codec):
-            checked += 1
-            if not body(state):
-                raise _Refusal(name, f"{subject}: fails at {dict(state)!r}")
+        failure = projector.first_failure(codec, action, context, post)
     except UnknownVariableError as error:
         # Runtime soundness backstop: an opaque callable read outside the
         # certified support sets. Never a wrong verdict — a refusal.
@@ -501,12 +760,14 @@ def _sweep(
             f"{subject}: a callable read a variable outside the projection "
             f"({error}); declared supports are not truthful",
         ) from error
+    if failure is not None:
+        raise _Refusal(name, f"{subject}: fails at {dict(failure)!r}")
     return Obligation(
         name=name,
         subject=subject,
         variables=tuple(codec.names),
         space=codec.size,
-        checked=checked,
+        checked=codec.size,
         discharged_by="enumerated",
         seconds=time.perf_counter() - started,
     )
@@ -549,17 +810,16 @@ def _closure_obligations(
                     certificates,
                 ):
                     continue
-            joint = action.reads | action.writes | constraint.support
-
-            def body(state, action=action, constraint=constraint):
-                if not action.enabled(state):
-                    return True
-                if not constraint.holds(state):
-                    return True
-                return constraint.holds(action.execute(state))
-
             obligations.append(
-                _sweep("closure-preserves", subject, joint, projector, body)
+                _sweep(
+                    "closure-preserves",
+                    subject,
+                    action.reads | action.writes | constraint.support,
+                    projector,
+                    action=action,
+                    context=((constraint.predicate, True),),
+                    post=constraint.predicate,
+                )
             )
     if disjoint:
         obligations.append(
@@ -606,17 +866,14 @@ def _binding_obligations(
             certificates,
         )
     ):
-
-        def enabled_body(state):
-            return binding.constraint.holds(state) or action.enabled(state)
-
         obligations.append(
             _sweep(
                 "enabled-when-violated",
                 subject,
                 own.support | action.reads,
                 projector,
-                enabled_body,
+                context=((own.predicate, False),),
+                post=action.guard,
             )
         )
 
@@ -634,19 +891,14 @@ def _binding_obligations(
             certificates,
         )
     ):
-
-        def establishes_body(state):
-            if not action.enabled(state):
-                return True
-            return own.holds(action.execute(state))
-
         obligations.append(
             _sweep(
                 "establishes-in-one-step",
                 subject,
                 action.reads | action.writes | own.support,
                 projector,
-                establishes_body,
+                action=action,
+                post=own.predicate,
             )
         )
 
@@ -670,21 +922,15 @@ def _binding_obligations(
                 certificates,
             ):
                 continue
-
-        def merged_body(state, action=action, own=own, other=other):
-            if not action.enabled(state):
-                return True
-            if not own.holds(state) or not other.holds(state):
-                return True
-            return other.holds(action.execute(state))
-
         obligations.append(
             _sweep(
                 "merged-behaviour",
                 subject,
                 action.reads | action.writes | other.support | own.support,
                 projector,
-                merged_body,
+                action=action,
+                context=((own.predicate, True), (other.predicate, True)),
+                post=other.predicate,
             )
         )
     return disjoint
@@ -725,17 +971,16 @@ def _order_obligations(
                         certificates.append(certificate)
                         memo[key] = True
                         return True
-                joint = action.reads | action.writes | constraint.support
-
-                def body(state):
-                    if not action.enabled(state):
-                        return True
-                    if not constraint.holds(state):
-                        return True
-                    return constraint.holds(action.execute(state))
-
                 try:
-                    _sweep("linear-order", subject, joint, projector, body)
+                    _sweep(
+                        "linear-order",
+                        subject,
+                        action.reads | action.writes | constraint.support,
+                        projector,
+                        action=action,
+                        context=((constraint.predicate, True),),
+                        post=constraint.predicate,
+                    )
                     sweeps += 1
                     memo[key] = True
                 except _Refusal as refusal:
@@ -817,12 +1062,9 @@ def _classify(
         codec = projector.codec(
             constraint.support, subject=f"classification of {constraint.name}"
         )
-        for state in projector.states(codec):
-            if not constraint.holds(state):
-                witness = base.update(dict(state))
-                if not invariant(witness):
-                    return "nonmasking"
-                break  # this constraint's falsification did not falsify S
+        falsified = projector.first_failure(codec, None, (), constraint.predicate)
+        if falsified is not None and not invariant(base.update(dict(falsified))):
+            return "nonmasking"
     raise _Refusal(
         "classification",
         f"could not decide whether {invariant.name!r} is tautological "

@@ -28,7 +28,7 @@ verdict is never produced statically.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.actions import Action
@@ -159,6 +159,10 @@ def guard_negates(guard: Predicate, constraint: Constraint) -> bool:
     ):
         return True
     return False
+
+
+#: Marks a proof-memo miss (``None`` is a memoized "don't know").
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
@@ -395,14 +399,18 @@ class StaticDischarger:
         subject: str,
     ) -> StaticCertificate | None:
         """Run ``prove`` through the memo; emit on every discharge."""
-        if key is not None and key in self._memo:
-            cached = self._memo[key]
+        # One lookup: keys are deep tuples, and tuples do not cache
+        # their hash.
+        cached = _ABSENT if key is None else self._memo.get(key, _ABSENT)
+        if cached is not _ABSENT:
             if cached is None:
                 return None
             if cached.obligation == obligation and cached.subject == subject:
                 return self._emit(cached)
             return self._emit(
-                replace(cached, obligation=obligation, subject=subject)
+                StaticCertificate(
+                    obligation, subject, cached.rule, cached.cases, cached.detail
+                )
             )
         certificate = prove()
         if key is not None and len(self._memo) < self._MEMO_CAP:

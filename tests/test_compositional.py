@@ -11,6 +11,9 @@ Three layers of guarantees:
 - **Refusals, never negatives** — every inapplicable situation yields a
   structured refusal naming the failed obligation, and the service's
   ``auto`` method falls back to full exploration.
+
+Obligations are evaluated by table gathers, with the per-state loop as
+the fallback; the two paths are pinned to the same certificates.
 """
 
 import dataclasses
@@ -18,11 +21,13 @@ import dataclasses
 import pytest
 
 import repro
+from repro import compositional
 from repro.compositional import (
     DEFAULT_PROJECTION_LIMIT,
     CompositionalCertificate,
     certify_compositional,
 )
+from repro.core.actions import Action, Assignment
 from repro.core.candidate import CandidateTriple
 from repro.core.constraint_graph import GraphNode
 from repro.core.constraints import Constraint, ConvergenceBinding, conjunction
@@ -30,8 +35,10 @@ from repro.core.design import NonmaskingDesign
 from repro.core.domains import IntegerRangeDomain
 from repro.core.errors import StateSpaceTooLargeError, ValidationError
 from repro.kernel.codec import PackedUnsupported
+from repro.kernel.sweeps import HAVE_NUMPY, SweepUnsupported
 from repro.core.expr import V, expr_action
-from repro.core.predicates import TRUE
+from repro.core.fingerprint import probe_states
+from repro.core.predicates import TRUE, Predicate
 from repro.core.program import Program
 from repro.core.variables import Variable
 from repro.observability import MetricsRegistry, Tracer
@@ -273,3 +280,273 @@ class TestObservability:
             "compositional.refused"
         )
         assert metrics.report().counters["compositional.refused"] == 1
+
+
+# ----------------------------------------------------------------------
+# Table gathers versus the per-state loop
+# ----------------------------------------------------------------------
+
+
+def _without_seconds(certificate: CompositionalCertificate) -> dict:
+    record = certificate.to_json()
+    del record["seconds"]
+    for obligation in record["obligations"]:
+        del obligation["seconds"]
+    return record
+
+
+def _untabulated(*args):
+    raise SweepUnsupported("forced per-state loop")
+
+
+def _record(design, **options) -> dict:
+    """The certificate minus ``seconds``, plus the projected-states count."""
+    metrics = MetricsRegistry()
+    record = _without_seconds(
+        certify_compositional(design, metrics=metrics, **options)
+    )
+    record["projected_states"] = metrics.report().counters[
+        "compositional.projected_states"
+    ]
+    return record
+
+
+def _certify_both_ways(monkeypatch, design, **options):
+    """``(table-path record, loop record, loop calls on the table path)``."""
+    looped = []
+    real_loop = compositional._Projector._looped_failure
+
+    def spy(self, *args):
+        looped.append(args)
+        return real_loop(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(compositional._Projector, "_looped_failure", spy)
+        table = _record(design, **options)
+        table_loops = len(looped)
+        patch.setattr(compositional, "_gathered_failure", _untabulated)
+        loop = _record(design, **options)
+    return table, loop, table_loops
+
+
+def _bits(*names: str, hi: int = 1) -> list[Variable]:
+    return [Variable(name, IntegerRangeDomain(0, hi)) for name in names]
+
+
+def _design(variables, constraints, bindings, nodes, closure_actions=()):
+    closure = Program("broken", variables, list(closure_actions))
+    candidate = CandidateTriple(
+        program=closure,
+        invariant=conjunction(constraints, name="S"),
+        constraints=tuple(constraints),
+    )
+    nodes = [GraphNode(name, frozenset(names)) for name, names in nodes]
+    return NonmaskingDesign("broken", candidate, bindings, nodes)
+
+
+def _copy_edge(closure_actions=(), guard=None, effect=None, hi=1):
+    """Nodes ``A -> B`` with ``Cb: b == a``, repaired by ``conv_b``."""
+    a, b = V("a"), V("b")
+    constraint = Constraint("Cb", b == a)
+    action = expr_action(
+        "conv_b", guard if guard is not None else b != a, effect or {"b": a}
+    )
+    return _design(
+        _bits("a", "b", hi=hi),
+        [constraint],
+        [ConvergenceBinding(constraint, action)],
+        [("A", {"a"}), ("B", {"b"})],
+        closure_actions,
+    )
+
+
+def _closure_breaks_constraint():
+    a = V("a")
+    return _copy_edge(closure_actions=[expr_action("flip_a", a == 0, {"a": 1})])
+
+
+def _guard_misses_violation():
+    a, b = V("a"), V("b")
+    return _copy_edge(guard=(b != a) & (a == 0))
+
+
+def _repair_misses_constraint():
+    b = V("b")
+    return _copy_edge(guard=b != V("a"), effect={"b": (b + 1) % 3}, hi=2)
+
+
+def _merged_breaks_neighbour():
+    """``conv_b`` fires inside ``Cb`` and moves ``b`` away from ``c``."""
+    a, b, c = V("a"), V("b"), V("c")
+    own = Constraint("Cb", (b == a) | (b == 2))
+    downstream = Constraint("Cc", c == b)
+    variables = [
+        Variable("a", IntegerRangeDomain(0, 1)),
+        *_bits("b", "c", hi=2),
+    ]
+    bindings = [
+        ConvergenceBinding(own, expr_action("conv_b", (b != a) | (b != 2), {"b": 2})),
+        ConvergenceBinding(downstream, expr_action("conv_c", c != b, {"c": b})),
+    ]
+    nodes = [("A", {"a"}), ("B", {"b"}), ("C", {"c"})]
+    return _design(variables, [own, downstream], bindings, nodes)
+
+
+def _no_linear_order():
+    """Two repairs of ``c`` that each break the other's constraint."""
+    a, b, c = V("a"), V("b"), V("c")
+    from_a = Constraint("Ca", c == a)
+    from_b = Constraint("Cb", c == b)
+    bindings = [
+        ConvergenceBinding(from_a, expr_action("conv_ca", c != a, {"c": a})),
+        ConvergenceBinding(from_b, expr_action("conv_cb", c != b, {"c": b})),
+    ]
+    nodes = [("A", {"a"}), ("B", {"b"}), ("C", {"c"})]
+    return _design(_bits("a", "b", "c"), [from_a, from_b], bindings, nodes)
+
+
+#: (design builder, exact refusal) for each swept obligation kind.
+BROKEN_DESIGNS = {
+    "closure-preserves": (
+        _closure_breaks_constraint,
+        "closure-preserves: flip_a preserves Cb: fails at {'a': 0, 'b': 0}",
+    ),
+    "enabled-when-violated": (
+        _guard_misses_violation,
+        "enabled-when-violated: Cb violated => conv_b enabled: "
+        "fails at {'a': 1, 'b': 0}",
+    ),
+    "establishes-in-one-step": (
+        _repair_misses_constraint,
+        "establishes-in-one-step: conv_b establishes Cb: "
+        "fails at {'a': 0, 'b': 1}",
+    ),
+    "merged-behaviour": (
+        _merged_breaks_neighbour,
+        "merged-behaviour: conv_b preserves Cc given Cb: "
+        "fails at {'a': 0, 'b': 0, 'c': 0}",
+    ),
+    "linear-order": (
+        _no_linear_order,
+        "linear-order: node 'C': no linear order among ['Ca', 'Cb'] in which "
+        "each action preserves the constraints of its predecessors",
+    ),
+}
+
+
+@pytest.fixture(params=["table", "loop"])
+def path(request, monkeypatch):
+    """Run the test once on the default path and once on the forced loop."""
+    if request.param == "loop":
+        monkeypatch.setattr(compositional, "_gathered_failure", _untabulated)
+    return request.param
+
+
+class TestTableGathers:
+    @pytest.mark.parametrize("size", (2, 3, 5))
+    @pytest.mark.parametrize("name", DESIGN_CASES)
+    def test_table_path_matches_the_loop(self, monkeypatch, name, size):
+        design = CASES[name].build_design(size)
+        table, loop, table_loops = _certify_both_ways(
+            monkeypatch, design, semantic=False
+        )
+        assert table == loop
+        if HAVE_NUMPY:
+            # Every library design is written in the expression DSL, so
+            # no obligation of theirs needs the loop.
+            assert table_loops == 0
+
+    @pytest.mark.parametrize("kind", sorted(BROKEN_DESIGNS))
+    @pytest.mark.parametrize("semantic", (True, False))
+    def test_refusal_names_the_first_failing_state(self, path, kind, semantic):
+        build, refusal = BROKEN_DESIGNS[kind]
+        certificate = certify_compositional(build(), semantic=semantic)
+        assert certificate.status == "refused"
+        assert certificate.refusal == refusal
+
+    def test_linear_order_pair_fails_at_its_first_state(self, path):
+        design = _no_linear_order()
+        projector = compositional._Projector(design, DEFAULT_PROJECTION_LIMIT)
+        repair = design.bindings[1].action
+        constraint = design.bindings[0].constraint
+        codec = projector.codec(
+            repair.reads | repair.writes | constraint.support, subject="pair"
+        )
+        context = ((constraint.predicate, True),)
+        failure = projector.first_failure(
+            codec, repair, context, constraint.predicate
+        )
+        assert dict(failure) == {"a": 0, "b": 1, "c": 0}
+        assert projector.projected_states == codec.size
+
+    @pytest.mark.parametrize("kind", sorted(BROKEN_DESIGNS))
+    def test_refusals_agree_both_ways(self, monkeypatch, kind):
+        build, _refusal = BROKEN_DESIGNS[kind]
+        table, loop, _loops = _certify_both_ways(monkeypatch, build(), semantic=False)
+        assert table == loop
+
+    def test_out_of_domain_write_takes_the_loop(self, monkeypatch):
+        a, b = V("a"), V("b")
+        # Enabled only where Cb is already violated, so the escape to
+        # a == 2 never reaches the preservation check.
+        bump = expr_action("bump_a", (a == 1) & (b == 0), {"a": a + 1})
+        design = _copy_edge(closure_actions=[bump])
+        table, loop, table_loops = _certify_both_ways(
+            monkeypatch, design, semantic=False
+        )
+        assert table == loop
+        assert table["status"] == "certified"
+        swept = [
+            ob for ob in table["obligations"]
+            if ob["subject"] == "bump_a preserves Cb"
+        ]
+        assert swept == [
+            {
+                "name": "closure-preserves",
+                "subject": "bump_a preserves Cb",
+                "variables": ["a", "b"],
+                "space": 4,
+                "checked": 4,
+                "discharged_by": "enumerated",
+            }
+        ]
+        if HAVE_NUMPY:
+            assert table_loops == 1  # only bump_a's obligation
+
+    def test_opaque_guard_lying_off_the_battery_is_refused(self, path):
+        names = ("a", "b", "c")
+        variables = [Variable(name, IntegerRangeDomain(0, 9)) for name in names]
+        battery = probe_states(Program("probe", variables, []))
+        seen = {(state["a"], state["b"]) for state in battery}
+        hidden = next(
+            (x, y)
+            for x in range(10)
+            for y in range(10)
+            if x != y and (x, y) not in seen
+        )
+
+        def guard(state):
+            if (state["a"], state["b"]) == hidden:
+                return state["c"] == 0  # undeclared, never probed
+            return state["b"] != state["a"]
+
+        a = V("a")
+        constraint = Constraint("Cb", V("b") == a)
+        action = Action(
+            "conv_b",
+            Predicate(guard, name="b != a", support={"a", "b"}),
+            Assignment({"b": a}),
+            reads={"a", "b"},
+        )
+        design = _design(
+            variables,
+            [constraint],
+            [ConvergenceBinding(constraint, action)],
+            [("A", {"a"}), ("B", {"b"}), ("C", {"c"})],
+        )
+        certificate = certify_compositional(design, semantic=False)
+        assert certificate.refusal == (
+            "support-honesty: Cb violated => conv_b enabled: a callable read "
+            "a variable outside the projection (state has no variable 'c'); "
+            "declared supports are not truthful"
+        )
