@@ -101,6 +101,10 @@ class NonmaskingDesign:
     benchmarks all validate through the same entry point.
     """
 
+    #: The attributes :mod:`repro.core.fingerprint` hashes (the augmented
+    #: program and the constraint graph are derived from them).
+    _fingerprint_fields = ("name", "candidate", "bindings", "nodes", "layers")
+
     def __init__(
         self,
         name: str,

@@ -80,6 +80,10 @@ class FiniteDomain(Domain):
     enumeration order is deterministic.
     """
 
+    #: The attributes :mod:`repro.core.fingerprint` hashes. Each domain
+    #: class declares its own, so a subclass is never hashed as its base.
+    _fingerprint_fields = ("_values",)
+
     __slots__ = ("_values", "_value_set")
 
     def __init__(self, values: Sequence[Any]) -> None:
@@ -125,6 +129,8 @@ class FiniteDomain(Domain):
 class BooleanDomain(FiniteDomain):
     """The domain ``{False, True}``, used for session numbers ``sn.j``."""
 
+    _fingerprint_fields = ("_values",)
+
     def __init__(self) -> None:
         super().__init__((False, True))
 
@@ -135,6 +141,8 @@ class BooleanDomain(FiniteDomain):
 class EnumDomain(FiniteDomain):
     """A finite domain of named symbolic values, e.g. ``{green, red}``."""
 
+    _fingerprint_fields = ("_values",)
+
     def __init__(self, *names: str) -> None:
         super().__init__(names)
 
@@ -144,6 +152,8 @@ class EnumDomain(FiniteDomain):
 
 class IntegerRangeDomain(FiniteDomain):
     """All integers in ``[lo, hi]`` inclusive."""
+
+    _fingerprint_fields = ("_values",)
 
     def __init__(self, lo: int, hi: int) -> None:
         if lo > hi:
@@ -166,6 +176,8 @@ class ModularDomain(IntegerRangeDomain):
     finite-state variant of the paper's Section 7.1 design used for
     exhaustive verification.
     """
+
+    _fingerprint_fields = ("_values",)
 
     def __init__(self, modulus: int) -> None:
         if modulus < 1:
@@ -190,6 +202,8 @@ class IntegerDomain(Domain):
     the window is part of the domain object so experiments are explicit
     about it.
     """
+
+    _fingerprint_fields = ("sample_lo", "sample_hi")
 
     __slots__ = ("sample_lo", "sample_hi")
 

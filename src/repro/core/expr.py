@@ -23,13 +23,48 @@ consumes — so hand-written and DSL-built protocols mix freely.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro.core.actions import Action, Assignment
 from repro.core.predicates import Predicate
 
-__all__ = ["Expr", "BoolExpr", "V", "C", "ite", "min_", "max_", "expr_action"]
+__all__ = [
+    "Expr", "BoolExpr", "V", "C", "ite", "min_", "max_", "expr_action",
+    "walk_tokens",
+]
+
+
+def _and(a: Any, b: Any) -> Any:
+    return a and b
+
+
+def _or(a: Any, b: Any) -> Any:
+    return a or b
+
+
+def _not(a: Any, b: Any) -> Any:
+    return not a
+
+
+#: The operator behind each binary symbol. Every DSL-built node carries
+#: exactly these functions, so a node's symbol determines its semantics;
+#: :func:`walk_tokens` checks that before trusting a symbol.
+_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "mod": operator.mod,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "and": _and,
+    "or": _or,
+}
 
 
 class Expr:
@@ -49,44 +84,44 @@ class Expr:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: Any) -> "Expr":
-        return _Binary(self, _lift(other), "+", lambda a, b: a + b)
+        return _Binary(self, _lift(other), "+", _OPS["+"])
 
     def __radd__(self, other: Any) -> "Expr":
-        return _Binary(_lift(other), self, "+", lambda a, b: a + b)
+        return _Binary(_lift(other), self, "+", _OPS["+"])
 
     def __sub__(self, other: Any) -> "Expr":
-        return _Binary(self, _lift(other), "-", lambda a, b: a - b)
+        return _Binary(self, _lift(other), "-", _OPS["-"])
 
     def __rsub__(self, other: Any) -> "Expr":
-        return _Binary(_lift(other), self, "-", lambda a, b: a - b)
+        return _Binary(_lift(other), self, "-", _OPS["-"])
 
     def __mul__(self, other: Any) -> "Expr":
-        return _Binary(self, _lift(other), "*", lambda a, b: a * b)
+        return _Binary(self, _lift(other), "*", _OPS["*"])
 
     def __rmul__(self, other: Any) -> "Expr":
-        return _Binary(_lift(other), self, "*", lambda a, b: a * b)
+        return _Binary(_lift(other), self, "*", _OPS["*"])
 
     def __mod__(self, other: Any) -> "Expr":
-        return _Binary(self, _lift(other), "mod", lambda a, b: a % b)
+        return _Binary(self, _lift(other), "mod", _OPS["mod"])
 
     # -- comparisons (produce BoolExpr) --------------------------------
     def __eq__(self, other: Any) -> "BoolExpr":  # type: ignore[override]
-        return BoolExpr(self, _lift(other), "=", lambda a, b: a == b)
+        return BoolExpr(self, _lift(other), "=", _OPS["="])
 
     def __ne__(self, other: Any) -> "BoolExpr":  # type: ignore[override]
-        return BoolExpr(self, _lift(other), "!=", lambda a, b: a != b)
+        return BoolExpr(self, _lift(other), "!=", _OPS["!="])
 
     def __lt__(self, other: Any) -> "BoolExpr":
-        return BoolExpr(self, _lift(other), "<", lambda a, b: a < b)
+        return BoolExpr(self, _lift(other), "<", _OPS["<"])
 
     def __le__(self, other: Any) -> "BoolExpr":
-        return BoolExpr(self, _lift(other), "<=", lambda a, b: a <= b)
+        return BoolExpr(self, _lift(other), "<=", _OPS["<="])
 
     def __gt__(self, other: Any) -> "BoolExpr":
-        return BoolExpr(self, _lift(other), ">", lambda a, b: a > b)
+        return BoolExpr(self, _lift(other), ">", _OPS[">"])
 
     def __ge__(self, other: Any) -> "BoolExpr":
-        return BoolExpr(self, _lift(other), ">=", lambda a, b: a >= b)
+        return BoolExpr(self, _lift(other), ">=", _OPS[">="])
 
     __hash__ = object.__hash__  # identity; == is overloaded symbolically
 
@@ -147,10 +182,10 @@ class BoolExpr(_Binary):
     """A boolean-valued expression; supports ``&``, ``|``, ``~``."""
 
     def __and__(self, other: "BoolExpr") -> "BoolExpr":
-        return BoolExpr(self, other, "and", lambda a, b: a and b)
+        return BoolExpr(self, other, "and", _OPS["and"])
 
     def __or__(self, other: "BoolExpr") -> "BoolExpr":
-        return BoolExpr(self, other, "or", lambda a, b: a or b)
+        return BoolExpr(self, other, "or", _OPS["or"])
 
     def __invert__(self) -> "BoolExpr":
         return _Not(self)
@@ -173,7 +208,7 @@ class BoolExpr(_Binary):
 class _Not(BoolExpr):
     def __init__(self, inner: BoolExpr) -> None:
         # A unary node wearing the binary interface: both sides inner.
-        super().__init__(inner, inner, "not", lambda a, b: not a)
+        super().__init__(inner, inner, "not", _not)
         self.inner = inner
 
     def variables(self) -> frozenset[str]:
@@ -292,3 +327,74 @@ def expr_action(
         reads=reads,
         process=process,
     )
+
+
+#: Constant types whose ``repr`` is exact and process-independent.
+_TOKEN_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
+def _token_constant(value: Any) -> bool:
+    kind = type(value)
+    if kind is tuple:
+        return all(_token_constant(item) for item in value)
+    return kind in _TOKEN_SCALARS
+
+
+def walk_tokens(expr: Expr, names: dict[str, int], out: list[str]) -> bool:
+    """Append an exact serialization of ``expr`` to ``out``, one token each.
+
+    The tokens are the tree in prefix order: every operator has a fixed
+    arity (a fold's is part of its token), so no brackets are needed.
+    Variables are renamed by first use (``names`` maps each original
+    name to its index, in insertion order), so two trees with the same
+    tokens differ at most in their variable names; append the names to
+    make the serialization exact. Returns ``False`` for anything whose
+    semantics the tokens cannot capture: a node type outside the DSL, a
+    binary node whose operator is not its symbol's, a custom fold, or a
+    constant without an exact ``repr``. This is the one tokenizer of the
+    DSL: the static discharger's proof memo and the verdict-cache keys
+    of :mod:`repro.core.fingerprint` both use it.
+    """
+    # Exact-type dispatch: these are the DSL's only node types, and a
+    # subclass someone slips in degrades to "not tokenizable", never to
+    # a wrong token stream.
+    kind = type(expr)
+    if kind is BoolExpr or kind is _Binary:
+        if _OPS.get(expr.symbol) is not expr.op:  # type: ignore[attr-defined]
+            return False
+        out.append(expr.symbol)  # type: ignore[attr-defined]
+        return walk_tokens(expr.left, names, out) and walk_tokens(  # type: ignore[attr-defined]
+            expr.right, names, out  # type: ignore[attr-defined]
+        )
+    if kind is _Var:
+        index = names.get(expr.name)  # type: ignore[attr-defined]
+        if index is None:
+            index = len(names)
+            names[expr.name] = index  # type: ignore[attr-defined]
+        out.append(f"v{index}")
+        return True
+    if kind is _Const:
+        value = expr.value  # type: ignore[attr-defined]
+        value_kind = type(value)
+        if value_kind not in _TOKEN_SCALARS and not _token_constant(value):
+            return False
+        out.append(f"c:{value_kind.__name__}:{value!r}")
+        return True
+    if kind is _Not:
+        out.append("not")
+        return walk_tokens(expr.inner, names, out)  # type: ignore[attr-defined]
+    if kind is _Ite:
+        out.append("ite")
+        return (
+            walk_tokens(expr.condition, names, out)  # type: ignore[attr-defined]
+            and walk_tokens(expr.then, names, out)  # type: ignore[attr-defined]
+            and walk_tokens(expr.otherwise, names, out)  # type: ignore[attr-defined]
+        )
+    if kind is _Fold and _FOLDS.get(expr.label) is expr.op:  # type: ignore[attr-defined]
+        out.append(f"{expr.label}/{len(expr.items)}")  # type: ignore[attr-defined]
+        return all(walk_tokens(item, names, out) for item in expr.items)  # type: ignore[attr-defined]
+    return False
+
+
+#: The folds :func:`min_` and :func:`max_` build, by label.
+_FOLDS = {"min": min, "max": max}

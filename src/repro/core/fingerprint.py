@@ -1,54 +1,103 @@
-"""Content-addressed fingerprints of programs, predicates and instances.
+"""Exact, content-addressed fingerprints of programs, predicates and instances.
 
 The verification service caches transition systems and verdicts keyed by
 *what is being verified*, not by object identity: two calls that build
 the same protocol instance must hit the same cache entry, and any change
-to the instance — a variable, a domain, an action guard or statement —
-must miss it.
+to the instance — a variable, a domain, an action guard or statement, a
+predicate — must miss it. The paper reduces tolerance to a question
+about the program text (its actions, constraints and constraint graph),
+so the key is built from that text alone. No state is ever evaluated:
+the cost of a key depends only on the size of the program, never on its
+state space.
 
-Guards and assignment right-hand sides are opaque Python callables, so a
-purely structural hash (names, domains, read/write sets) cannot see a
-changed lambda body. The fingerprint therefore combines two layers:
+Every key is one of two kinds:
 
-- **structure** — the program name, every variable with its domain and
-  owning process, and every action with its name, process, read set,
-  write set and guard name/support;
-- **behaviour** — a deterministic probe: a fixed pseudo-random-but-seeded
-  battery of states on which every guard verdict and every enabled
-  action's successor is recorded. A changed guard or statement that
-  matters on any probe state changes the digest.
+- **exact** — a 64-hex-digit SHA-256 of a token stream that determines
+  the instance's behaviour. Exact keys are stable across processes and
+  sessions, so the :class:`~repro.verification.store.VerdictStore`
+  persists verdicts under them.
+- **local** — ``"local-"`` plus such a digest, made when some object in
+  the instance has no exact serialization. That object stands in the
+  stream as a per-process counter handed out by a :class:`LocalKeys`
+  registry, which holds the object so its identity cannot be reused.
+  A local key is valid only inside the process (and the registry) that
+  made it: it is never persisted or ingested across processes.
 
-The probe is O(actions x probe states) and independent of the state-space
-size, so fingerprinting stays cheap even for instances whose exhaustive
-verification takes seconds.
+What the stream contains, by object:
+
+- **DSL trees** (:mod:`repro.core.expr`): the exact-type token walk
+  :func:`~repro.core.expr.walk_tokens`, followed by the tree's variable
+  names in first-use order.
+- **Predicates**: the name, the support, the evaluation function, and the
+  ``source`` and ``parts`` trees the vectorized engines evaluate instead.
+  For the DSL's lowering and the combinators' own lambdas the closure
+  holds exactly ``source``/``parts``, so hashing both costs one
+  back-reference.
+- **Programs, actions, assignments, variables**: every field, in order.
+- **Functions**: the code object recursively (bytecode, names, constants
+  including nested code), defaults, closure-cell contents and every
+  global the code loads.
+- **Values**: scalars by type and ``repr``; tuples, lists and dicts in
+  order; sets and frozensets sorted; modules and classes by qualified
+  name; frozen dataclasses (constraints, bindings, graph nodes) by their
+  fields, and classes that declare ``_fingerprint_fields`` (domains,
+  graphs, rings, trees, designs) by those attributes.
+
+An object reached twice in one key is written once and then referred to
+by position, which also makes cycles finite. Nothing in an exact key
+comes from ``hash()`` or ``id()``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import dis
+import functools
 import hashlib
+import inspect
+import itertools
 import random
+import types
 from typing import Any
 
-from repro.core.predicates import Predicate
+from repro.core.actions import Action, Assignment
+from repro.core.expr import (
+    BoolExpr,
+    Expr,
+    _Binary,
+    _Const,
+    _Fold,
+    _Ite,
+    _Not,
+    _Var,
+    walk_tokens,
+)
+from repro.core.predicates import Predicate, all_of, any_of, count_of
 from repro.core.program import Program
 from repro.core.state import State
+from repro.core.variables import Variable
 
 __all__ = [
+    "LocalKeys",
     "fingerprint_program",
     "fingerprint_predicate",
     "fingerprint_instance",
+    "key_kind",
     "probe_states",
 ]
 
-#: Number of probe states in the behavioural layer of a fingerprint.
+#: Number of states :func:`probe_states` returns by default.
 PROBE_STATES = 32
 
 #: Values drawn per infinite domain when building probe states.
 _INFINITE_DOMAIN_DRAWS = 8
 
-#: Fixed seed for infinite-domain draws — fingerprints must be stable
+#: Fixed seed for infinite-domain draws — probe batteries must be stable
 #: across processes and sessions.
 _PROBE_SEED = 0x5EED
+
+#: The prefix that marks a process-local key.
+_LOCAL_PREFIX = "local-"
 
 
 def probe_states(program: Program, *, limit: int = PROBE_STATES) -> list[State]:
@@ -57,7 +106,8 @@ def probe_states(program: Program, *, limit: int = PROBE_STATES) -> list[State]:
     States are built directly from the domains (value ``(j * (i + 3) + i)
     mod |D_i|`` of variable ``i`` in probe state ``j``), so the cost does
     not depend on the size of the full state space and unbounded domains
-    are supported through their seeded sampling windows.
+    are supported through their seeded sampling windows. Static analysis
+    uses the battery to probe opaque callables; cache keys do not.
     """
     variables = list(program.variables.values())
     if not variables:
@@ -82,87 +132,402 @@ def probe_states(program: Program, *, limit: int = PROBE_STATES) -> list[State]:
     return states
 
 
-def _canonical_value(value: Any) -> str:
-    return f"{type(value).__name__}:{value!r}"
+# ----------------------------------------------------------------------
+# Local keys
+# ----------------------------------------------------------------------
+
+#: One counter per process, so local keys of different registries differ.
+_LOCAL_COUNTER = itertools.count(1)
 
 
-def _structure_tokens(program: Program) -> list[str]:
-    tokens = [f"program={program.name}"]
-    for name in sorted(program.variables):
-        variable = program.variables[name]
-        tokens.append(
-            f"var={name};domain={variable.domain!r};process={variable.process!r}"
-        )
-    for action in program.actions:
-        support = (
-            sorted(action.guard.support)
-            if action.guard.support is not None
-            else "?"
-        )
-        tokens.append(
-            f"action={action.name};process={action.process!r};"
-            f"reads={sorted(action.reads)};writes={sorted(action.writes)};"
-            f"guard={action.guard.name};support={support}"
-        )
-    return tokens
+class LocalKeys:
+    """The identity registry behind process-local keys.
 
-
-def _behaviour_tokens(program: Program, states: list[State]) -> list[str]:
-    tokens = []
-    for position, state in enumerate(states):
-        for action in program.actions:
-            if action.enabled(state):
-                successor = action.effect.evaluate(state)
-                writes = ",".join(
-                    f"{name}={_canonical_value(successor[name])}"
-                    for name in sorted(successor)
-                )
-                tokens.append(f"s{position}:{action.name}->{writes}")
-            else:
-                tokens.append(f"s{position}:{action.name}:off")
-    return tokens
-
-
-def _digest(tokens: list[str]) -> str:
-    hasher = hashlib.sha256()
-    for token in tokens:
-        hasher.update(token.encode())
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
-
-
-def fingerprint_program(program: Program, *, probe: int = PROBE_STATES) -> str:
-    """A content-addressed digest of ``program``.
-
-    Stable across processes; sensitive to variables, domains, action
-    names/read/write sets, and to guard/assignment behaviour on the
-    probe battery.
+    Each object without an exact serialization gets a number from a
+    per-process counter the first time it is seen, and keeps it for the
+    registry's lifetime. The registry holds the object, so no other
+    object can take over its identity while a key that names it is in
+    use. A :class:`~repro.verification.service.VerificationService` owns
+    one for its lifetime; a key computed without a registry uses a fresh
+    one, so it never equals another key.
     """
-    states = probe_states(program, limit=probe)
-    return _digest(_structure_tokens(program) + _behaviour_tokens(program, states))
+
+    __slots__ = ("_held",)
+
+    def __init__(self) -> None:
+        self._held: dict[int, tuple[Any, int]] = {}
+
+    def number(self, obj: Any) -> int:
+        """The counter value standing for ``obj``."""
+        held = self._held.get(id(obj))
+        if held is None:
+            held = (obj, next(_LOCAL_COUNTER))
+            self._held[id(obj)] = held
+        return held[1]
+
+
+def key_kind(key: str) -> str:
+    """``"local"`` for a process-local key, else ``"exact"``."""
+    return "local" if key.startswith(_LOCAL_PREFIX) else "exact"
+
+
+# ----------------------------------------------------------------------
+# Code objects
+# ----------------------------------------------------------------------
+
+#: Opcodes that read a module global (or builtin) by name.
+_GLOBAL_OPS = frozenset({"LOAD_GLOBAL", "LOAD_NAME", "LOAD_FROM_DICT_OR_GLOBALS"})
+
+#: Code object -> (digest, global names it uses). Keyed by identity and
+#: holding the code object, so an identity is never reused while cached.
+_CODE_CACHE: dict[int, tuple[types.CodeType, str, tuple[str, ...]]] = {}
+
+#: Entries kept before the code cache starts over (dynamically compiled
+#: code would otherwise grow it without bound).
+_CODE_CACHE_LIMIT = 4096
+
+
+def _code_entry(code: types.CodeType) -> tuple[str, tuple[str, ...]] | None:
+    """The digest of ``code`` and the globals it (or nested code) uses.
+
+    Covers what the code does, not where it was written: no name, file
+    or line number, and no ``CO_NESTED`` flag (a lambda in a function
+    behaves like the same lambda at module level). ``None`` when a
+    constant has no exact serialization.
+    """
+    cached = _CODE_CACHE.get(id(code))
+    if cached is not None:
+        return cached[1], cached[2]
+    hasher = _Hasher(None)
+    out = hasher.out
+    out.append(code.co_code.hex())
+    out.append(repr(code.co_names))
+    out.append(repr(code.co_varnames))
+    out.append(repr(code.co_freevars))
+    out.append(repr(code.co_cellvars))
+    out.append(
+        f"{code.co_argcount},{code.co_posonlyargcount},"
+        f"{code.co_kwonlyargcount},{code.co_flags & ~inspect.CO_NESTED}"
+    )
+    names = {
+        instruction.argval
+        for instruction in dis.get_instructions(code)
+        if instruction.opname in _GLOBAL_OPS
+    }
+    for constant in code.co_consts:
+        if type(constant) is types.CodeType:
+            nested = _code_entry(constant)
+            if nested is None:
+                return None
+            out.append(nested[0])
+            names.update(nested[1])
+        else:
+            hasher.value(constant)
+    if hasher.local:
+        return None
+    entry = (hasher.digest(), tuple(sorted(names)))
+    if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
+        _CODE_CACHE.clear()
+    _CODE_CACHE[id(code)] = (code, *entry)
+    return entry
+
+
+# ----------------------------------------------------------------------
+# The hasher
+# ----------------------------------------------------------------------
+
+#: Types serialized as ``type:repr`` — their ``repr`` is exact and
+#: process-independent — with their token prefixes.
+_SCALARS = {
+    kind: f"{kind.__name__}:"
+    for kind in (
+        type(None), bool, int, float, complex, str, bytes, range, type(Ellipsis)
+    )
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _content_fields(kind: type) -> tuple[str, ...] | None:
+    """The attributes that make up an instance of ``kind``, if declared.
+
+    A class's own ``_fingerprint_fields``, else the fields of a frozen
+    dataclass. Looked up on the class itself, never inherited: a
+    subclass may change behaviour its base's fields do not show.
+    """
+    fields = kind.__dict__.get("_fingerprint_fields")
+    if fields is not None:
+        return tuple(fields)
+    params = kind.__dict__.get("__dataclass_params__")
+    if params is not None and params.frozen:
+        return tuple(field.name for field in dataclasses.fields(kind))
+    return None
+
+
+class _Hasher:
+    """One key's token stream."""
+
+    __slots__ = ("out", "local", "_keys", "_seen", "_alive")
+
+    def __init__(self, keys: LocalKeys | None) -> None:
+        self.out: list[str] = []
+        #: Whether some object was serialized by identity.
+        self.local = False
+        self._keys = keys
+        #: id -> position of every non-scalar object written so far.
+        self._seen: dict[int, int] = {}
+        #: Keeps those objects alive, so their ids stay theirs.
+        self._alive: list[Any] = []
+
+    def digest(self) -> str:
+        digest = hashlib.sha256("\x00".join(self.out).encode()).hexdigest()
+        return _LOCAL_PREFIX + digest if self.local else digest
+
+    def _registry(self) -> LocalKeys:
+        if self._keys is None:
+            self._keys = LocalKeys()
+        return self._keys
+
+    def opaque(self, obj: Any) -> None:
+        """Write ``obj`` by identity: the key becomes local."""
+        self.local = True
+        self.out.append(f"local#{self._registry().number(obj)}")
+
+    def value(self, obj: Any) -> None:
+        kind = type(obj)
+        prefix = _SCALARS.get(kind)
+        if prefix is not None:
+            self.out.append(prefix + repr(obj))
+            return
+        seen = self._seen
+        position = seen.get(id(obj))
+        if position is not None:
+            self.out.append(f"@{position}")
+            return
+        seen[id(obj)] = len(seen)
+        self._alive.append(obj)
+        handler = _HANDLERS.get(kind)
+        if handler is not None:
+            handler(self, obj)
+            return
+        fields = _content_fields(kind)
+        if fields is not None:
+            self._class(kind)
+            for name in fields:
+                self.value(getattr(obj, name))
+            return
+        if isinstance(obj, type):
+            self._class(obj)
+            return
+        self.opaque(obj)
+
+    # -- containers ----------------------------------------------------
+    def _sequence(self, obj: tuple | list) -> None:
+        self.out.append(f"{type(obj).__name__}[{len(obj)}")
+        for item in obj:
+            self.value(item)
+        self.out.append("]")
+
+    def _dict(self, obj: dict) -> None:
+        self.out.append(f"dict[{len(obj)}")
+        for key, item in obj.items():
+            self.value(key)
+            self.value(item)
+        self.out.append("]")
+
+    def _set(self, obj: set | frozenset) -> None:
+        # Iteration order of a set depends on the hash seed: sort.
+        if all(type(item) in _SCALARS for item in obj):
+            items = sorted(_SCALARS[type(item)] + repr(item) for item in obj)
+        else:
+            items = []
+            for item in obj:
+                nested = _Hasher(self._registry())
+                nested.value(item)
+                self.local = self.local or nested.local
+                items.append(nested.digest())
+            items.sort()
+        self.out.append(f"{type(obj).__name__}[{len(items)}")
+        self.out.extend(items)
+        self.out.append("]")
+
+    # -- code ----------------------------------------------------------
+    def _class(self, cls: type) -> None:
+        if "<locals>" in cls.__qualname__:
+            # Defined inside a function: the name does not pin the body.
+            self.opaque(cls)
+            return
+        self.out.append(f"class:{cls.__module__}.{cls.__qualname__}")
+
+    def _function(self, fn: types.FunctionType) -> None:
+        entry = _code_entry(fn.__code__)
+        if entry is None:
+            self.opaque(fn)
+            return
+        digest, names = entry
+        self.out.append(f"fn:{digest}")
+        self.value(fn.__defaults__)
+        self.value(fn.__kwdefaults__)
+        for cell in fn.__closure__ or ():
+            try:
+                contents = cell.cell_contents
+            except ValueError:
+                self.out.append("cell:empty")
+                continue
+            self.value(contents)
+        namespace = fn.__globals__
+        for name in names:
+            self.out.append(f"global:{name}")
+            if name in namespace:
+                self.value(namespace[name])
+            elif name in fn.__builtins__:
+                self.value(fn.__builtins__[name])
+            else:
+                self.out.append("unbound")
+
+    def _builtin(self, fn: types.BuiltinFunctionType) -> None:
+        owner = fn.__self__
+        self.out.append(f"builtin:{fn.__module__}.{fn.__qualname__}")
+        if owner is not None and type(owner) is not types.ModuleType:
+            self.value(owner)
+
+    def _module(self, module: types.ModuleType) -> None:
+        self.out.append(f"module:{module.__name__}")
+
+    # -- the model -----------------------------------------------------
+    def _expr(self, expr: Expr) -> None:
+        out = self.out
+        out.append("expr")
+        start = len(out)
+        names: dict[str, int] = {}
+        if not walk_tokens(expr, names, out):
+            del out[start:]
+            self.opaque(expr)
+            return
+        out.append(repr(tuple(names)))
+
+    def _predicate(self, predicate: Predicate) -> None:
+        self.out.append(f"predicate:{predicate.name!r}")
+        support = predicate.support
+        self.out.append(repr(sorted(support)) if support is not None else "?")
+        self.value(predicate.source)
+        self.value(predicate.parts)
+        fn = predicate._fn
+        trusted = _TRUSTED_CODES.get(id(getattr(fn, "__code__", None)))
+        if trusted is None or fn.__globals__ is not trusted[1]:
+            self.value(fn)
+            return
+        # The DSL's lowering or a combinator's own lambda, in its own
+        # module: its code and globals are fixed (it takes no defaults),
+        # and its closure holds the source tree or the operands just
+        # written (back-references).
+        self.out.append(trusted[0])
+        for cell in fn.__closure__:
+            self.value(cell.cell_contents)
+
+    def _variable(self, variable: Variable) -> None:
+        self.out.append(f"variable:{variable.name!r}")
+        self.value(variable.domain)
+        self.value(variable.process)
+
+    def _assignment(self, assignment: Assignment) -> None:
+        self.out.append(f"assignment[{len(assignment._updates)}")
+        for target, rhs in assignment._updates.items():
+            self.out.append(repr(target))
+            self.value(rhs)
+
+    def _action(self, action: Action) -> None:
+        self.out.append(f"action:{action.name!r}")
+        self.value(action.process)
+        self.out.append(repr(sorted(action.reads)))
+        self.out.append(repr(sorted(action.writes)))
+        self.value(action.guard)
+        self.value(action.effect)
+
+    def _program(self, program: Program) -> None:
+        self.out.append(f"program:{program.name!r}")
+        for variable in program.variables.values():
+            self.value(variable)
+        for action in program.actions:
+            self.value(action)
+
+
+_HANDLERS: dict[type, Any] = {
+    tuple: _Hasher._sequence,
+    list: _Hasher._sequence,
+    dict: _Hasher._dict,
+    set: _Hasher._set,
+    frozenset: _Hasher._set,
+    types.FunctionType: _Hasher._function,
+    types.BuiltinFunctionType: _Hasher._builtin,
+    types.ModuleType: _Hasher._module,
+    Predicate: _Hasher._predicate,
+    Variable: _Hasher._variable,
+    Assignment: _Hasher._assignment,
+    Action: _Hasher._action,
+    Program: _Hasher._program,
+}
+# Every DSL node type hashes by the token walk, which itself refuses
+# anything it cannot serialize exactly.
+for _node in (BoolExpr, _Binary, _Const, _Fold, _Ite, _Not, _Var):
+    _HANDLERS[_node] = _Hasher._expr
+
+
+def _lambda_code(function: types.FunctionType) -> types.CodeType:
+    """The code of the one lambda defined in ``function``."""
+    (code,) = (
+        constant
+        for constant in function.__code__.co_consts
+        if type(constant) is types.CodeType and constant.co_name == "<lambda>"
+    )
+    return code
+
+
+#: The library's own evaluation lambdas, by code identity, with their
+#: token and module globals: the DSL lowering and the predicate
+#: combinators. (The code objects live as long as their modules, so their
+#: ids are never reused.)
+_TRUSTED_CODES: dict[int, tuple[str, dict[str, Any]]] = {
+    id(_lambda_code(function)): (
+        f"trusted:{function.__qualname__}", function.__globals__
+    )
+    for function in (
+        BoolExpr.predicate,
+        Predicate.__and__,
+        Predicate.__or__,
+        Predicate.__invert__,
+        Predicate.implies,
+        all_of,
+        any_of,
+        count_of,
+    )
+}
+
+
+# ----------------------------------------------------------------------
+# Public keys
+# ----------------------------------------------------------------------
+
+
+def fingerprint_program(program: Program, *, local: LocalKeys | None = None) -> str:
+    """The key of ``program``: its variables, domains and actions.
+
+    Sensitive to the name, every variable with its domain and owning
+    process, and every action's name, process, read/write sets, guard
+    and right-hand sides. ``local`` is the registry for objects without
+    an exact serialization (see :class:`LocalKeys`).
+    """
+    hasher = _Hasher(local)
+    hasher.value(program)
+    return hasher.digest()
 
 
 def fingerprint_predicate(
-    predicate: Predicate,
-    program: Program | None = None,
-    *,
-    probe: int = PROBE_STATES,
+    predicate: Predicate, *, local: LocalKeys | None = None
 ) -> str:
-    """A digest of ``predicate``, behaviourally probed against ``program``.
-
-    Without a program the digest covers only the predicate's name and
-    support — enough to distinguish differently-named invariants, blind
-    to a changed body behind the same name.
-    """
-    support = sorted(predicate.support) if predicate.support is not None else "?"
-    tokens = [f"predicate={predicate.name};support={support}"]
-    if program is not None:
-        verdicts = "".join(
-            "1" if predicate(state) else "0"
-            for state in probe_states(program, limit=probe)
-        )
-        tokens.append(f"verdicts={verdicts}")
-    return _digest(tokens)
+    """The key of ``predicate``: its name, support and definition."""
+    hasher = _Hasher(local)
+    hasher.value(predicate)
+    return hasher.digest()
 
 
 def fingerprint_instance(
@@ -172,23 +537,23 @@ def fingerprint_instance(
     *,
     fairness: str = "weak",
     extra: tuple[str, ...] = (),
+    context: tuple[Any, ...] = (),
+    local: LocalKeys | None = None,
 ) -> str:
     """The cache key of one verification instance.
 
-    Combines the program and predicate digests with the computation model
-    and any caller-supplied discriminators (e.g. a state-window label for
-    instances verified over a subset of the space).
+    Covers the program, the invariant, the fault span, the computation
+    model, any caller-supplied discriminators (e.g. a state-window
+    label for instances verified over a subset of the space) and any
+    further ``context`` objects the answer depends on (the design a
+    certificate is built from). The key is local if any part of it is.
     """
-    tokens = [
-        f"program={fingerprint_program(program)}",
-        f"invariant={fingerprint_predicate(invariant, program)}",
-        f"fault_span="
-        + (
-            fingerprint_predicate(fault_span, program)
-            if fault_span is not None
-            else "none"
-        ),
-        f"fairness={fairness}",
-    ]
-    tokens.extend(f"extra={item}" for item in extra)
-    return _digest(tokens)
+    hasher = _Hasher(local)
+    hasher.value(program)
+    hasher.value(invariant)
+    hasher.value(fault_span)
+    hasher.out.append(f"fairness={fairness!r}")
+    hasher.out.extend(f"extra={item!r}" for item in extra)
+    for item in context:
+        hasher.value(item)
+    return hasher.digest()

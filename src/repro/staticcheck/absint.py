@@ -49,6 +49,7 @@ from repro.core.expr import (
     _Ite,
     _Not,
     _Var,
+    walk_tokens,
 )
 
 __all__ = [
@@ -785,62 +786,9 @@ def _canonical_tokens(expr: Expr, names: dict[str, int]) -> str | None:
     capture (custom folds, unknown nodes); those are never cached.
     """
     out: list[str] = []
-    if _walk_tokens(expr, names, out):
-        return "".join(out)
+    if walk_tokens(expr, names, out):
+        return "\x00".join(out)
     return None
-
-
-def _walk_tokens(expr: Expr, names: dict[str, int],
-                 out: list[str]) -> bool:
-    # Exact-type dispatch: these are the DSL's only node types, and a
-    # subclass someone slips in degrades to "not cacheable", never to a
-    # wrong key.
-    kind = type(expr)
-    if kind is BoolExpr or kind is _Binary:
-        out.append(expr.symbol)  # type: ignore[attr-defined]
-        out.append("(")
-        if not _walk_tokens(expr.left, names, out):  # type: ignore[attr-defined]
-            return False
-        out.append(",")
-        if not _walk_tokens(expr.right, names, out):  # type: ignore[attr-defined]
-            return False
-        out.append(")")
-        return True
-    if kind is _Var:
-        index = names.get(expr.name)  # type: ignore[attr-defined]
-        if index is None:
-            index = len(names)
-            names[expr.name] = index  # type: ignore[attr-defined]
-        out.append(f"v{index}")
-        return True
-    if kind is _Const:
-        value = expr.value  # type: ignore[attr-defined]
-        out.append(f"c[{type(value).__name__}:{value!r}]")
-        return True
-    if kind is _Not:
-        out.append("not(")
-        if not _walk_tokens(expr.inner, names, out):  # type: ignore[attr-defined]
-            return False
-        out.append(")")
-        return True
-    if kind is _Ite:
-        out.append("ite(")
-        for item in (expr.condition, expr.then, expr.otherwise):  # type: ignore[attr-defined]
-            if not _walk_tokens(item, names, out):
-                return False
-            out.append(",")
-        out.append(")")
-        return True
-    if kind is _Fold and expr.label in ("min", "max"):  # type: ignore[attr-defined]
-        out.append(expr.label)  # type: ignore[attr-defined]
-        out.append("(")
-        for item in expr.items:  # type: ignore[attr-defined]
-            if not _walk_tokens(item, names, out):
-                return False
-            out.append(",")
-        out.append(")")
-        return True
-    return False
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ NodeId = Hashable
 class Graph:
     """A simple undirected graph with deterministic iteration order."""
 
+    #: The attributes :mod:`repro.core.fingerprint` hashes.
+    _fingerprint_fields = ("_adjacency",)
+
     def __init__(
         self,
         nodes: Iterable[NodeId] = (),

@@ -17,6 +17,9 @@ class Ring:
     numbers nodes ``0 .. N`` inclusive.
     """
 
+    #: The attributes :mod:`repro.core.fingerprint` hashes.
+    _fingerprint_fields = ("size",)
+
     def __init__(self, size: int) -> None:
         if size < 2:
             raise ValueError("a ring needs at least 2 nodes")

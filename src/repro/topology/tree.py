@@ -22,6 +22,9 @@ class RootedTree:
     The root maps to itself, matching the paper's ``P.j = j`` convention.
     """
 
+    #: The attributes :mod:`repro.core.fingerprint` hashes.
+    _fingerprint_fields = ("_parent",)
+
     def __init__(self, parent: Mapping[NodeId, NodeId]) -> None:
         if not parent:
             raise ValueError("a tree must have at least one node")

@@ -55,6 +55,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.errors import ValidationError
+from repro.core.fingerprint import fingerprint_program, key_kind
 from repro.observability import events as ev
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.report import RunReport
@@ -545,16 +546,18 @@ class VerificationDaemon:
             program, invariant = design.program, design.candidate.invariant
         else:
             program, invariant = build_case(params["case"], params["size"])
+        local = self.service.local_keys
         keys = {
             "full": tolerance_fingerprint(
                 program, invariant, fairness=params["fairness"], method="full",
-                quantify=quantify, fault_rate=fault_rate,
+                quantify=quantify, fault_rate=fault_rate, local=local,
             )
         }
         if with_design:
             keys["compositional"] = tolerance_fingerprint(
                 program, invariant,
                 fairness=params["fairness"], method="compositional",
+                design=design, local=local,
             )
         self._key_cache[memo_key] = keys
         return keys
@@ -740,12 +743,16 @@ class VerificationDaemon:
         return run_batch(tasks, cache_dir=None, pool=pool)
 
     def _ingest(self, pending: _Pending, record: dict[str, Any]) -> None:
-        """Adopt one pool record into the service's cache layers."""
+        """Adopt one pool record into the service's cache layers.
+
+        A process-local key names objects of this process, not the ones
+        the worker built, so a record is never filed under one.
+        """
         if record.get("status") == "refused" or "lint" in record:
             return  # refusals and lint failures are never cached
         resolved = record.get("method", "full")
         key = pending.keys.get(resolved)
-        if key is None:
+        if key is None or key_kind(key) == "local":
             return
         pure = {
             name: value
@@ -759,7 +766,6 @@ class VerificationDaemon:
     # ------------------------------------------------------------------
 
     async def _handle_lint(self, body: dict[str, Any]) -> dict[str, Any]:
-        from repro.core.fingerprint import fingerprint_program
         from repro.protocols.library import build_case
         from repro.staticcheck import lint_case
 
@@ -784,7 +790,8 @@ class VerificationDaemon:
         def compute() -> tuple[dict[str, Any], str]:
             program, _ = build_case(case, size)
             key = (
-                f"{fingerprint_program(program)}:probes={probes}"
+                f"{fingerprint_program(program, local=self.service.local_keys)}"
+                f":probes={probes}"
                 f":semantic={semantic}"
             )
             return self.service.memo(
@@ -809,7 +816,6 @@ class VerificationDaemon:
         }
 
     async def _handle_simulate(self, body: dict[str, Any]) -> dict[str, Any]:
-        from repro.core.fingerprint import fingerprint_program
         from repro.protocols.library import build_case
         from repro.scheduler import RandomScheduler
         from repro.simulation import stabilization_trials
@@ -839,7 +845,8 @@ class VerificationDaemon:
         def compute() -> tuple[dict[str, Any], str]:
             program, invariant = build_case(case, size)
             key = (
-                f"{fingerprint_program(program)}:trials={trials}"
+                f"{fingerprint_program(program, local=self.service.local_keys)}"
+                f":trials={trials}"
                 f":max_steps={max_steps}:seed={seed}"
             )
 

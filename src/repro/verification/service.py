@@ -7,10 +7,14 @@ content-addressed cache so repeated verification of the same instance —
 within a process, across processes, and across sessions — is answered
 from the cache instead of recomputed:
 
-- instances are keyed by :func:`repro.core.fingerprint_instance`
-  (structure plus behavioural probe), so a cache entry survives
-  rebuilding the same protocol and is invalidated by any change to its
-  variables, domains, guards or statements;
+- instances are keyed by :func:`repro.core.fingerprint_instance`, an
+  exact hash of the program text, so a cache entry survives rebuilding
+  the same protocol and is invalidated by any change to its variables,
+  domains, guards, statements or predicates. A key that names an object
+  without an exact serialization is process-local
+  (:func:`~repro.core.fingerprint.key_kind`): it is memoized in memory
+  only, never persisted, and every record says which kind it has under
+  ``record["key"]``;
 - **in-memory**: built :class:`TransitionSystem` objects and full
   verdict reports are memoized per service instance;
 - **on-disk** (optional ``cache_dir``): JSON verdict records persist
@@ -35,9 +39,10 @@ from typing import Any
 from repro.core.design import NonmaskingDesign
 from repro.core.errors import ValidationError
 from repro.core.fingerprint import (
+    LocalKeys,
     fingerprint_instance,
-    fingerprint_predicate,
     fingerprint_program,
+    key_kind,
 )
 from repro.core.predicates import TRUE, Predicate
 from repro.core.program import Program
@@ -104,6 +109,8 @@ def tolerance_fingerprint(
     states_extra: tuple[str, ...] = ("states=full",),
     quantify: bool = False,
     fault_rate: float = DEFAULT_FAULT_RATE,
+    design: NonmaskingDesign | None = None,
+    local: LocalKeys | None = None,
 ) -> str:
     """The cache key of one tolerance verdict, as the service computes it.
 
@@ -113,7 +120,11 @@ def tolerance_fingerprint(
     ``"compositional"``), never ``"auto"``. A quantify-carrying record
     embeds the quantitative report, so ``quantify`` (and the
     ``fault_rate`` it was computed under) are part of the key: plain and
-    quantitative verdicts of the same instance never collide.
+    quantitative verdicts of the same instance never collide. A
+    compositional verdict is certified from a design (its constraints,
+    bindings and graph), so pass that as ``design``. ``local`` is the
+    registry for objects without an exact serialization (pass the
+    service's :attr:`VerificationService.local_keys`).
     """
     extra = states_extra + (f"method={method}",)
     if quantify:
@@ -123,6 +134,8 @@ def tolerance_fingerprint(
         fault_span if fault_span is not None else TRUE,
         fairness=fairness,
         extra=extra,
+        context=(design,) if design is not None else (),
+        local=local,
     )
 
 
@@ -261,7 +274,7 @@ def _tolerance_record(
 
 
 def _compositional_record(
-    certificate, *, case: str, fairness: str, seconds: float
+    certificate, *, case: str, fairness: str, seconds: float, key: str
 ) -> dict[str, Any]:
     counts = {"enumerated": 0, "disjoint-writes": 0, "trivial": 0, "static": 0}
     for obligation in certificate.obligations:
@@ -285,6 +298,7 @@ def _compositional_record(
         "total_states": certificate.total_states,
         "fairness": fairness,
         "seconds": seconds,
+        "key": key_kind(key),
     }
 
 
@@ -336,6 +350,9 @@ class VerificationService:
         self.cache_dir = self.store.root if self.store is not None else None
         self.tracer = tracer
         self.metrics = metrics
+        #: Registry behind this service's process-local keys: it holds
+        #: every object such a key names for the service's lifetime.
+        self.local_keys = LocalKeys()
         self._records: dict[tuple[str, str], dict[str, Any]] = {}
         self._reports: dict[str, ToleranceReport] = {}
         self._systems: dict[str, TransitionSystem] = {}
@@ -392,14 +409,16 @@ class VerificationService:
         """The cached record for ``(kind, key)``, computing it on a miss.
 
         Returns ``(record, layer)`` where ``layer`` is ``""`` when the
-        record was computed now, else ``"memory"`` or ``"disk"``.
+        record was computed now, else ``"memory"`` or ``"disk"``. A
+        process-local ``key`` is memoized in memory only.
         """
         memo_key = (kind, key)
         record = self._records.get(memo_key)
         if record is not None:
             self._note_hit(kind, key, "memory")
             return record, "memory"
-        if self.store is not None:
+        persist = self.store is not None and key_kind(key) == "exact"
+        if persist:
             record = self.store.get(kind, key)
             if record is not None:
                 self._records[memo_key] = record
@@ -408,7 +427,7 @@ class VerificationService:
         self._note_miss(kind, key)
         record = compute()
         self._records[memo_key] = record
-        if self.store is not None:
+        if persist:
             # Atomic tempfile + os.replace publication inside the store:
             # concurrent workers race benignly and an interrupted writer
             # can never leave a partial (cache-poisoning) entry behind.
@@ -432,7 +451,7 @@ class VerificationService:
         if record is not None:
             self._note_hit(kind, key, "memory")
             return record, "memory"
-        if self.store is not None:
+        if self.store is not None and key_kind(key) == "exact":
             record = self.store.get(kind, key)
             if record is not None:
                 self._records[memo_key] = record
@@ -448,8 +467,14 @@ class VerificationService:
         The daemon verifies cache misses on the process pool (whose
         workers cannot share this service's memory); ingesting the
         returned records makes later duplicates memory hits here and
-        persists them through the store.
+        persists them through the store. A process-local ``key`` names
+        objects of this process only, so it is refused: a record computed
+        elsewhere cannot be filed under it.
         """
+        if key_kind(key) == "local":
+            raise ValueError(
+                f"refusing to ingest a record under process-local key {key[:24]}"
+            )
         self._records[(kind, key)] = record
         if self.store is not None:
             self.store.put(kind, key, record)
@@ -475,7 +500,10 @@ class VerificationService:
         part of the memo key — the two representations are behaviourally
         interchangeable but not the same object shape.
         """
-        key = f"{fingerprint_program(program)}:{states_key}:{engine}"
+        key = (
+            f"{fingerprint_program(program, local=self.local_keys)}"
+            f":{states_key}:{engine}"
+        )
         system = self._systems.get(key)
         if system is None:
             system = build_transition_system(program, states, engine=engine)
@@ -601,6 +629,10 @@ class VerificationService:
                 subject=case if case is not None else program.name,
             )
             if not lint_report.ok:
+                key = tolerance_fingerprint(
+                    program, invariant, span, fairness=fairness,
+                    local=self.local_keys,
+                )
                 elapsed = time.perf_counter() - started
                 return ServiceVerdict(
                     record={
@@ -610,6 +642,7 @@ class VerificationService:
                         "lint": lint_report.as_dict(),
                         "fairness": fairness,
                         "seconds": elapsed,
+                        "key": key_kind(key),
                     },
                     report=None,
                     cached=False,
@@ -647,6 +680,7 @@ class VerificationService:
             program, invariant, span, fairness=fairness,
             method="full", states_extra=extra,
             quantify=quantify, fault_rate=fault_rate,
+            local=self.local_keys,
         )
 
         def compute() -> dict[str, Any]:
@@ -720,6 +754,7 @@ class VerificationService:
                 report, case=name, fairness=fairness, engine=resolved,
                 seconds=seconds,
             )
+            record["key"] = key_kind(key)
             if quantitative is not None:
                 record["quantitative"] = quantitative
             return record
@@ -764,6 +799,7 @@ class VerificationService:
         key = tolerance_fingerprint(
             program, invariant, span, fairness=fairness,
             method="compositional", states_extra=extra,
+            design=design, local=self.local_keys,
         )
 
         def compute() -> dict[str, Any]:
@@ -801,6 +837,7 @@ class VerificationService:
                 case=name,
                 fairness=fairness,
                 seconds=time.perf_counter() - compute_started,
+                key=key,
             )
 
         try:
@@ -815,6 +852,7 @@ class VerificationService:
                     case=name,
                     fairness=fairness,
                     seconds=elapsed,
+                    key=key,
                 ),
                 report=None,
                 cached=False,
@@ -853,20 +891,16 @@ class VerificationService:
         started = time.perf_counter()
         state_list = list(states)
         name = case if case is not None else design.name
-        tokens = [
-            fingerprint_program(design.program),
-            f"theorem={theorem}",
-            states_key if states_key is not None else f"states=n{len(state_list)}",
-        ]
-        tokens.extend(
-            fingerprint_predicate(c.predicate, design.program)
-            for c in design.candidate.constraints
-        )
         key = fingerprint_instance(
             design.program,
             design.candidate.invariant,
             design.candidate.fault_span,
-            extra=tuple(tokens),
+            extra=(
+                f"theorem={theorem}",
+                states_key if states_key is not None else f"states=n{len(state_list)}",
+            ),
+            context=(design,),
+            local=self.local_keys,
         )
 
         def compute() -> dict[str, Any]:
@@ -882,6 +916,7 @@ class VerificationService:
                 "conditions_ok": sum(1 for c in certificate.conditions if c.ok),
                 "states": len(state_list),
                 "seconds": seconds,
+                "key": key_kind(key),
             }
 
         record, layer = self.memo("design", key, compute)

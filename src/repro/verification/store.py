@@ -39,6 +39,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
+from repro.core.fingerprint import key_kind
 from repro.observability import events as ev
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
@@ -57,7 +58,8 @@ class VerdictStore:
 
     Records are keyed by ``(kind, key)`` where ``kind`` is a short label
     (``"tolerance"``, ``"lint"``, ...) and ``key`` is a content
-    fingerprint from :mod:`repro.core.fingerprint`. The store never
+    fingerprint from :mod:`repro.core.fingerprint` — always an *exact*
+    one: :meth:`put` refuses a process-local key. The store never
     interprets records beyond JSON round-tripping.
 
     Args:
@@ -242,7 +244,16 @@ class VerdictStore:
         — concurrent writers race benignly (last write wins, readers
         always see a complete entry) and an interrupted writer leaves
         only a stray ``.tmp`` file, never a partial record.
+
+        Raises:
+            ValueError: if ``key`` is process-local (see
+                :func:`repro.core.fingerprint.key_kind`): it names objects
+                of one process, so no other process may read it back.
         """
+        if key_kind(key) == "local":
+            raise ValueError(
+                f"refusing to persist a record under process-local key {key[:24]}"
+            )
         path = self.path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(record, indent=2, sort_keys=True)

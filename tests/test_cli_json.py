@@ -22,6 +22,7 @@ VERIFY_RECORD_KEYS = {
     "total_states",
     "span_states",
     "bad_states",
+    "key",
 }
 
 QUANTITATIVE_KEYS = {
@@ -65,6 +66,7 @@ COMPOSITIONAL_RECORD_KEYS = {
     "total_states",
     "fairness",
     "seconds",
+    "key",
 }
 
 
