@@ -24,6 +24,7 @@ from repro.protocols.library import CASES, build_case
 from repro.quantitative import (
     DENSE_AGREEMENT_RTOL,
     HAVE_NUMPY,
+    QuantitativeUnsupported,
     dense_hitting_times,
     hitting_times,
     quantify,
@@ -109,8 +110,7 @@ def test_e21_quantitative_league(benchmark, report, bench_timings):
     states = list(program.state_space())
     benchmark(lambda: hitting_times(program, states, invariant))
 
-    if HAVE_NUMPY:
-        assert differential_check() == len(DIFFERENTIAL_SIZES)
+    assert differential_check() == len(DIFFERENTIAL_SIZES)
     cache_key_separation()
 
     rows = league_table()
@@ -145,15 +145,19 @@ def test_e21_quantitative_league(benchmark, report, bench_timings):
 
 
 def run_quick() -> int:
-    """Seconds-scale smoke: differential agreement + cache-key separation."""
+    """Seconds-scale smoke: differential agreement + cache-key separation.
+
+    The analysis requires numpy; on an interpreter without it (the
+    numpy-free ``run_all.py --quick`` job) the smoke checks the
+    structured refusal instead.
+    """
+    if not HAVE_NUMPY:
+        return _refusal_smoke()
     print("quantitative perf smoke: CSR-vs-dense differential + cache keys")
     try:
-        if HAVE_NUMPY:
-            checked = differential_check()
-            print(f"  differential: {checked} protocols within "
-                  f"rtol {DENSE_AGREEMENT_RTOL}")
-        else:
-            print("  differential: skipped (no numpy; scalar path only)")
+        checked = differential_check()
+        print(f"  differential: {checked} protocols within "
+              f"rtol {DENSE_AGREEMENT_RTOL}")
         cache_key_separation()
         print("  cache keys: quantify records separate from plain verdicts")
         rows = league_table()
@@ -165,6 +169,22 @@ def run_quick() -> int:
           f"{slowest['case']} at {slowest['seconds']:.3f}s ({slowest['path']})")
     print("quantitative perf smoke: OK")
     return 0
+
+
+def _refusal_smoke() -> int:
+    import repro
+    from repro.verification import VerificationService
+
+    print("quantitative perf smoke: numpy missing, checking the refusal")
+    try:
+        repro.verify("coloring-chain", size=3, quantify=True,
+                     service=VerificationService())
+    except QuantitativeUnsupported as error:
+        print(f"  refused: {error}")
+        print("quantitative perf smoke: OK")
+        return 0
+    print("  FAILED: quantify=True ran without numpy")
+    return 1
 
 
 if __name__ == "__main__":
@@ -181,8 +201,7 @@ if __name__ == "__main__":
         sys.exit(run_quick())
     from conftest import record_verification_timings
 
-    if HAVE_NUMPY:
-        differential_check()
+    differential_check()
     league = league_table()
     record_verification_timings("quantitative", {"league": league})
     print(json.dumps({"league": league}, indent=2))

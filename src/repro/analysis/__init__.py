@@ -1,15 +1,12 @@
-"""Result analysis: statistics, exact Markov analysis, tables, DOT export."""
+"""Result analysis: statistics, tables, DOT export."""
 
 from repro.analysis.dot import constraint_graph_dot, transition_system_dot
-from repro.analysis.markov import HittingTimes, expected_convergence_steps
 from repro.analysis.stats import Summary, percentile, summarize
 from repro.analysis.tables import print_table, render_table
 
 __all__ = [
-    "HittingTimes",
     "Summary",
     "constraint_graph_dot",
-    "expected_convergence_steps",
     "percentile",
     "print_table",
     "render_table",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import time
+import weakref
 from array import array
 from collections.abc import Iterable, Sequence
 from typing import Any
@@ -67,7 +68,7 @@ class PackedKernel:
     """A program compiled for packed-state exploration."""
 
     __slots__ = (
-        "program",
+        "_program",
         "codec",
         "view",
         "actions",
@@ -77,7 +78,9 @@ class PackedKernel:
 
     def __init__(self, program: Program) -> None:
         started = time.perf_counter()
-        self.program = program
+        # Weak: the kernel cache is keyed weakly by the program, and a
+        # strong back-reference would keep every compiled program alive.
+        self._program = weakref.ref(program)
         self.codec = StateCodec.for_program(program)
         if self.codec.size > _MAX_CODE:
             raise PackedUnsupported(
@@ -94,6 +97,10 @@ class PackedKernel:
             action.name for action in program.actions
         )
         self.build_seconds = time.perf_counter() - started
+
+    @property
+    def program(self) -> Program:
+        return self._program()
 
     def modes(self) -> dict[str, int]:
         """How many actions compiled to each successor mode."""

@@ -77,7 +77,6 @@ __all__ = [
     "kahn_peel",
     "merge_fragments",
     "peel_shard_edges",
-    "vectorizable",
 ]
 
 #: Whether numpy was importable; without it the scalar sweep is used.
@@ -109,11 +108,6 @@ class SweepUnsupported(Exception):
     Raised during planning or sweeping; callers catch it and fall back
     to the scalar packed sweep, which handles every instance.
     """
-
-
-def vectorizable(size: int) -> bool:
-    """Whether the vectorized sweep should be attempted at all."""
-    return HAVE_NUMPY and size >= VECTOR_MIN_STATES
 
 
 def _require_numpy() -> None:
@@ -697,12 +691,6 @@ def closure_scan(mask, offsets, targets, *, max_witnesses: int = 5):
     else:
         checked = int(_np.count_nonzero(mask))
     return False, checked, [int(k) for k in witnesses]
-
-
-def edge_sources_of(offsets, edge_indices):
-    """The source row of each CSR edge index."""
-    _require_numpy()
-    return _np.searchsorted(offsets, edge_indices, side="right") - 1
 
 
 def first_bad_deadlock(bad_mask, offsets):

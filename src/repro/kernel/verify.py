@@ -13,10 +13,14 @@ verdicts, same closure witnesses in the same order, same error messages
 - Both closure checks then run over the cached graph without calling a
   single guard again, and the ``T``-span transition system handed to the
   convergence checker is carved out of the same arrays.
+- :func:`check_tolerance_swept` also returns that full-space graph as a
+  :class:`FullSpaceCSR`, so a caller that needs more than the verdict
+  (``quantify=True``) reuses the sweep instead of repeating it.
 
 With numpy available, full-space sweeps of large instances dispatch to
 the vectorized kernel (:mod:`repro.kernel.sweeps`, optionally sharded
-over a process pool via :mod:`repro.kernel.shard`); instances outside
+over a process pool via :mod:`repro.kernel.shard`) through
+:func:`vectorized_csr`, the one gate of that path; instances outside
 the vectorized fragment — and every run without numpy — take the scalar
 loop below, whose results the vectorized path reproduces bit-for-bit.
 
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 from repro.core.errors import StateSpaceTooLargeError
 from repro.core.predicates import TRUE, Predicate
@@ -47,54 +53,60 @@ from repro.verification.convergence import (
     check_convergence,
 )
 
-__all__ = ["check_tolerance_packed"]
+__all__ = [
+    "FullSpaceCSR",
+    "check_tolerance_packed",
+    "check_tolerance_swept",
+    "vectorized_csr",
+]
 
 #: Mirrors ``check_closure``'s default ``max_witnesses``.
 _MAX_WITNESSES = 5
 
 
-def _always_true(values) -> bool:
-    return True
+@dataclass(frozen=True)
+class FullSpaceCSR:
+    """The full-space successor graph one packed verify swept.
 
-
-class _PackedGraph:
-    """The successor graph of a state list, as flat arrays.
-
-    ``entries[offsets[i]:offsets[i+1]]`` are the successors of state
-    ``i`` in action order: a non-negative entry is a packed successor
-    code; entry ``-(k+1)`` is ``raws[k]``, a successor carrying an
-    out-of-domain value (kept inline so escape/witness order is
-    identical to the dict engine).
-
-    Buffers are 32-bit whenever ``size * n_actions`` fits (which bounds
-    codes, edge counts, and raw sentinels alike) and 64-bit otherwise —
-    int16 is never safe here because sentinels count *edges*, not codes.
+    Row ``i`` is the state with code ``i``; its successor codes are
+    ``targets[offsets[i]:offsets[i + 1]]`` in action order, produced by
+    ``action_ids``. ``t_mask`` is ``None`` when ``T`` is ``TRUE``. The
+    vectorized sweep holds numpy arrays, the scalar sweep (``shards ==
+    0``) its ``array``/``bytearray`` buffers. It lives for one request:
+    never put it on a cached report, in a record, or in a pickle.
     """
 
-    __slots__ = ("offsets", "entries", "action_ids", "raws")
+    s_mask: Any
+    t_mask: Any
+    offsets: Any
+    targets: Any
+    action_ids: Any
+    action_names: tuple[str, ...]
+    #: Shards the vectorized sweep ran over; 0 for the scalar sweep.
+    shards: int = 0
+    #: How shard fragments reached the merge ("shm", "pickle", "inline").
+    transfer: str | None = None
 
-    def __init__(self, edge_bound: int | None = None) -> None:
-        typecode = (
-            "i" if edge_bound is not None and edge_bound <= 2**31 - 1 else "q"
-        )
-        self.offsets = array(typecode, [0])
-        self.entries = array(typecode)
-        self.action_ids = array("h")
-        self.raws: list[State] = []
-
-    def append_successor(self, successor, action_id: int) -> None:
-        if type(successor) is int:
-            self.entries.append(successor)
-        else:
-            self.entries.append(-len(self.raws) - 1)
-            self.raws.append(successor)
-        self.action_ids.append(action_id)
-
-    def close_row(self) -> None:
-        self.offsets.append(len(self.entries))
+    @property
+    def vectorized(self) -> bool:
+        return self.shards > 0
 
 
 def check_tolerance_packed(
+    program: Program,
+    invariant: Predicate,
+    fault_span: Predicate,
+    states: Iterable[State] | None = None,
+    **options: Any,
+) -> ToleranceReport:
+    """Packed counterpart of :func:`~repro.verification.checker.check_tolerance`:
+    the report of :func:`check_tolerance_swept` (which documents the options)."""
+    return check_tolerance_swept(
+        program, invariant, fault_span, states, **options
+    )[0]
+
+
+def check_tolerance_swept(
     program: Program,
     invariant: Predicate,
     fault_span: Predicate,
@@ -106,8 +118,12 @@ def check_tolerance_packed(
     memory_budget: int | None = None,
     tracer=None,
     metrics=None,
-) -> ToleranceReport:
-    """Packed counterpart of :func:`~repro.verification.checker.check_tolerance`.
+) -> tuple[ToleranceReport, FullSpaceCSR | None]:
+    """The packed verdict, plus the full-space graph it swept.
+
+    The graph is ``None`` when there is none to reuse: supplied
+    ``states``, a verdict the streaming path answered, or a successor
+    outside its variable's domain (the space is then not closed).
 
     Args:
         states: The state set, or ``None`` for the program's full state
@@ -146,7 +162,7 @@ def check_tolerance_packed(
                 f"state space has {codec.size} states, above the limit of "
                 f"{limit}"
             )
-        report = _vectorized_full_space(
+        swept = _vectorized_full_space(
             kernel,
             program,
             invariant,
@@ -157,11 +173,11 @@ def check_tolerance_packed(
             tracer=tracer,
             metrics=metrics,
         )
-        if report is not None:
+        if swept is not None:
             _note_sweep_metrics(
                 kernel, metrics, table_entries_before, codec.size
             )
-            return report
+            return swept
     s_fn = kernel.predicate_fn(invariant)
     # TRUE is the stabilization fault-span; skip 1 call/state for it.
     t_always = fault_span is TRUE
@@ -171,12 +187,36 @@ def check_tolerance_packed(
         for action_id, action in enumerate(kernel.actions)
     )
     names = kernel.action_names
-    graph = _PackedGraph(codec.size * max(1, len(kernel.actions)))
-    entries = graph.entries
+    # Successor buffers: ``entries[offsets[i]:offsets[i+1]]`` are state
+    # ``i``'s successors in action order; entry ``-(k+1)`` is ``raws[k]``,
+    # a successor carrying an out-of-domain value (kept inline so
+    # escape/witness order is identical to the dict engine). 32-bit
+    # whenever ``size * n_actions`` fits (which bounds codes, edge counts
+    # and raw sentinels alike), else 64-bit; never int16, because
+    # sentinels count edges, not codes.
+    edge_bound = codec.size * max(1, len(kernel.actions))
+    typecode = "i" if edge_bound <= 2**31 - 1 else "q"
+    offsets = array(typecode, [0])
+    entries = array(typecode)
+    action_ids = array("h")
+    raws: list[State] = []
     entries_append = entries.append
-    ids_append = graph.action_ids.append
-    offsets_append = graph.offsets.append
-    raws = graph.raws
+    ids_append = action_ids.append
+    offsets_append = offsets.append
+
+    def sweep_row(code: int, digits, values) -> None:
+        """Append one state's successors and close its CSR row."""
+        for action_id, successor_fn in successor_fns:
+            successor = successor_fn(code, digits, values)
+            if successor is None:
+                continue
+            if type(successor) is int:
+                entries_append(successor)
+            else:
+                entries_append(-len(raws) - 1)
+                raws.append(successor)
+            ids_append(action_id)
+        offsets_append(len(entries))
 
     if states is None:
         # Full space (scalar sweep): position == code, membership masks
@@ -191,17 +231,7 @@ def check_tolerance_packed(
                 s_mask[code] = 1
             if not t_always and t_fn(values):
                 t_mask[code] = 1
-            for action_id, successor_fn in successor_fns:
-                successor = successor_fn(code, digits, values)
-                if successor is None:
-                    continue
-                if type(successor) is int:
-                    entries_append(successor)
-                else:
-                    entries_append(-len(raws) - 1)
-                    raws.append(successor)
-                ids_append(action_id)
-            offsets_append(len(entries))
+            sweep_row(code, digits, values)
 
         def position_state(position: int) -> State:
             return codec.decode_state(position)
@@ -234,17 +264,7 @@ def check_tolerance_packed(
             t_mask[position] = t_value
             s_memo[code] = s_value
             t_memo[code] = t_value
-            for action_id, successor_fn in successor_fns:
-                successor = successor_fn(code, digits, values)
-                if successor is None:
-                    continue
-                if type(successor) is int:
-                    entries_append(successor)
-                else:
-                    entries_append(-len(raws) - 1)
-                    raws.append(successor)
-                ids_append(action_id)
-            offsets_append(len(entries))
+            sweep_row(code, digits, values)
 
         def position_state(position: int) -> State:
             return state_list[position]
@@ -259,9 +279,6 @@ def check_tolerance_packed(
                 value = bool(fn(codec.decode_values(code)))
                 memo[code] = value
                 return value
-
-    offsets = graph.offsets
-    action_ids = graph.action_ids
 
     implication_ok = t_always or all(
         t_mask[position] for position in range(count) if s_mask[position]
@@ -364,7 +381,7 @@ def check_tolerance_packed(
             codec.code_typecode,
             (code_of(position) for position in span_positions),
         )
-        span_offsets = array(graph.offsets.typecode, [0])
+        span_offsets = array(offsets.typecode, [0])
         span_targets = array(codec.code_typecode)
         span_action_ids = array("h")
         span_escapes = []
@@ -469,7 +486,7 @@ def check_tolerance_packed(
         peak_bytes=peak_bytes,
         code_bytes=entries.itemsize,
     )
-    return ToleranceReport(
+    report = ToleranceReport(
         ok=implication_ok and s_closure.ok and t_closure.ok and convergence.ok,
         implication_ok=implication_ok,
         s_closure=s_closure,
@@ -478,6 +495,12 @@ def check_tolerance_packed(
         classification="masking" if masking else "nonmasking",
         stabilizing=stabilizing,
         total_states=count,
+    )
+    if states is not None or raws:
+        return report, None
+    return report, FullSpaceCSR(
+        s_mask, None if t_always else t_mask, offsets, entries, action_ids,
+        names,
     )
 
 
@@ -546,6 +569,43 @@ def _note_memory_metrics(
         )
 
 
+def _emit_sweep(tracer, program: Program, states: int, shards: int, edges: int):
+    if tracer is None:
+        return
+    from repro.observability.events import KERNEL_SHARD_MERGED, KERNEL_SWEEP
+
+    tracer.emit(
+        KERNEL_SWEEP, program=program.name, states=states, shards=shards,
+        edges=edges,
+    )
+    if shards > 1:
+        tracer.emit(KERNEL_SHARD_MERGED, shards=shards)
+
+
+def _mask_report(
+    s_mask, t_mask, s_closure, t_closure, convergence, span_count: int
+) -> ToleranceReport:
+    """The report of a numpy full-space sweep (vectorized or streaming)."""
+    import numpy as np
+
+    count = s_mask.size
+    implication_ok = t_mask is None or not bool(np.any(s_mask & ~t_mask))
+    if t_mask is None:
+        masking = bool(s_mask.all())
+    else:
+        masking = bool(np.array_equal(s_mask, t_mask))
+    return ToleranceReport(
+        ok=implication_ok and s_closure.ok and t_closure.ok and convergence.ok,
+        implication_ok=implication_ok,
+        s_closure=s_closure,
+        t_closure=t_closure,
+        convergence=convergence,
+        classification="masking" if masking else "nonmasking",
+        stabilizing=span_count == count,
+        total_states=count,
+    )
+
+
 def _materialized_bytes(plan, size: int) -> int:
     """Upper bound on the materialized sweep's resident bytes.
 
@@ -563,33 +623,27 @@ def _materialized_bytes(plan, size: int) -> int:
     )
 
 
-def _vectorized_full_space(
+def vectorized_csr(
     kernel: PackedKernel,
-    program: Program,
     invariant: Predicate,
     fault_span: Predicate,
     *,
-    fairness: str,
     shards: int | None,
-    memory_budget: int | None = None,
-    tracer=None,
     metrics=None,
-) -> ToleranceReport | None:
-    """The vectorized (optionally sharded) full-space sweep.
+    streamed=None,
+):
+    """The full space as a vectorized (optionally sharded) CSR, or ``None``.
 
-    Returns ``None`` when the instance stays on the scalar sweep: numpy
-    missing, the space too small to pay numpy's fixed overhead (unless
-    sharding was requested explicitly), or any construct outside the
-    vectorized fragment (:class:`~repro.kernel.sweeps.SweepUnsupported`).
-    The produced report is bit-identical to the scalar sweep's — same
-    verdicts, witness order, counterexamples and counts — which the
-    differential suite pins.
+    The one gate of the vectorized sweep. It returns ``None``, and the
+    caller stays on its scalar route, when numpy is missing, when the
+    space is too small to pay numpy's fixed overhead (unless ``shards``
+    was requested explicitly), or when any construct falls outside the
+    vectorized fragment (:class:`~repro.kernel.sweeps.SweepUnsupported`,
+    raised while planning or while sweeping).
 
-    When ``memory_budget`` is set and the materialized estimate exceeds
-    it, the streaming count-only path runs first; it returns ``None``
-    exactly when the verdict needs decoded witnesses (closure violations
-    or a bad cycle), in which case the materialized sweep below produces
-    them.
+    ``streamed(plan, ranges)``, when given, runs inside the same gate
+    before the CSR is materialized; a result other than ``None`` is
+    returned in the CSR's place (the verify's streaming verdict).
     """
     from repro.kernel import shard as sharding
     from repro.kernel import sweeps
@@ -606,47 +660,73 @@ def _vectorized_full_space(
             None if fault_span is TRUE else fault_span,
         )
         ranges = sharding.plan_shards(size, shards)
-        if (
-            memory_budget is not None
-            and _materialized_bytes(plan, size) > memory_budget
-        ):
-            report = _streaming_full_space(
-                kernel,
-                program,
-                invariant,
-                fault_span,
-                plan,
-                ranges,
-                fairness=fairness,
-                tracer=tracer,
-                metrics=metrics,
-            )
-            if report is not None:
-                return report
+        if streamed is not None:
+            result = streamed(plan, ranges)
+            if result is not None:
+                return result
         merged, transfer = sharding.sweep_merged(plan, ranges, metrics=metrics)
-        s_mask, t_mask, offsets, targets, action_ids = merged
     except sweeps.SweepUnsupported:
         return None
+    return FullSpaceCSR(
+        *merged, kernel.action_names, shards=len(ranges), transfer=transfer
+    )
+
+
+def _vectorized_full_space(
+    kernel: PackedKernel,
+    program: Program,
+    invariant: Predicate,
+    fault_span: Predicate,
+    *,
+    fairness: str,
+    shards: int | None,
+    memory_budget: int | None = None,
+    tracer=None,
+    metrics=None,
+) -> tuple[ToleranceReport, FullSpaceCSR | None] | None:
+    """The vectorized (optionally sharded) full-space verdict.
+
+    Returns ``None`` when :func:`vectorized_csr` keeps the instance on
+    the scalar sweep. The produced report is bit-identical to the scalar
+    sweep's — same verdicts, witness order, counterexamples and counts —
+    which the differential suite pins.
+
+    When ``memory_budget`` is set and the materialized estimate exceeds
+    it, the streaming count-only path runs first; it returns ``None``
+    exactly when the verdict needs decoded witnesses (closure violations
+    or a bad cycle), in which case the materialized sweep below produces
+    them. A streamed verdict has no CSR to hand on.
+    """
+
+    def streamed(plan, ranges):
+        if (
+            memory_budget is None
+            or _materialized_bytes(plan, kernel.codec.size) <= memory_budget
+        ):
+            return None
+        return _streaming_full_space(
+            kernel, program, invariant, fault_span, plan, ranges,
+            fairness=fairness, tracer=tracer, metrics=metrics,
+        )
+
+    csr = vectorized_csr(
+        kernel, invariant, fault_span,
+        shards=shards, metrics=metrics, streamed=streamed,
+    )
+    if csr is None:
+        return None
+    if isinstance(csr, ToleranceReport):
+        return csr, None  # streamed: no CSR to hand on
     import numpy as np
 
+    from repro.kernel import sweeps
+
+    s_mask, t_mask = csr.s_mask, csr.t_mask
+    offsets, targets, action_ids = csr.offsets, csr.targets, csr.action_ids
     codec = kernel.codec
     names = kernel.action_names
-    count = size
-    if tracer is not None:
-        from repro.observability.events import (
-            KERNEL_SHARD_MERGED,
-            KERNEL_SWEEP,
-        )
-
-        tracer.emit(
-            KERNEL_SWEEP,
-            program=program.name,
-            states=count,
-            shards=len(ranges),
-            edges=int(offsets[-1]),
-        )
-        if len(ranges) > 1:
-            tracer.emit(KERNEL_SHARD_MERGED, shards=len(ranges))
+    count = codec.size
+    _emit_sweep(tracer, program, count, csr.shards, int(offsets[-1]))
     mem_bytes = (
         s_mask.nbytes
         + (0 if t_mask is None else t_mask.nbytes)
@@ -654,8 +734,6 @@ def _vectorized_full_space(
         + targets.nbytes
         + action_ids.nbytes
     )
-
-    implication_ok = t_mask is None or not bool(np.any(s_mask & ~t_mask))
 
     def decode(code) -> State:
         return codec.decode_state(int(code))
@@ -795,31 +873,17 @@ def _vectorized_full_space(
                 system=span_system,
             )
 
-    if t_mask is None:
-        masking = bool(s_mask.all())
-    else:
-        masking = bool(np.array_equal(s_mask, t_mask))
     _note_memory_metrics(
         metrics,
         tracer,
         path="vectorized",
         peak_bytes=mem_bytes,
         code_bytes=targets.dtype.itemsize,
-        transfer=transfer,
+        transfer=csr.transfer,
     )
-    return ToleranceReport(
-        ok=implication_ok
-        and s_closure.ok
-        and t_closure.ok
-        and convergence.ok,
-        implication_ok=implication_ok,
-        s_closure=s_closure,
-        t_closure=t_closure,
-        convergence=convergence,
-        classification="masking" if masking else "nonmasking",
-        stabilizing=span_count == count,
-        total_states=count,
-    )
+    return _mask_report(
+        s_mask, t_mask, s_closure, t_closure, convergence, span_count
+    ), csr
 
 
 def _streaming_full_space(
@@ -871,7 +935,6 @@ def _streaming_full_space(
         if t_mask is not None:
             t_mask[lo:hi] = t_part
 
-    implication_ok = t_mask is None or not bool(np.any(s_mask & ~t_mask))
     bad_full = ~s_mask if t_mask is None else (t_mask & ~s_mask)
     span_count = count if t_mask is None else int(np.count_nonzero(t_mask))
     bad_count = int(np.count_nonzero(bad_full))
@@ -985,21 +1048,7 @@ def _streaming_full_space(
             bad_states=bad_count,
         )
 
-    if tracer is not None:
-        from repro.observability.events import (
-            KERNEL_SHARD_MERGED,
-            KERNEL_SWEEP,
-        )
-
-        tracer.emit(
-            KERNEL_SWEEP,
-            program=program.name,
-            states=count,
-            shards=len(ranges),
-            edges=total_edges,
-        )
-        if len(ranges) > 1:
-            tracer.emit(KERNEL_SHARD_MERGED, shards=len(ranges))
+    _emit_sweep(tracer, program, count, len(ranges), total_edges)
     if metrics is not None:
         metrics.counter("kernel.sweep.vectorized").add(len(ranges))
         if len(ranges) > 1:
@@ -1019,20 +1068,6 @@ def _streaming_full_space(
         streaming=True,
     )
 
-    if t_mask is None:
-        masking = bool(s_mask.all())
-    else:
-        masking = bool(np.array_equal(s_mask, t_mask))
-    return ToleranceReport(
-        ok=implication_ok
-        and s_closure.ok
-        and t_closure.ok
-        and convergence.ok,
-        implication_ok=implication_ok,
-        s_closure=s_closure,
-        t_closure=t_closure,
-        convergence=convergence,
-        classification="masking" if masking else "nonmasking",
-        stabilizing=span_count == count,
-        total_states=count,
+    return _mask_report(
+        s_mask, t_mask, s_closure, t_closure, convergence, span_count
     )

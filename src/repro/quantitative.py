@@ -21,11 +21,9 @@ verified transition system into numbers:
   kernel's ``offsets``/``targets`` arrays — no dense matrix is ever
   materialized (the historical dense ``numpy.linalg`` solve survives as
   :func:`dense_hitting_times`, the toy-size differential reference).
-  Jacobi sweeps run vectorized when numpy is present and fall back to a
-  **bit-compatible** pure-Python scalar loop otherwise, mirroring the
-  ``repro.kernel.sweeps`` gating discipline: both paths perform the
-  same IEEE operations in the same order, so their results are
-  bit-identical (the differential suite pins this).
+  The Jacobi sweeps are numpy array programs: this layer requires
+  numpy, and without it every entry point raises
+  :class:`QuantitativeUnsupported` (boolean verdicts do not need it).
 
 - **Fault-rate-weighted expectation**: transitions fired by fault
   actions (``fault_actions=``, defaulting to action names starting with
@@ -36,11 +34,10 @@ verified transition system into numbers:
 - **Worst-case convergence span**: the game value against the
   adversarial scheduler, which at every state picks the enabled
   transition maximizing remaining time. Computed exactly by max-player
-  value iteration in attractor order over the same CSR graph — with
-  numpy, as the round numbers of the kernel's own Kahn peel run
-  backwards from the target (:func:`repro.kernel.sweeps.kahn_peel`);
-  states the adversary can trap outside the target (a cycle or
-  deadlock that avoids it) get ``math.inf``.
+  value iteration in attractor order over the same CSR graph, as the
+  round numbers of the kernel's own Kahn peel run backwards from the
+  target (:func:`repro.kernel.sweeps.kahn_peel`); states the adversary
+  can trap outside the target (a cycle or deadlock) get ``math.inf``.
 
 - **A masking-distance-style score** in ``[0, 1]`` combining the
   fault-span escape probability (the chance a uniformly random span
@@ -50,15 +47,15 @@ verified transition system into numbers:
   definition.
 
 States that reach the target with probability < 1 under the random
-daemon (they can wander into a region from which the target is
-unreachable, or deadlock outside it) have infinite expected hitting
-time and are reported as ``math.inf``, exactly as the historical dense
-solver did.
+daemon have infinite expected hitting time, reported as ``math.inf``.
 
 Surfaced through the facade as ``repro.verify(case, quantify=True)``
 (the attached :class:`QuantitativeReport` satisfies the
 :class:`repro.Verdict` protocol), the CLI (``repro verify --quantify``)
-and the daemon (``POST /verify`` with ``"quantify": true``).
+and the daemon (``POST /verify`` with ``"quantify": true``). There the
+analysis runs over the very CSR the packed full-space verdict swept
+(:class:`repro.kernel.verify.FullSpaceCSR`), so one request sweeps the
+space once.
 """
 
 from __future__ import annotations
@@ -75,16 +72,15 @@ from repro.core.program import Program
 from repro.core.state import State
 from repro.observability import events as ev
 
-try:  # numpy is optional: the scalar fallback mirrors every result
+try:  # numpy is required here, but not by the boolean verifier
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the fallback CI leg
+except ImportError:  # pragma: no cover - pinned by a numpy-free subprocess
     _np = None
 
 __all__ = [
     "DEFAULT_FAULT_RATE",
     "DEFAULT_TOL",
     "DENSE_AGREEMENT_RTOL",
-    "FORCE_SCALAR",
     "HAVE_NUMPY",
     "HittingTimes",
     "MAX_VALUE_SWEEPS",
@@ -93,16 +89,12 @@ __all__ = [
     "dense_hitting_times",
     "hitting_times",
     "quantify",
+    "require_numpy",
     "worst_case_steps",
 ]
 
-#: Whether numpy was importable; without it the scalar sweeps run.
+#: Whether numpy was importable; without it every analysis refuses.
 HAVE_NUMPY = _np is not None
-
-#: Force the pure-Python scalar value iteration even when numpy is
-#: present. The differential suite flips this to pin that the two paths
-#: are bit-identical.
-FORCE_SCALAR = False
 
 #: Default relative convergence threshold of the value iteration: a
 #: sweep whose largest per-state update falls below
@@ -126,11 +118,10 @@ DENSE_AGREEMENT_RTOL = 1e-6
 class QuantitativeUnsupported(Exception):
     """The quantitative analysis cannot run on this instance as asked.
 
-    Raised for structured refusals — numpy missing for the dense
-    reference solve, or a ``memory_budget=`` the resident value-
-    iteration arrays cannot fit under (unlike the boolean kernel there
-    is no streaming variant: the expectation vector must stay resident
-    across sweeps).
+    Raised for structured refusals — numpy missing, or a
+    ``memory_budget=`` the resident value-iteration arrays cannot fit
+    under (unlike the boolean kernel there is no streaming variant: the
+    expectation vector must stay resident across sweeps).
     """
 
 
@@ -143,10 +134,8 @@ class QuantitativeUnsupported(Exception):
 class HittingTimes:
     """Exact expected steps-to-target per state, plus aggregates.
 
-    The canonical home of the type that used to live in
-    :mod:`repro.analysis.markov`; ``expectations`` is aligned with
-    ``system.states`` and states that miss the target with positive
-    probability carry ``math.inf``.
+    ``expectations`` is aligned with ``system.states``; states that miss
+    the target with positive probability carry ``math.inf``.
     """
 
     #: Expected steps from each state, aligned with ``system.states``.
@@ -185,7 +174,7 @@ class QuantitativeReport:
     ok: bool
     #: Graph representation the analysis ran over: "packed" or "dict".
     engine: str
-    #: Value-iteration execution path: "vector" (numpy) or "scalar".
+    #: Value-iteration execution path: always "vector" (numpy).
     path: str
     states: int
     target_states: int
@@ -272,10 +261,10 @@ class _Graph:
     """The CSR arrays one quantitative analysis runs over."""
 
     n: int
-    #: Row offsets (length n+1) and edge targets; list/array/ndarray.
+    #: Row offsets (length n+1) and edge targets.
     offsets: Any
     targets: Any
-    #: Per-state booleans (indexable; list or ndarray).
+    #: Per-state booleans.
     is_target: Any
     #: Per-state span membership, or None when the span is TRUE.
     in_span: Any
@@ -284,148 +273,135 @@ class _Graph:
     engine: str
 
 
+def require_numpy() -> None:
+    """Raise :class:`QuantitativeUnsupported` unless numpy is installed.
+
+    Every analysis here needs numpy; the daemon calls this to refuse a
+    ``quantify`` request before queueing it.
+    """
+    if not HAVE_NUMPY:
+        raise QuantitativeUnsupported(
+            "the quantitative analysis needs numpy, which is not "
+            "installed; boolean verdicts (quantify=False) do not"
+        )
+
+
 def _is_fault_name(name: str, fault_actions: Collection[str] | None) -> bool:
     if fault_actions is not None:
         return name in fault_actions
     return name.lower().startswith("fault")
 
 
+def _fault_edges(names, action_ids, fault_actions):
+    """Per-edge fault flags from per-edge action ids, or ``None``."""
+    is_fault = [_is_fault_name(name, fault_actions) for name in names]
+    if not any(is_fault):
+        return None
+    return _np.asarray(is_fault, dtype=bool)[_np.asarray(action_ids)]
+
+
 def _graph_from_system(
-    system: Any,
-    target: Predicate,
-    span: Predicate,
-    fault_actions: Collection[str] | None,
-) -> _Graph:
-    """CSR arrays of a built (packed or dict) transition system."""
-    from repro.kernel import PackedTransitionSystem
-
-    n = len(system)
-    if system.escapes:
-        raise ValueError("the state set is not closed under the program")
-    is_target = [False] * n
-    for index in system.satisfying(target):
-        is_target[index] = True
-    if span is TRUE:
-        in_span = None
-    else:
-        in_span = [False] * n
-        for index in system.satisfying(span):
-            in_span[index] = True
-    if isinstance(system, PackedTransitionSystem):
-        is_fault = [
-            _is_fault_name(name, fault_actions) for name in system.action_names
-        ]
-        fault_edge = (
-            [is_fault[aid] for aid in system.action_ids]
-            if any(is_fault)
-            else None
-        )
-        return _Graph(
-            n=n,
-            offsets=system.offsets,
-            targets=system.targets,
-            is_target=is_target,
-            in_span=in_span,
-            fault_edge=fault_edge,
-            engine="packed",
-        )
-    offsets = [0]
-    targets: list[int] = []
-    fault_edge = []
-    for row in system.edges:
-        for action_name, destination in row:
-            targets.append(destination)
-            fault_edge.append(_is_fault_name(action_name, fault_actions))
-        offsets.append(len(targets))
-    return _Graph(
-        n=n,
-        offsets=offsets,
-        targets=targets,
-        is_target=is_target,
-        in_span=in_span,
-        fault_edge=fault_edge if any(fault_edge) else None,
-        engine="dict",
-    )
-
-
-def _full_space_graph(
     program: Program,
+    states: Iterable[State] | None,
     target: Predicate,
     span: Predicate,
     fault_actions: Collection[str] | None,
     *,
-    shards: int | None,
-    memory_budget: int | None,
-    metrics: Any,
-) -> _Graph | None:
-    """The vectorized (optionally sharded) full-space CSR, or ``None``.
+    system: Any,
+    engine: str,
+) -> tuple[Any, _Graph]:
+    """A transition system (``system``, or one built here over ``states``,
+    default the full space) and its CSR arrays."""
+    from repro.kernel import PackedTransitionSystem
+    from repro.verification.explorer import build_transition_system
 
-    Mirrors the kernel's sweep gating: numpy present, the space large
-    enough to amortize numpy's fixed overhead (unless ``shards`` was
-    requested explicitly), and every construct inside the vectorized
-    fragment — anything else returns ``None`` and the caller builds the
-    system through the ordinary engines. The produced masks and CSR are
-    bit-identical to the scalar build (the kernel differential suite
-    pins the sweep; this module's suite pins the solve).
-    """
-    if _np is None or FORCE_SCALAR:
-        return None
-    from repro.kernel import compile_program, kernel_supported
-    from repro.kernel import shard as sharding
-    from repro.kernel import sweeps
+    np = _np
+    if system is None:
+        system = build_transition_system(
+            program,
+            states if states is not None else program.state_space(),
+            engine=engine,
+        )
+    n = len(system)
+    if system.escapes:
+        raise ValueError("the state set is not closed under the program")
 
-    if not kernel_supported(program):
-        return None
-    kernel = compile_program(program)
-    size = kernel.codec.size
-    if shards is None and size < sweeps.VECTOR_MIN_STATES:
-        return None
-    try:
-        plan = sweeps.SweepPlan(
-            kernel, target, None if span is TRUE else span
+    def mask(predicate: Predicate):
+        flags = np.zeros(n, dtype=bool)
+        flags[list(system.satisfying(predicate))] = True
+        return flags
+
+    if isinstance(system, PackedTransitionSystem):
+        offsets, targets = system.offsets, system.targets
+        fault_edge = _fault_edges(
+            system.action_names, system.action_ids, fault_actions
         )
-        ranges = sharding.plan_shards(size, shards)
-        merged, _transfer = sharding.sweep_merged(plan, ranges, metrics=metrics)
-    except sweeps.SweepUnsupported:
-        return None
-    s_mask, t_mask, offsets, targets, action_ids = merged
-    edges = int(offsets[-1])
-    # Resident footprint of the solve: the CSR plus the edge-source
-    # index and three float vectors — all must stay in memory across
-    # sweeps, so a budget below it is a structured refusal, not a
-    # streaming fallback.
-    resident = (
-        s_mask.nbytes
-        + (0 if t_mask is None else t_mask.nbytes)
-        + offsets.nbytes
-        + targets.nbytes
-        + action_ids.nbytes
-        + 8 * edges  # edge-source index for the segment sums
-        + 8 * edges  # per-sweep gathered successor values
-        + 3 * 8 * size  # expectation, segment-sum and update vectors
-    )
-    if metrics is not None:
-        metrics.counter("quantitative.mem.bytes").add(resident)
-    if memory_budget is not None and resident > memory_budget:
-        raise QuantitativeUnsupported(
-            f"value iteration over {size} states / {edges} edges needs "
-            f"~{resident} resident bytes, above the {memory_budget}-byte "
-            "memory_budget; unlike the boolean sweep there is no "
-            "streaming variant — raise or drop the budget"
-        )
-    is_fault = [_is_fault_name(name, fault_actions) for name in kernel.action_names]
-    fault_edge = (
-        _np.asarray(is_fault, dtype=bool)[_np.asarray(action_ids)]
-        if any(is_fault)
-        else None
-    )
-    return _Graph(
-        n=size,
+    else:
+        edges = [edge for row in system.edges for edge in row]
+        offsets = np.cumsum([0] + [len(row) for row in system.edges])
+        targets = [destination for _name, destination in edges]
+        flags = [_is_fault_name(name, fault_actions) for name, _ in edges]
+        fault_edge = np.asarray(flags, dtype=bool) if any(flags) else None
+    return system, _Graph(
+        n=n,
         offsets=offsets,
         targets=targets,
-        is_target=s_mask,
-        in_span=t_mask,
+        is_target=mask(target),
+        in_span=None if span is TRUE else mask(span),
         fault_edge=fault_edge,
+        engine="packed" if isinstance(system, PackedTransitionSystem) else "dict",
+    )
+
+
+def _graph_from_csr(
+    csr: Any,
+    fault_actions: Collection[str] | None,
+    *,
+    memory_budget: int | None,
+    metrics: Any,
+) -> _Graph:
+    """The quantitative view of a packed full-space sweep's CSR.
+
+    ``csr`` is a :class:`~repro.kernel.verify.FullSpaceCSR`: the one the
+    request's own verify swept, or one :func:`quantify` swept itself.
+    Row ``i`` is code ``i``, so the masks index states directly. The
+    vectorized sweep's resident-bytes check applies here.
+    """
+    np = _np
+    size = len(csr.s_mask)
+    edges = int(csr.offsets[-1])
+    if csr.vectorized:
+        # Resident footprint of the solve: the CSR plus the edge-source
+        # index and three float vectors — all must stay in memory across
+        # sweeps, so a budget below it is a structured refusal, not a
+        # streaming fallback.
+        resident = (
+            csr.s_mask.nbytes
+            + (0 if csr.t_mask is None else csr.t_mask.nbytes)
+            + csr.offsets.nbytes
+            + csr.targets.nbytes
+            + csr.action_ids.nbytes
+            + 8 * edges  # edge-source index for the segment sums
+            + 8 * edges  # per-sweep gathered successor values
+            + 3 * 8 * size  # expectation, segment-sum and update vectors
+        )
+        if metrics is not None:
+            metrics.counter("quantitative.mem.bytes").add(resident)
+        if memory_budget is not None and resident > memory_budget:
+            raise QuantitativeUnsupported(
+                f"value iteration over {size} states / {edges} edges needs "
+                f"~{resident} resident bytes, above the {memory_budget}-byte "
+                "memory_budget; unlike the boolean sweep there is no "
+                "streaming variant — raise or drop the budget"
+            )
+
+    return _Graph(
+        n=size,
+        offsets=np.asarray(csr.offsets),
+        targets=np.asarray(csr.targets),
+        is_target=np.asarray(csr.s_mask, dtype=bool),
+        in_span=None if csr.t_mask is None else np.asarray(csr.t_mask, dtype=bool),
+        fault_edge=_fault_edges(csr.action_names, csr.action_ids, fault_actions),
         engine="packed",
     )
 
@@ -441,6 +417,8 @@ def _classify_scalar(n: int, offsets, targets, is_target) -> list[bool]:
     Two backward closures, exactly as the historical dense solver
     computed them: states that cannot reach the target at all, then
     states that can wander (without first being absorbed) into one.
+    The dense reference's own pure-Python classification, independent
+    of the vectorized :func:`_classify`.
     """
     predecessors: list[list[int]] = [[] for _ in range(n)]
     for source in range(n):
@@ -492,8 +470,8 @@ def _absorbing_edges(offsets, targets, is_target):
     return _csr_sources(off, tgt.dtype)[counted], tgt[counted]
 
 
-def _classify_vector(n: int, offsets, targets, is_target):
-    """Vectorized :func:`_classify_scalar`: reverse CSR + frontier BFS."""
+def _classify(n: int, offsets, targets, is_target):
+    """Doomed states by reverse-CSR frontier BFS, as a boolean array."""
     from repro.kernel.sweeps import _reverse_csr, frontier_reach
 
     np = _np
@@ -517,91 +495,35 @@ def _classify_vector(n: int, offsets, targets, is_target):
 # ----------------------------------------------------------------------
 
 
-def _solve_scalar(
-    n: int, offsets, targets, is_target, doomed, weights,
-    tol: float, max_sweeps: int,
-) -> tuple[list[float], int, bool]:
-    """Pure-Python Jacobi sweeps, bit-compatible with the vector path.
+def _solve(
+    graph: _Graph, doomed, weights, tol: float, max_sweeps: int,
+) -> tuple[Any, int, bool]:
+    """Jacobi sweeps, one gather + segment sum per sweep.
 
-    Every accumulation runs in the CSR edge order — the same sequential
-    IEEE additions ``numpy.bincount`` performs — and the stopping rule
-    compares the same floats, so both paths take the same number of
-    sweeps and produce bit-identical expectations.
+    Returns ``(x, sweeps, converged)``; ``weights`` is ``None`` for the
+    uniform chain, else one weight per edge.
     """
-    x = [0.0] * n
-    transient = [
-        i for i in range(n) if not is_target[i] and not doomed[i]
-    ]
-    if not transient:
-        return x, 0, True
-    totals = []
-    for i in transient:
-        if weights is None:
-            totals.append(float(offsets[i + 1] - offsets[i]))
-        else:
-            acc = 0.0
-            for k in range(offsets[i], offsets[i + 1]):
-                acc += weights[k]
-            totals.append(acc)
-    new = [0.0] * len(transient)
-    sweeps_done = 0
-    converged = False
-    while sweeps_done < max_sweeps:
-        sweeps_done += 1
-        peak = 0.0
-        delta = 0.0
-        for position, i in enumerate(transient):
-            acc = 0.0
-            if weights is None:
-                for k in range(offsets[i], offsets[i + 1]):
-                    acc += x[targets[k]]
-            else:
-                for k in range(offsets[i], offsets[i + 1]):
-                    acc += weights[k] * x[targets[k]]
-            value = 1.0 + acc / totals[position]
-            new[position] = value
-            if value > peak:
-                peak = value
-            diff = value - x[i]
-            if diff < 0.0:
-                diff = -diff
-            if diff > delta:
-                delta = diff
-        for position, i in enumerate(transient):
-            x[i] = new[position]
-        if delta <= tol * (1.0 + peak):
-            converged = True
-            break
-    return x, sweeps_done, converged
-
-
-def _solve_vector(
-    n: int, offsets, targets, is_target, doomed, weights,
-    tol: float, max_sweeps: int,
-) -> tuple[list[float], int, bool]:
-    """Vectorized Jacobi sweeps: one gather + segment sum per sweep."""
     np = _np
-    off = np.asarray(offsets, dtype=np.int64)
-    tgt = np.asarray(targets, dtype=np.int64)
+    n = graph.n
+    off = np.asarray(graph.offsets, dtype=np.int64)
+    tgt = np.asarray(graph.targets, dtype=np.int64)
     counts = off[1:] - off[:-1]
     src = np.repeat(np.arange(n, dtype=np.int64), counts)
-    is_t = np.asarray(is_target, dtype=bool)
+    is_t = np.asarray(graph.is_target, dtype=bool)
     doom = np.asarray(doomed, dtype=bool)
     index = np.flatnonzero(~is_t & ~doom)
     x = np.zeros(n, dtype=np.float64)
     if index.size == 0:
-        return x.tolist(), 0, True
+        return x, 0, True
     if weights is None:
-        edge_weights = None
         totals = counts[index].astype(np.float64)
     else:
-        edge_weights = np.asarray(weights, dtype=np.float64)
-        totals = np.bincount(src, weights=edge_weights, minlength=n)[index]
+        totals = np.bincount(src, weights=weights, minlength=n)[index]
     sweeps_done = 0
     converged = False
     while sweeps_done < max_sweeps:
         sweeps_done += 1
-        values = x[tgt] if edge_weights is None else edge_weights * x[tgt]
+        values = x[tgt] if weights is None else weights * x[tgt]
         sums = np.bincount(src, weights=values, minlength=n)
         new = 1.0 + sums[index] / totals
         peak = float(new.max())
@@ -610,24 +532,7 @@ def _solve_vector(
         if delta <= tol * (1.0 + peak):
             converged = True
             break
-    return x.tolist(), sweeps_done, converged
-
-
-def _solve(
-    graph: _Graph, doomed, weights, tol: float, max_sweeps: int,
-) -> tuple[list[float], int, bool, str]:
-    """Dispatch one chain solve; returns ``(x, sweeps, converged, path)``."""
-    if HAVE_NUMPY and not FORCE_SCALAR:
-        x, sweeps_done, converged = _solve_vector(
-            graph.n, graph.offsets, graph.targets, graph.is_target,
-            doomed, weights, tol, max_sweeps,
-        )
-        return x, sweeps_done, converged, "vector"
-    x, sweeps_done, converged = _solve_scalar(
-        graph.n, graph.offsets, graph.targets, graph.is_target,
-        doomed, weights, tol, max_sweeps,
-    )
-    return x, sweeps_done, converged, "scalar"
+    return x, sweeps_done, converged
 
 
 # ----------------------------------------------------------------------
@@ -635,66 +540,18 @@ def _solve(
 # ----------------------------------------------------------------------
 
 
-def _adversarial_values(n: int, offsets, targets, is_target) -> list[float]:
-    """Exact game value against the adversarial scheduler, per state.
-
-    Dispatches like :func:`_solve`: the kernel's Kahn peel with numpy,
-    the pure-Python attractor walk otherwise (or under
-    ``FORCE_SCALAR``). Both return exactly the same values.
-    """
-    if HAVE_NUMPY and not FORCE_SCALAR:
-        return _adversarial_vector(n, offsets, targets, is_target)
-    return _adversarial_scalar(n, offsets, targets, is_target)
-
-
-def _adversarial_scalar(n: int, offsets, targets, is_target) -> list[float]:
-    """Pure-Python game value: max-player value iteration in attractor order.
-
-    A state joins the finite region only once *every* enabled transition
-    leads into it (the adversary picks the worst), at which point its
-    value is ``1 + max`` over the successors — all already final. States
-    the adversary can keep outside the target (a cycle avoiding it, or a
-    deadlock) never join and stay ``math.inf``.
-    """
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    remaining = [0] * n
-    for source in range(n):
-        if is_target[source]:
-            continue
-        remaining[source] = offsets[source + 1] - offsets[source]
-        for k in range(offsets[source], offsets[source + 1]):
-            predecessors[targets[k]].append(source)
-    values = [math.inf] * n
-    best = [0.0] * n
-    queue = [i for i in range(n) if is_target[i]]
-    for i in queue:
-        values[i] = 0.0
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        reached = values[node] + 1.0
-        for back in predecessors[node]:
-            if best[back] < reached:
-                best[back] = reached
-            remaining[back] -= 1
-            if remaining[back] == 0:
-                values[back] = best[back]
-                queue.append(back)
-    return values
-
-
-def _adversarial_vector(n: int, offsets, targets, is_target) -> list[float]:
+def _adversarial_values(n: int, offsets, targets, is_target):
     """The game value as the round of the kernel's Kahn peel from ``S``.
 
-    The same backward attractor, run round-synchronously by
-    :func:`repro.kernel.sweeps.kahn_peel` over the edges out of
-    non-target states: targets peel in round 0, and a state peels in
-    round ``r`` once its last successor has, so ``r = 1 + max`` over the
-    successors — exactly the adversary's value. A deadlocked non-target
-    is kept out of the peeled region (the adversary stops it there
-    forever), so it and every state that can be steered into it or into
-    a cycle avoiding the target never peel and get ``math.inf``.
+    The backward attractor against the adversarial scheduler, run
+    round-synchronously by :func:`repro.kernel.sweeps.kahn_peel` over
+    the edges out of non-target states: targets peel in round 0, and a
+    state peels in round ``r`` once its last successor has, so
+    ``r = 1 + max`` over the successors — exactly the adversary's value.
+    A deadlocked non-target is kept out of the peeled region (the
+    adversary stops it there forever), so it and every state that can be
+    steered into it or into a cycle avoiding the target never peel and
+    get ``math.inf``.
     """
     from repro.kernel.sweeps import _peel_levels
 
@@ -706,7 +563,7 @@ def _adversarial_vector(n: int, offsets, targets, is_target) -> list[float]:
     )
     values = levels.astype(np.float64)
     values[levels < 0] = math.inf
-    return values.tolist()
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -726,12 +583,10 @@ def hitting_times(
 ) -> HittingTimes:
     """Random-daemon expected steps-to-target, by CSR value iteration.
 
-    The drop-in successor of the deprecated
-    ``repro.analysis.markov.expected_convergence_steps``: same model,
-    same ``math.inf`` semantics, same closedness check — but solved by
-    sparse value iteration over the transition system's CSR arrays
-    instead of a dense linear solve, so it scales with edges rather
-    than states squared.
+    The model, ``math.inf`` semantics and closedness check of
+    :func:`dense_hitting_times`, but solved by sparse value iteration
+    over the transition system's CSR arrays instead of a dense linear
+    solve, so it scales with edges rather than states squared.
 
     Args:
         program: The program (its transition graph defines the chain).
@@ -744,59 +599,33 @@ def hitting_times(
         max_sweeps: Sweep cap; past it ``converged`` is ``False``.
 
     Raises:
+        QuantitativeUnsupported: when numpy is not installed.
         ValueError: if the supplied state set is not closed.
     """
-    from repro.verification.explorer import build_transition_system
-
-    ts = (
-        system
-        if system is not None
-        else build_transition_system(program, states, engine=engine)
+    require_numpy()
+    ts, graph = _graph_from_system(
+        program, states, target, TRUE, None, system=system, engine=engine
     )
-    graph = _graph_from_system(ts, target, TRUE, None)
-    expectations, iterations, converged = _finish_expectations(
-        graph, tol, max_sweeps
-    )
+    doomed = _classify(graph.n, graph.offsets, graph.targets, graph.is_target)
+    x, iterations, converged = _solve(graph, doomed, None, tol, max_sweeps)
+    x[doomed] = math.inf
     return HittingTimes(
-        expectations=expectations,
-        mean=_mean_with_inf(expectations),
-        maximum=max(expectations) if expectations else 0.0,
+        expectations=tuple(x.tolist()),
+        mean=math.inf if doomed.any() else (_total(x) / x.size if x.size else 0.0),
+        maximum=float(x.max()) if x.size else 0.0,
         system=ts,
         iterations=iterations,
         converged=converged,
     )
 
 
-def _finish_expectations(
-    graph: _Graph, tol: float, max_sweeps: int,
-) -> tuple[tuple[float, ...], int, bool]:
-    doomed = _classify(graph)
-    x, iterations, converged, _path = _solve(graph, doomed, None, tol, max_sweeps)
-    for i in range(graph.n):
-        if doomed[i]:
-            x[i] = math.inf
-    return tuple(float(v) for v in x), iterations, converged
+def _total(values) -> float:
+    """The sum of a float array, left to right, one addition at a time.
 
-
-def _classify(graph: _Graph):
-    if HAVE_NUMPY and not FORCE_SCALAR:
-        return _classify_vector(
-            graph.n, graph.offsets, graph.targets, graph.is_target
-        )
-    return _classify_scalar(
-        graph.n, graph.offsets, graph.targets, graph.is_target
-    )
-
-
-def _mean_with_inf(values) -> float:
-    if any(math.isinf(v) for v in values):
-        return math.inf
-    if not len(values):
-        return 0.0
-    total = 0.0
-    for v in values:
-        total += v
-    return total / len(values)
+    ``numpy.sum`` adds pairwise and rounds differently; reports pin the
+    sequential sum.
+    """
+    return float(_np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def dense_hitting_times(
@@ -818,11 +647,7 @@ def dense_hitting_times(
         QuantitativeUnsupported: when numpy is not installed.
         ValueError: if the supplied state set is not closed.
     """
-    if _np is None:
-        raise QuantitativeUnsupported(
-            "dense_hitting_times needs numpy; use hitting_times (the "
-            "CSR value iteration has a pure-Python path)"
-        )
+    require_numpy()
     from repro.verification.explorer import build_transition_system
 
     ts = (
@@ -899,20 +724,17 @@ def worst_case_steps(
     system's state order.
 
     Raises:
+        QuantitativeUnsupported: when numpy is not installed.
         ValueError: if the supplied state set is not closed.
     """
-    from repro.verification.explorer import build_transition_system
-
-    ts = (
-        system
-        if system is not None
-        else build_transition_system(program, states, engine=engine)
+    require_numpy()
+    _system, graph = _graph_from_system(
+        program, states, target, TRUE, None, system=system, engine=engine
     )
-    graph = _graph_from_system(ts, target, TRUE, None)
     return tuple(
         _adversarial_values(
             graph.n, graph.offsets, graph.targets, graph.is_target
-        )
+        ).tolist()
     )
 
 
@@ -940,10 +762,10 @@ def quantify(
     ``invariant``, its fault-rate-weighted variant, the adversarial
     worst-case span, and the masking-distance score over the
     ``fault_span`` states (``None`` = the whole space). The analysis
-    runs over the full state space by default; like the packed boolean
-    verifier it prefers the vectorized sharded full-space sweep
-    (honoring ``shards=``/``memory_budget=``) and falls back to the
-    ordinary engines otherwise.
+    runs over the full state space by default, swept by the packed
+    kernel's vectorized gate (:func:`repro.kernel.verify.vectorized_csr`,
+    honoring ``shards=``/``memory_budget=``), or built by the ordinary
+    engines when that gate declines.
 
     Args:
         program: The augmented program.
@@ -961,7 +783,10 @@ def quantify(
         memory_budget: Resident-bytes ceiling for the vectorized solve;
             exceeding it raises :class:`QuantitativeUnsupported` (there
             is no streaming value iteration).
-        system: Optional prebuilt transition system to share work.
+        system: Optional prebuilt transition system to share work, or
+            the :class:`~repro.kernel.verify.FullSpaceCSR` a packed
+            full-space verify of the same instance swept (the service
+            hands its verdict's over, so a request sweeps once).
         case: Display name recorded in the report.
         tracer: Optional tracer (emits ``quantitative.solve``).
         metrics: Optional metrics registry (``quantitative.*``).
@@ -969,7 +794,8 @@ def quantify(
     Raises:
         ValidationError: on a non-positive ``fault_rate``.
         ValueError: if the supplied state set is not closed.
-        QuantitativeUnsupported: on an unsatisfiable ``memory_budget``.
+        QuantitativeUnsupported: when numpy is not installed, or on an
+            unsatisfiable ``memory_budget``.
     """
     if not fault_rate > 0.0:
         raise ValidationError(
@@ -979,33 +805,36 @@ def quantify(
     span = fault_span if fault_span is not None else TRUE
     name = case if case is not None else program.name
 
-    graph: _Graph | None = None
-    if system is None and states is None and engine != "dict":
-        graph = _full_space_graph(
-            program, invariant, span, fault_actions,
-            shards=shards, memory_budget=memory_budget, metrics=metrics,
-        )
-    if graph is None:
-        from repro.verification.explorer import build_transition_system
+    require_numpy()
+    from repro.kernel.verify import FullSpaceCSR
 
-        ts = (
-            system
-            if system is not None
-            else build_transition_system(
-                program,
-                states if states is not None else program.state_space(),
-                engine=engine,
+    csr = system if isinstance(system, FullSpaceCSR) else None
+    if csr is None and system is None and states is None and engine != "dict":
+        from repro.kernel import compile_program, kernel_supported
+        from repro.kernel.verify import vectorized_csr
+
+        if kernel_supported(program):
+            csr = vectorized_csr(
+                compile_program(program), invariant, span,
+                shards=shards, metrics=metrics,
             )
+    if csr is not None:
+        graph = _graph_from_csr(
+            csr, fault_actions, memory_budget=memory_budget, metrics=metrics
         )
-        graph = _graph_from_system(ts, invariant, span, fault_actions)
+    else:
+        _system, graph = _graph_from_system(
+            program, states, invariant, span, fault_actions,
+            system=system, engine=engine,
+        )
 
-    doomed = _classify(graph)
-    x_uniform, sweeps_uniform, conv_uniform, path = _solve(
+    doomed = _classify(graph.n, graph.offsets, graph.targets, graph.is_target)
+    x_uniform, sweeps_uniform, conv_uniform = _solve(
         graph, doomed, None, tol, max_sweeps
     )
     if graph.fault_edge is not None:
-        weights = _edge_weights(graph.fault_edge, fault_rate)
-        x_weighted, sweeps_weighted, conv_weighted, _ = _solve(
+        weights = _np.where(graph.fault_edge, fault_rate, 1.0)
+        x_weighted, sweeps_weighted, conv_weighted = _solve(
             graph, doomed, weights, tol, max_sweeps
         )
     else:
@@ -1015,40 +844,26 @@ def quantify(
         graph.n, graph.offsets, graph.targets, graph.is_target
     )
 
+    np = _np
     n = graph.n
-    span_indices = (
-        range(n)
-        if graph.in_span is None
-        else [i for i in range(n) if graph.in_span[i]]
+    span_rows = (
+        np.arange(n) if graph.in_span is None else np.flatnonzero(graph.in_span)
     )
-    span_count = len(span_indices)
-    target_count = sum(1 for i in range(n) if graph.is_target[i])
-    doomed_span = sum(1 for i in span_indices if doomed[i])
+    finite = ~doomed[span_rows]
+    uniform = x_uniform[span_rows][finite]
+    span_count = int(span_rows.size)
+    doomed_span = span_count - int(uniform.size)
+    target_count = int(np.count_nonzero(graph.is_target))
     escape = (doomed_span / span_count) if span_count else 0.0
-
-    finite_total = 0.0
-    finite_count = 0
-    max_steps = 0.0
-    worst_case = 0.0
-    weighted_total = 0.0
-    for i in span_indices:
-        if doomed[i]:
-            max_steps = math.inf
-        else:
-            value = float(x_uniform[i])
-            finite_total += value
-            finite_count += 1
-            if value > max_steps:
-                max_steps = value
-            weighted_total += float(x_weighted[i])
-        if adversarial[i] > worst_case:
-            worst_case = adversarial[i]
-    mean_finite = finite_total / finite_count if finite_count else 0.0
+    worst_case = float(np.max(adversarial[span_rows], initial=0.0))
+    max_steps = math.inf if doomed_span else float(np.max(uniform, initial=0.0))
+    finite_total = _total(uniform)
+    mean_finite = finite_total / uniform.size if uniform.size else 0.0
     mean_steps = math.inf if doomed_span else (
         finite_total / span_count if span_count else 0.0
     )
     weighted_mean = math.inf if doomed_span else (
-        weighted_total / span_count if span_count else 0.0
+        _total(x_weighted[span_rows][finite]) / span_count if span_count else 0.0
     )
     normalized = (
         mean_finite / (mean_finite + span_count) if span_count else 0.0
@@ -1072,7 +887,7 @@ def quantify(
             span_states=span_count,
             doomed=doomed_span,
             iterations=iterations,
-            path=path,
+            path="vector",
             engine=graph.engine,
             seconds=seconds,
         )
@@ -1081,7 +896,7 @@ def quantify(
         case=name,
         ok=ok,
         engine=graph.engine,
-        path=path,
+        path="vector",
         states=n,
         target_states=target_count,
         span_states=span_count,
@@ -1089,7 +904,7 @@ def quantify(
         escape_probability=escape,
         mean_steps=mean_steps,
         max_steps=max_steps,
-        worst_case_steps=float(worst_case),
+        worst_case_steps=worst_case,
         weighted_mean_steps=weighted_mean,
         fault_rate=fault_rate,
         score=score,
@@ -1099,10 +914,3 @@ def quantify(
         seconds=seconds,
     )
 
-
-def _edge_weights(fault_edge, fault_rate: float):
-    if HAVE_NUMPY and not FORCE_SCALAR:
-        return _np.where(
-            _np.asarray(fault_edge, dtype=bool), fault_rate, 1.0
-        )
-    return [fault_rate if flag else 1.0 for flag in fault_edge]

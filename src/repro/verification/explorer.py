@@ -126,10 +126,6 @@ def validate_engine(engine: str) -> None:
         )
 
 
-#: Backwards-compatible alias — ``validate_engine`` is the public name.
-_validate_engine = validate_engine
-
-
 def build_transition_system(
     program: Program,
     states: Iterable[State],
@@ -150,7 +146,7 @@ def build_transition_system(
             this module's dict-backed system; ``"auto"`` (default) tries
             packed and falls back to dict.
     """
-    _validate_engine(engine)
+    validate_engine(engine)
     state_list = list(states)
     if engine != "dict":
         from repro.kernel.codec import PackedUnsupported
@@ -194,7 +190,7 @@ def explore(
         StateSpaceTooLargeError: if more than ``max_states`` states become
             reachable.
     """
-    _validate_engine(engine)
+    validate_engine(engine)
     root_list = list(roots)
     if engine != "dict":
         from repro.kernel.codec import PackedUnsupported

@@ -60,7 +60,11 @@ from repro.observability import events as ev
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.report import RunReport
 from repro.observability.tracer import Tracer
-from repro.quantitative import DEFAULT_FAULT_RATE
+from repro.quantitative import (
+    DEFAULT_FAULT_RATE,
+    QuantitativeUnsupported,
+    require_numpy,
+)
 from repro.verification.explorer import validate_engine
 from repro.verification.parallel import VerificationTask, WorkerPool, run_batch
 from repro.verification.service import (
@@ -504,6 +508,12 @@ class VerificationDaemon:
                 '"quantify" needs state-space exploration; it cannot be '
                 'combined with method "compositional"'
             )
+        if quantify:
+            # Refused up front, not as a failed batch (a 500).
+            try:
+                require_numpy()
+            except QuantitativeUnsupported as error:
+                raise RequestError(str(error)) from None
         return {
             "case": case,
             "size": size,

@@ -22,10 +22,6 @@ from the cache instead of recomputed:
   :mod:`repro.verification.parallel` and cache-warm benchmark reruns
   cheap. Transition systems are not persisted — they embed program
   callables and are process-local.
-
-The historical liveness analysis that used to live in this module moved
-to :mod:`repro.verification.liveness`; its names are re-exported here
-for compatibility.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ from repro.core.errors import ValidationError
 from repro.core.fingerprint import (
     LocalKeys,
     fingerprint_instance,
+    fingerprint_predicate,
     fingerprint_program,
     key_kind,
 )
@@ -51,7 +48,11 @@ from repro.observability import events as ev
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.report import RunReport
 from repro.observability.tracer import Tracer
-from repro.quantitative import DEFAULT_FAULT_RATE, QuantitativeReport
+from repro.quantitative import (
+    DEFAULT_FAULT_RATE,
+    QuantitativeReport,
+    require_numpy,
+)
 from repro.verification.checker import ToleranceReport, _check_tolerance
 from repro.verification.explorer import (
     TransitionSystem,
@@ -70,33 +71,6 @@ __all__ = [
 
 #: Valid values of the ``method`` switch on :meth:`verify_tolerance`.
 METHODS = ("auto", "full", "compositional")
-
-#: The historical liveness analysis moved to
-#: :mod:`repro.verification.liveness`; importing its names from this
-#: module is deprecated.
-_MOVED_TO_LIVENESS = (
-    "RecurrentClass",
-    "ServiceReport",
-    "check_service",
-    "recurrent_classes",
-)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_LIVENESS:
-        import warnings
-
-        warnings.warn(
-            f"importing {name} from repro.verification.service is "
-            f"deprecated; import it from repro.verification.liveness "
-            "(or the repro.verification package)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.verification import liveness
-
-        return getattr(liveness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def tolerance_fingerprint(
@@ -561,9 +535,14 @@ class VerificationService:
                 the cache key — the two methods certify through different
                 evidence — and is recorded under ``record["method"]``.
             design: The :class:`~repro.core.design.NonmaskingDesign` the
-                instance came from; enables the compositional method.
-                ``design.program`` must be the same instance as
-                ``program``.
+                instance came from; enables the compositional method. A
+                certificate covers the design's own instance only: when
+                ``program``, ``invariant`` or the fault span is not
+                ``design.program``, ``design.candidate.invariant`` or
+                ``TRUE`` (the same object, or one with the same exact
+                structural key), ``"compositional"`` returns an uncached
+                ``design-mismatch`` refusal and ``"auto"`` explores the
+                full space.
             case: Display name recorded in the verdict.
             states_key: Cache discriminator for the state set.
             lint: Run the :mod:`repro.staticcheck` passes first and, on
@@ -616,6 +595,8 @@ class VerificationService:
                 "only a NonmaskingDesign carries the constraint graph the "
                 "certifier decomposes over"
             )
+        if quantify:
+            require_numpy()  # refuse before sweeping, not after
         span = fault_span if fault_span is not None else TRUE
         started = time.perf_counter()
         if lint:
@@ -684,26 +665,24 @@ class VerificationService:
         )
 
         def compute() -> dict[str, Any]:
-            from repro.kernel import kernel_supported
+            from repro.kernel import PackedUnsupported, kernel_supported
+            from repro.kernel.verify import check_tolerance_swept
 
             compute_started = time.perf_counter()
             resolved = engine
             if resolved == "auto":
                 resolved = "packed" if kernel_supported(program) else "dict"
-            if resolved == "packed" and engine == "auto":
-                # ``kernel_supported`` vets the program, but a *supplied*
-                # state can still carry an out-of-domain value only the
-                # codec notices; fall back per the auto contract.
-                from repro.kernel import PackedUnsupported
-
+            # The packed full-space sweep's CSR, kept for this request
+            # only: quantify reuses it instead of sweeping again.
+            swept = None
+            if resolved == "packed":
                 try:
-                    report = _check_tolerance(
+                    report, swept = check_tolerance_swept(
                         program,
                         invariant,
                         span,
                         state_list,
                         fairness=fairness,
-                        engine="packed",
                         max_states=max_states,
                         shards=shards,
                         memory_budget=memory_budget,
@@ -711,25 +690,17 @@ class VerificationService:
                         metrics=self.metrics,
                     )
                 except PackedUnsupported:
+                    # ``kernel_supported`` vets the program, but a
+                    # *supplied* state can still carry an out-of-domain
+                    # value only the codec notices; fall back per the
+                    # auto contract.
+                    if engine != "auto":
+                        raise
                     resolved = "dict"
-                    report = _check_tolerance(
-                        program, invariant, span, state_list,
-                        fairness=fairness, engine="dict",
-                        max_states=max_states,
-                    )
-            else:
+            if resolved == "dict":
                 report = _check_tolerance(
-                    program,
-                    invariant,
-                    span,
-                    state_list,
-                    fairness=fairness,
-                    engine=resolved,
-                    max_states=max_states,
-                    shards=shards,
-                    memory_budget=memory_budget,
-                    tracer=self.tracer,
-                    metrics=self.metrics,
+                    program, invariant, span, state_list,
+                    fairness=fairness, engine="dict", max_states=max_states,
                 )
             quantitative = None
             if quantify:
@@ -744,6 +715,7 @@ class VerificationService:
                     fault_rate=fault_rate,
                     shards=shards,
                     memory_budget=memory_budget,
+                    system=swept,
                     case=name,
                     tracer=self.tracer,
                     metrics=self.metrics,
@@ -789,41 +761,42 @@ class VerificationService:
         Returns a :class:`ServiceVerdict` when the request is answered
         compositionally — a (cached) certificate, or a failed *uncached*
         refusal when ``method="compositional"`` was explicit. Returns
-        ``None`` when ``method="auto"`` and the certifier refused, so the
-        caller falls back to full exploration. Refused certifications are
-        never cached: they carry no verdict, and fixing the design must
-        retrigger them.
+        ``None`` when ``method="auto"`` and the request was refused
+        (supplied states, not the design's own instance, or the certifier
+        declined), so the caller falls back to full exploration. Refused
+        certifications are never cached: they carry no verdict, and fixing
+        the design must retrigger them.
         """
-        from repro.compositional import certify_compositional
+        from repro.compositional import (
+            CompositionalCertificate,
+            certify_compositional,
+        )
 
         key = tolerance_fingerprint(
             program, invariant, span, fairness=fairness,
             method="compositional", states_extra=extra,
             design=design, local=self.local_keys,
         )
+        # Decided before any cache lookup: a certificate speaks for the
+        # design's own instance only, never for this request's.
+        if supplied_states:
+            # A state subset cannot be certified edge-locally: the
+            # projections quantify over the full product space.
+            refusal = (
+                "supplied-states: compositional certification covers the "
+                "full state space only"
+            )
+        elif not self._is_design_instance(program, invariant, span, design):
+            refusal = (
+                "design-mismatch: compositional certification covers the "
+                "design's own program and invariant under the TRUE fault "
+                "span only"
+            )
+        else:
+            refusal = None
 
         def compute() -> dict[str, Any]:
             compute_started = time.perf_counter()
-            if supplied_states:
-                # A state subset cannot be certified edge-locally: the
-                # projections quantify over the full product space.
-                from repro.compositional import CompositionalCertificate
-
-                raise _CompositionalRefused(
-                    CompositionalCertificate(
-                        design=design.name,
-                        theorem="",
-                        status="refused",
-                        classification="",
-                        stabilizing=False,
-                        obligations=(),
-                        refusal="supplied-states: compositional "
-                        "certification covers the full state space only",
-                        total_states=0,
-                        max_projection=0,
-                        seconds=0.0,
-                    )
-                )
             certificate = certify_compositional(
                 design,
                 fairness=fairness,
@@ -840,15 +813,13 @@ class VerificationService:
                 key=key,
             )
 
-        try:
-            record, layer = self.memo("tolerance", key, compute)
-        except _CompositionalRefused as refused:
+        def refused(certificate) -> ServiceVerdict | None:
             if method != "compositional":
                 return None  # auto: fall back to full exploration
             elapsed = time.perf_counter() - started
             return ServiceVerdict(
                 record=_compositional_record(
-                    refused.certificate,
+                    certificate,
                     case=name,
                     fairness=fairness,
                     seconds=elapsed,
@@ -859,6 +830,26 @@ class VerificationService:
                 cache_layer="",
                 seconds=elapsed,
             )
+
+        if refusal is not None:
+            return refused(
+                CompositionalCertificate(
+                    design=design.name,
+                    theorem="",
+                    status="refused",
+                    classification="",
+                    stabilizing=False,
+                    obligations=(),
+                    refusal=refusal,
+                    total_states=0,
+                    max_projection=0,
+                    seconds=0.0,
+                )
+            )
+        try:
+            record, layer = self.memo("tolerance", key, compute)
+        except _CompositionalRefused as error:
+            return refused(error.certificate)
         elapsed = time.perf_counter() - started
         self._note_verdict("verify_tolerance", layer, elapsed)
         return ServiceVerdict(
@@ -867,6 +858,35 @@ class VerificationService:
             cached=bool(layer),
             cache_layer=layer,
             seconds=elapsed,
+        )
+
+    def _is_design_instance(
+        self,
+        program: Program,
+        invariant: Predicate,
+        span: Predicate,
+        design: NonmaskingDesign,
+    ) -> bool:
+        """Whether the request is the design's own instance.
+
+        The certifier proves ``design.program`` tolerant for
+        ``design.candidate.invariant`` under the ``TRUE`` fault span.
+        Each part must be that very object or, for a content-equal
+        rebuild, have the same exact structural key.
+        """
+        local = self.local_keys
+
+        def same(asked, own, key_of) -> bool:
+            return asked is own or (
+                key_of(asked, local=local) == key_of(own, local=local)
+            )
+
+        return (
+            same(program, design.program, fingerprint_program)
+            and same(
+                invariant, design.candidate.invariant, fingerprint_predicate
+            )
+            and same(span, TRUE, fingerprint_predicate)
         )
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.api import Verdict, default_service
 from repro.core.errors import ValidationError
 from repro.core.predicates import TRUE
 from repro.protocols.library import CASES, build_case
+from repro.quantitative import HAVE_NUMPY
 from repro.verification import (
     METHODS,
     ServiceVerdict,
@@ -178,53 +179,20 @@ class TestDeprecationShims:
         assert isinstance(report, ToleranceReport)
         assert report.ok == _check_tolerance(program, invariant, TRUE).ok
 
-    @pytest.mark.parametrize(
-        "name",
-        ("RecurrentClass", "ServiceReport", "check_service",
-         "recurrent_classes"),
-    )
-    def test_service_module_liveness_names_warn_and_delegate(self, name):
-        import repro.verification.liveness as liveness
-        import repro.verification.service as service_module
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            moved = getattr(service_module, name)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.verification.liveness" in str(deprecations[0].message)
-        assert moved is getattr(liveness, name)
-
-    def test_validate_engine_alias_is_the_public_function(self):
-        from repro.verification.explorer import _validate_engine
-
-        assert _validate_engine is validate_engine
-
-    def test_expected_convergence_steps_warns_once_and_delegates(self):
-        from repro.analysis.markov import expected_convergence_steps
-        from repro.quantitative import hitting_times
-
-        program, invariant = build_case("coloring-chain", SIZE)
-        states = list(program.state_space())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = expected_convergence_steps(program, states, invariant)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "hitting_times" in str(deprecations[0].message)
-        assert result.expectations == hitting_times(
-            program, states, invariant
-        ).expectations
-
     def test_facade_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             verdict = repro.verify("diffusing-chain", size=SIZE,
                                    service=VerificationService())
+        assert verdict.ok
+
+    @pytest.mark.skipif(
+        not HAVE_NUMPY, reason="the quantitative layer requires numpy"
+    )
+    def test_quantified_facade_is_warning_free(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
             quantified = repro.verify("coloring-chain", size=SIZE,
                                       quantify=True,
                                       service=VerificationService())
-        assert verdict.ok
         assert quantified.ok and quantified.quantitative.ok

@@ -132,6 +132,16 @@ class TestVerifyJson:
                      "--engine", "packed", "--memory-budget", "1K"]) == 2
         assert "memory_budget" in capsys.readouterr().err
 
+    def test_quantify_without_numpy_is_a_friendly_refusal(
+        self, capsys, monkeypatch
+    ):
+        import repro.quantitative as quantitative
+
+        monkeypatch.setattr(quantitative, "HAVE_NUMPY", False)
+        assert main(["verify", "dijkstra-ring", "--size", "3",
+                     "--quantify"]) == 2
+        assert "needs numpy" in capsys.readouterr().err
+
     def test_compositional_record_schema_is_stable(self, tmp_path):
         path = tmp_path / "verdict.json"
         assert main(["verify", "diffusing", "--size", "4",

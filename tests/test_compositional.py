@@ -17,6 +17,7 @@ the fallback; the two paths are pinned to the same certificates.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -223,6 +224,66 @@ class TestServiceIntegration:
             design=design,
         )
         assert not again.cached  # refusals never enter the cache
+
+    @pytest.mark.parametrize("method", ["compositional", "auto"])
+    def test_an_invariant_not_the_designs_is_never_certified(self, method):
+        # The design certifies its own candidate invariant; it says
+        # nothing about a request for another one (here: false).
+        design = CASES["diffusing-chain"].build_design(3)
+        never = Predicate(lambda s: False, name="f", support=())
+        full = VerificationService().verify_tolerance(
+            design.program, never, design=design, method="full"
+        )
+        assert not full.ok
+        verdict = VerificationService().verify_tolerance(
+            design.program, never, design=design, method=method
+        )
+        if method == "compositional":
+            assert not verdict.ok and not verdict.cached
+            assert verdict.record["status"] == "refused"
+            assert verdict.record["refusal"].startswith("design-mismatch")
+        else:
+            assert verdict.record == {
+                **full.record, "seconds": verdict.record["seconds"]
+            }
+
+    def test_a_span_or_program_not_the_designs_is_refused(self):
+        design = CASES["diffusing-chain"].build_design(3)
+        other = CASES["diffusing-chain"].build_design(4)
+        service = VerificationService()
+        for program, span in (
+            (design.program, Predicate(lambda s: True, name="T", support=())),
+            (other.program, None),
+        ):
+            verdict = service.verify_tolerance(
+                program, design.candidate.invariant, span,
+                design=design, method="compositional",
+            )
+            assert verdict.record["refusal"].startswith("design-mismatch")
+
+    def test_a_content_equal_rebuild_still_certifies(self):
+        design = CASES["diffusing-chain"].build_design(3)
+        twin = CASES["diffusing-chain"].build_design(3)
+        verdict = VerificationService().verify_tolerance(
+            twin.program, twin.candidate.invariant,
+            design=design, method="compositional",
+        )
+        assert verdict.ok and verdict.record["status"] == "certified"
+
+    @pytest.mark.parametrize(
+        "name", [name for name, case in CASES.items() if case.build_design]
+    )
+    def test_library_designs_still_resolve_compositional(self, name):
+        verdict = repro.verify(name, size=3, service=VerificationService())
+        assert verdict.ok and verdict.record["method"] == "compositional"
+
+    @pytest.mark.parametrize("name", ["diffusing", "coloring", "leader-election"])
+    def test_cli_designs_still_resolve_compositional(self, name, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "verdict.json"
+        assert main(["verify", name, "--size", "3", "--json", str(path)]) == 0
+        assert json.loads(path.read_text())["record"]["method"] == "compositional"
 
     def test_auto_falls_back_to_full_on_refusal(self):
         design = _two_node_cycle()

@@ -646,9 +646,8 @@ class TestMemoryAccounting:
         records = run_batch([task], workers=1)
         assert records[0]["ok"]
 
-    # The CLI transitively imports numpy (analysis.markov), so its tests
-    # sit out the bare-interpreter leg.
-    @needs_numpy
+    # The CLI imports without numpy, so its size parser runs in the
+    # bare-interpreter leg too.
     def test_cli_byte_size_parses_suffixes(self):
         from repro.cli import _byte_size
 

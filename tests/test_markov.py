@@ -1,8 +1,7 @@
 """Tests for the exact convergence-time analysis (random-daemon chain).
 
-Historically computed by ``repro.analysis.markov``; these exercise its
-successor, :func:`repro.quantitative.hitting_times`, against the same
-closed-form answers (the shim itself is covered in ``test_api.py``).
+These exercise :func:`repro.quantitative.hitting_times` against
+closed-form answers and against simulation.
 """
 
 import math

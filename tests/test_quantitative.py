@@ -1,25 +1,31 @@
 """The quantitative tolerance analysis: ``repro.quantitative``.
 
-The load-bearing test here is differential: the CSR value iteration of
-:func:`hitting_times` must agree with the historical dense linear solve
-(:func:`dense_hitting_times`) within :data:`DENSE_AGREEMENT_RTOL` on
-every library protocol, under both engines — including where both
-report ``math.inf``. On top of that the suite pins:
+The analysis has one path, numpy's, and is pinned against oracles
+rather than against a twin implementation:
 
-- bit-parity of the pure-Python scalar sweep against the vectorized
-  numpy sweep (``FORCE_SCALAR``);
-- the adversarial game value dominating the random-daemon expectation,
-  and its kernel-peel path equal (``==``, ``inf`` included) to the
-  pure-Python attractor walk on the library and on random CSR graphs;
-- fault-rate weighting (named fault actions are downweighted);
-- the :class:`QuantitativeReport` schema and Verdict conformance;
-- structured refusals (``memory_budget``, ``fault_rate <= 0``,
-  ``method="compositional"``) and the quantify-aware cache keys of the
-  verification service.
+- the CSR value iteration of :func:`hitting_times` must agree with the
+  dense linear solve (:func:`dense_hitting_times`) within
+  :data:`DENSE_AGREEMENT_RTOL` on every library protocol, under both
+  engines — including where both report ``math.inf``;
+- the kernel-peel game value must equal (``==``, ``inf`` included) the
+  pure-Python attractor walk kept here as :func:`adversarial_oracle`, on
+  the library and on random CSR graphs with narrow code dtypes;
+- hand-computed values (fault-rate weighting, the score, infinities).
+
+On top of that the suite pins the :class:`QuantitativeReport` schema and
+Verdict conformance, structured refusals (``memory_budget``,
+``fault_rate <= 0``, ``method="compositional"``, a missing numpy), the
+quantify-aware cache keys of the verification service, and that a
+service ``quantify=True`` request sweeps the state space once and
+reports what a standalone :func:`quantify` reports.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,12 +43,13 @@ from repro.core import (
     Variable,
 )
 from repro.core.errors import ValidationError
-from repro.protocols.library import CASES, build_case
+from repro.core.predicates import TRUE
+from repro.kernel.verify import check_tolerance_swept
+from repro.observability.metrics import MetricsRegistry
+from repro.protocols.library import build_case
 from repro.protocols.token_ring import build_dijkstra_ring
 from repro.quantitative import (
-    DEFAULT_FAULT_RATE,
     DENSE_AGREEMENT_RTOL,
-    HAVE_NUMPY,
     QuantitativeReport,
     QuantitativeUnsupported,
     dense_hitting_times,
@@ -53,10 +60,9 @@ from repro.quantitative import (
 from repro.verification.explorer import build_transition_system
 from repro.verification.service import VerificationService, tolerance_fingerprint
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+np = pytest.importorskip("numpy")
 
-if HAVE_NUMPY:
-    import numpy as np
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Small instances of every registered protocol — the differential bar
 #: is "every library protocol", kept at toy sizes so the dense reference
@@ -111,7 +117,6 @@ def _fault_up(hi=2):
 class TestLibraryDifferential:
     """CSR value iteration == dense solve, across the whole library."""
 
-    @needs_numpy
     @pytest.mark.parametrize("name,size", LIBRARY, ids=[n for n, _ in LIBRARY])
     @pytest.mark.parametrize("engine", ["packed", "dict"])
     def test_matches_dense_solve(self, name, size, engine):
@@ -151,34 +156,51 @@ class TestLibraryDifferential:
                 assert a == pytest.approx(b, rel=DENSE_AGREEMENT_RTOL)
 
 
-class TestScalarVectorParity:
-    """The pure-Python sweep is bit-compatible with the numpy sweep."""
+def _without_seconds(record):
+    return {key: value for key, value in record.items() if key != "seconds"}
 
-    @needs_numpy
+
+class TestScalarVectorParity:
+    """The scalar and the vectorized packed sweep feed identical solves.
+
+    A service ``quantify=True`` request solves over the CSR its verdict
+    swept: the scalar sweep's ``array`` buffers on small spaces, the
+    vectorized sweep's numpy arrays (narrow dtypes) on large ones. The
+    reports must be bit-identical, ``seconds`` aside — so ``==``, not
+    approx.
+    """
+
+    @staticmethod
+    def _reports(program, invariant):
+        scalar_report, scalar = check_tolerance_swept(program, invariant, TRUE)
+        vector_report, vector = check_tolerance_swept(
+            program, invariant, TRUE, shards=1
+        )
+        assert not scalar.vectorized and vector.vectorized
+        assert scalar_report == vector_report
+        return [
+            _without_seconds(quantify(program, invariant, system=csr).to_json())
+            for csr in (scalar, vector)
+        ]
+
     @pytest.mark.parametrize(
         "name,size", LIBRARY[:6], ids=[n for n, _ in LIBRARY[:6]]
     )
-    def test_bit_identical_expectations(self, name, size, monkeypatch):
-        program, invariant, states = _case(name, size)
-        vector = hitting_times(program, states, invariant)
-        monkeypatch.setattr(quantitative, "FORCE_SCALAR", True)
-        scalar = hitting_times(program, states, invariant)
-        # Bit-compatible by construction (same accumulation order, same
-        # stopping rule in python floats) — so ==, not approx.
-        assert scalar.expectations == vector.expectations
-        assert scalar.iterations == vector.iterations
+    def test_bit_identical_expectations(self, name, size):
+        program, invariant = build_case(name, size)
+        scalar, vector = self._reports(program, invariant)
+        assert scalar == vector
 
-    @needs_numpy
-    def test_quantify_reports_agree_across_paths(self, monkeypatch):
-        program, invariant, _ = _case("dijkstra-ring", 3)
-        vector = quantify(program, invariant)
-        monkeypatch.setattr(quantitative, "FORCE_SCALAR", True)
-        scalar = quantify(program, invariant)
-        skip = {"seconds", "path"}
-        for key, value in vector.to_json().items():
-            if key not in skip:
-                assert scalar.to_json()[key] == value
-        assert scalar.path != vector.path or scalar.path == "dict"
+    def test_quantify_reports_agree_across_paths(self):
+        # ... and both equal the report over a transition system built
+        # by the ordinary engine.
+        program, invariant, states = _case("dijkstra-ring", 3)
+        built = quantify(
+            program, invariant,
+            system=build_transition_system(program, states, engine="packed"),
+        )
+        scalar, vector = self._reports(program, invariant)
+        assert scalar == vector == _without_seconds(built.to_json())
 
 
 def _csr_of(rows):
@@ -214,57 +236,102 @@ def _csr_graphs(draw):
     return rows, is_target, dtype
 
 
-class TestAdversarialParity:
-    """The kernel-peel game value equals the pure-Python attractor walk.
+def adversarial_oracle(n, offsets, targets, is_target):
+    """The game value by a pure-Python attractor walk: the oracle.
 
-    Exact float equality, ``math.inf`` included: the vector path's value
-    is the peel round, an integer, and the scalar path sums ``1.0``s.
+    Max-player value iteration in attractor order. A state joins the
+    finite region only once *every* enabled transition leads into it
+    (the adversary picks the worst), at which point its value is
+    ``1 + max`` over the successors — all already final. States the
+    adversary can keep outside the target (a cycle avoiding it, or a
+    deadlock) never join and stay ``math.inf``.
+    """
+    predecessors = [[] for _ in range(n)]
+    remaining = [0] * n
+    for source in range(n):
+        if is_target[source]:
+            continue
+        remaining[source] = offsets[source + 1] - offsets[source]
+        for k in range(offsets[source], offsets[source + 1]):
+            predecessors[targets[k]].append(source)
+    values = [math.inf] * n
+    best = [0.0] * n
+    queue = [i for i in range(n) if is_target[i]]
+    for i in queue:
+        values[i] = 0.0
+    head = 0
+    while head < len(queue):
+        node = queue[head]
+        head += 1
+        reached = values[node] + 1.0
+        for back in predecessors[node]:
+            if best[back] < reached:
+                best[back] = reached
+            remaining[back] -= 1
+            if remaining[back] == 0:
+                values[back] = best[back]
+                queue.append(back)
+    return values
+
+
+def _oracle_of_system(system, target):
+    """:func:`adversarial_oracle` over a built transition system."""
+    offsets, targets = _csr_of(
+        [[destination for _name, destination in row] for row in system.edges]
+    )
+    is_target = [target(state) for state in system.states]
+    return adversarial_oracle(len(system), offsets, targets, is_target)
+
+
+class TestAdversarialParity:
+    """The kernel-peel game value equals the attractor-walk oracle.
+
+    Exact float equality, ``math.inf`` included: the peel's value is its
+    round, an integer, and the oracle sums ``1.0``s.
     """
 
     @staticmethod
-    def _both_paths(program, invariant, states, engine, monkeypatch):
+    def _against_oracle(program, invariant, states, engine):
         system = build_transition_system(program, states, engine=engine)
-        vector = worst_case_steps(program, states, invariant, system=system)
-        monkeypatch.setattr(quantitative, "FORCE_SCALAR", True)
-        scalar = worst_case_steps(program, states, invariant, system=system)
-        assert vector == scalar
-        return vector
+        values = worst_case_steps(program, states, invariant, system=system)
+        assert list(values) == _oracle_of_system(system, invariant)
+        return values
 
-    @needs_numpy
     @pytest.mark.parametrize("name,size", LIBRARY, ids=[n for n, _ in LIBRARY])
     @pytest.mark.parametrize("engine", ["packed", "dict"])
-    def test_library(self, name, size, engine, monkeypatch):
+    def test_library(self, name, size, engine):
         program, invariant, states = _case(name, size)
-        self._both_paths(program, invariant, states, engine, monkeypatch)
+        self._against_oracle(program, invariant, states, engine)
 
-    @needs_numpy
     @pytest.mark.parametrize("engine", ["packed", "dict"])
-    def test_trapping_ring(self, engine, monkeypatch):
+    def test_trapping_ring(self, engine):
         # K = 2 counters are too few for a 4-ring: the adversary keeps
         # half the states cycling outside S forever.
         program, invariant = build_dijkstra_ring(4, 2)
         states = list(program.state_space())
-        values = self._both_paths(
-            program, invariant, states, engine, monkeypatch
-        )
+        values = self._against_oracle(program, invariant, states, engine)
         assert any(math.isinf(v) for v in values)
         assert any(not math.isinf(v) for v in values)
 
-    @pytest.mark.parametrize("force_scalar", [False, True])
-    def test_known_values(self, force_scalar, monkeypatch):
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_known_values(self, narrow):
         # 0: target (its own edge to 5 does not count); 1 -> 0;
         # 2 -> 1, 0, 0 (parallel edges); 3: deadlock; 4 -> 3 or 0;
         # 5 -> 5 (self-loop) or 0.
         rows = [[5], [0], [1, 0, 0], [], [3, 0], [5, 0]]
         offsets, targets = _csr_of(rows)
         is_target = [True, False, False, False, False, False]
-        monkeypatch.setattr(quantitative, "FORCE_SCALAR", force_scalar)
+        if narrow:  # as the packed kernel hands them over
+            offsets = np.asarray(offsets, dtype=np.int32)
+            targets = np.asarray(targets, dtype=np.int16)
+            is_target = np.asarray(is_target, dtype=bool)
         values = quantitative._adversarial_values(
             len(rows), offsets, targets, is_target
-        )
-        assert values == [0.0, 1.0, 2.0, math.inf, math.inf, math.inf]
+        ).tolist()
+        expected = [0.0, 1.0, 2.0, math.inf, math.inf, math.inf]
+        assert values == expected
+        assert adversarial_oracle(len(rows), offsets, targets, is_target) == expected
 
-    @needs_numpy
     @settings(max_examples=300, deadline=None)
     @given(_csr_graphs())
     @example(([[]], [False], "int64"))  # a lone deadlock
@@ -277,24 +344,22 @@ class TestAdversarialParity:
         rows, is_target, dtype = graph
         offsets, targets = _csr_of(rows)
         n = len(rows)
-        scalar = quantitative._adversarial_scalar(
-            n, offsets, targets, is_target
-        )
+        oracle = adversarial_oracle(n, offsets, targets, is_target)
         # Lists, as the dict engine hands them over, and narrow arrays,
         # as the packed kernel does.
-        assert quantitative._adversarial_vector(
+        assert quantitative._adversarial_values(
             n, offsets, targets, is_target
-        ) == scalar
-        assert quantitative._adversarial_vector(
+        ).tolist() == oracle
+        assert quantitative._adversarial_values(
             n,
             np.asarray(offsets, dtype=np.int32),
             np.asarray(targets, dtype=dtype),
             np.asarray(is_target, dtype=bool),
-        ) == scalar
+        ).tolist() == oracle
 
 
 class TestInfinitePropagation:
-    def test_doomed_states_are_inf_on_both_paths(self, monkeypatch):
+    def test_doomed_states_are_inf_on_both_paths(self):
         # From n=3 a deadlocking branch exists: stuck() disables
         # everything at n=2, so n>=2 never reaches the target.
         stuck_guard = Predicate(lambda s: s["n"] == 3, name="n = 3", support=("n",))
@@ -306,11 +371,10 @@ class TestInfinitePropagation:
         assert math.isinf(result.expectation_of(State({"n": 3})))
         assert math.isinf(result.maximum)
         assert not result.all_finite
-        monkeypatch.setattr(quantitative, "FORCE_SCALAR", True)
-        again = hitting_times(program, program.state_space(), TARGET)
+        # The dict engine's CSR feeds the same solve: bit-identical.
+        again = hitting_times(program, program.state_space(), TARGET, engine="dict")
         assert again.expectations == result.expectations
 
-    @needs_numpy
     def test_dense_reference_agrees_on_inf(self):
         stuck_guard = Predicate(lambda s: s["n"] == 3, name="n = 3", support=("n",))
         drop = Action("drop", stuck_guard, Assignment({"n": 2}), reads=("n",))
@@ -414,8 +478,7 @@ class TestReport:
         assert report.ok is False
         assert report.score == pytest.approx(3 / 7)
 
-    @needs_numpy
-    def test_int16_space_through_its_last_state(self, monkeypatch):
+    def test_int16_space_through_its_last_state(self):
         # 2^15 states keep int16 codes; under halving, state 32767 is
         # the last the adversarial peel and the reverse BFS reach.
         halve = Action(
@@ -425,13 +488,15 @@ class TestReport:
             reads=("n",),
         )
         program = _counter([halve], hi=(1 << 15) - 1)
-        vector = quantify(program, TARGET)
-        monkeypatch.setattr(quantitative, "FORCE_SCALAR", True)
-        scalar = quantify(program, TARGET)
-        assert vector.path.startswith("vector")
-        assert vector.worst_case_steps == scalar.worst_case_steps == 15.0
-        assert vector.escape_probability == scalar.escape_probability == 0.0
-        assert vector.ok and scalar.ok
+        report = quantify(program, TARGET)
+        assert report.path == "vector"
+        assert report.worst_case_steps == 15.0
+        assert report.escape_probability == 0.0
+        assert report.ok
+        system = build_transition_system(program, program.state_space())
+        assert list(
+            worst_case_steps(program, (), TARGET, system=system)
+        ) == _oracle_of_system(system, TARGET)
 
     def test_span_escape_probability(self):
         # Within the full space the span is everything, so nothing
@@ -446,7 +511,6 @@ class TestReport:
 
 
 class TestShardedAndBudgeted:
-    @needs_numpy
     def test_sharded_full_space_matches_enumerated(self):
         program, invariant, states = _case("dijkstra-ring", 3)
         sharded = quantify(program, invariant, shards=2)
@@ -458,7 +522,6 @@ class TestShardedAndBudgeted:
         )
         assert sharded.worst_case_steps == enumerated.worst_case_steps
 
-    @needs_numpy
     def test_memory_budget_refusal_is_structured(self):
         program, invariant, _ = _case("dijkstra-ring", 3)
         with pytest.raises(QuantitativeUnsupported, match="memory_budget"):
@@ -536,3 +599,157 @@ class TestServiceIntegration:
         )
         assert warm.cached
         assert math.isinf(warm.quantitative.worst_case_steps)
+
+
+def _sparse_ladder():
+    """2048 states and 16 actions, one of them enabled per state.
+
+    The materialized-sweep estimate counts every action on every state,
+    so a budget between it and the value iteration's resident bytes
+    makes the boolean verdict stream while quantify still fits.
+    """
+    actions = [
+        Action(
+            f"step{k}",
+            Predicate(
+                lambda s, k=k: s["n"] > 0 and s["n"] % 16 == k,
+                name=f"n > 0 and n % 16 = {k}",
+                support=("n",),
+            ),
+            Assignment({"n": lambda s: s["n"] - 1}),
+            reads=("n",),
+        )
+        for k in range(16)
+    ]
+    return _counter(actions, hi=2047)
+
+
+class TestOneSweepPerRequest:
+    """A service quantify request reuses its verdict's sweep."""
+
+    @staticmethod
+    def _service_and_standalone(program, invariant, **options):
+        metrics = MetricsRegistry()
+        verdict = VerificationService(metrics=metrics).verify_tolerance(
+            program, invariant, quantify=True, **options
+        )
+        standalone = quantify(
+            program, invariant, case=verdict.record["case"], **options
+        )
+        assert _without_seconds(verdict.record["quantitative"]) == (
+            _without_seconds(standalone.to_json())
+        )
+        return verdict, metrics.report().counters
+
+    @pytest.mark.parametrize("name,size", LIBRARY, ids=[n for n, _ in LIBRARY])
+    def test_record_matches_standalone_on_the_library(self, name, size):
+        program, invariant = build_case(name, size)
+        self._service_and_standalone(program, invariant)
+
+    @pytest.mark.parametrize(
+        "name,size,options",
+        [
+            ("diffusing-chain", 7, {}),
+            ("dijkstra-ring", 5, {"shards": 2}),
+        ],
+        ids=["diffusing-chain7", "dijkstra-ring5-shards2"],
+    )
+    def test_record_matches_standalone_vectorized(self, name, size, options):
+        program, invariant = build_case(name, size)
+        _, counters = self._service_and_standalone(program, invariant, **options)
+        assert counters["kernel.sweep.vectorized"] == options.get("shards", 1)
+
+    def test_record_matches_standalone_when_the_verdict_streams(self):
+        _, counters = self._service_and_standalone(
+            _sparse_ladder(), TARGET, memory_budget=120_000
+        )
+        assert counters["kernel.mem.streaming"] == 1
+
+    def test_one_merged_sweep_on_a_vectorized_space(self, monkeypatch):
+        import repro.kernel.shard as shard
+
+        calls = []
+        sweep_merged = shard.sweep_merged
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sweep_merged(*args, **kwargs)
+
+        monkeypatch.setattr(shard, "sweep_merged", counting)
+        program, invariant = build_case("diffusing-chain", 7)
+        verdict = VerificationService().verify_tolerance(
+            program, invariant, quantify=True
+        )
+        assert verdict.ok and verdict.quantitative.ok
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name,size", [("diffusing-chain", 4), ("reset-chain", 3)]
+    )
+    def test_no_second_build_on_a_small_packed_space(
+        self, name, size, monkeypatch
+    ):
+        import repro.verification.explorer as explorer
+
+        calls = []
+        build = explorer.build_transition_system
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(explorer, "build_transition_system", counting)
+        program, invariant = build_case(name, size)
+        verdict = VerificationService().verify_tolerance(
+            program, invariant, quantify=True, engine="packed"
+        )
+        assert verdict.record["engine"] == "packed"
+        assert verdict.quantitative.engine == "packed"
+        assert calls == []
+
+
+_NO_NUMPY_SCRIPT = """
+import sys
+sys.modules["numpy"] = None  # any ``import numpy`` now fails
+sys.path.insert(0, sys.argv[1])
+from repro.protocols.library import build_case
+from repro.quantitative import QuantitativeUnsupported
+from repro.verification.service import VerificationService
+
+program, invariant = build_case("dijkstra-ring", 3)
+service = VerificationService()
+plain = service.verify_tolerance(program, invariant)
+assert plain.ok and plain.record["engine"] == "packed", plain.record
+try:
+    service.verify_tolerance(program, invariant, quantify=True)
+except QuantitativeUnsupported as error:
+    print(error)
+else:
+    raise SystemExit("quantify=True ran without numpy")
+"""
+
+
+class TestNumpyRequired:
+    def test_quantify_refuses_and_verdicts_still_work_without_numpy(self):
+        completed = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(SRC)],
+            env=os.environ, capture_output=True, text=True, timeout=300,
+            check=True,
+        )
+        assert "numpy" in completed.stdout
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda program: quantify(program, TARGET),
+            lambda program: hitting_times(program, program.state_space(), TARGET),
+            lambda program: worst_case_steps(
+                program, program.state_space(), TARGET
+            ),
+        ],
+        ids=["quantify", "hitting_times", "worst_case_steps"],
+    )
+    def test_every_entry_point_refuses(self, entry, monkeypatch):
+        monkeypatch.setattr(quantitative, "HAVE_NUMPY", False)
+        with pytest.raises(QuantitativeUnsupported, match="numpy"):
+            entry(_counter([_dec()]))

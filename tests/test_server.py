@@ -121,6 +121,17 @@ class TestEndpointSchemas:
         assert record["ok"] is True
         assert record["status"] == "certified"
 
+    def test_library_designs_resolve_compositional(self, daemon):
+        from repro.protocols.library import CASES
+
+        for name, case in CASES.items():
+            if case.build_design is None:
+                continue
+            status, record = post(daemon, "/verify", {"case": name, "size": 3})
+            assert status == 200
+            assert record["ok"] is True
+            assert record["method"] == "compositional"
+
     def test_auto_method_prefers_cached_compositional(self, daemon):
         body = {"case": "diffusing-chain", "size": 3}
         post(daemon, "/verify", {**body, "method": "compositional"})
@@ -208,6 +219,19 @@ class TestQuantify:
         )
         assert status == 400
         assert "quantify" in payload["error"]
+
+    def test_quantify_without_numpy_is_a_400(self, daemon, monkeypatch):
+        import repro.quantitative as quantitative
+
+        monkeypatch.setattr(quantitative, "HAVE_NUMPY", False)
+        status, payload = post(
+            daemon, "/verify",
+            {"case": "dijkstra-ring", "size": 3, "quantify": True},
+        )
+        assert status == 400
+        assert "needs numpy" in payload["error"]
+        status, record = post(daemon, "/verify", {"case": "dijkstra-ring", "size": 3})
+        assert status == 200 and record["ok"] is True
 
     def test_fault_rate_must_be_positive(self, daemon):
         status, payload = post(
