@@ -19,9 +19,9 @@ and returns a :class:`~repro.verification.ServiceVerdict` — one of the
 types satisfying the :class:`Verdict` protocol.
 
 Deprecation policy (see ``docs/API.md``): the legacy entry points —
-:func:`repro.verification.check_tolerance` and the liveness names that
-used to live in ``repro.verification.service`` — keep working unchanged
-but emit :class:`DeprecationWarning`; new code uses this facade.
+``repro.verification.check_tolerance`` and the liveness names that used
+to live in ``repro.verification.service`` — have been removed, and
+importing them fails; this facade replaces them.
 """
 
 from __future__ import annotations

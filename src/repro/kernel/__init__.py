@@ -5,14 +5,14 @@ Encodes each program state as a single mixed-radix integer
 decoded digit/value lists (:mod:`repro.kernel.compile`), memoizes each
 action's successor function over its read-support projection when the
 declared supports pass the RW001-RW003 soundness gate, and backs
-transition systems with flat ``array('q')`` buffers
-(:class:`PackedTransitionSystem`).
+the one :class:`~repro.verification.explorer.TransitionSystem` type
+with flat ``array('q')`` buffers of packed codes.
 
 Selected via ``engine="packed"`` (or the default ``engine="auto"``,
 which falls back to the dict engine on :class:`PackedUnsupported`) in
 :func:`repro.verification.explorer.build_transition_system`,
 :func:`repro.verification.explorer.explore`,
-:func:`repro.verification.checker.check_tolerance`, and
+:func:`repro.verify`, and
 :meth:`repro.verification.service.VerificationService.verify_tolerance`.
 
 See ``docs/PERFORMANCE.md`` for the codec layout and the locality
@@ -29,7 +29,6 @@ from repro.kernel.compile import (
 )
 from repro.kernel.engine import (
     PackedKernel,
-    PackedTransitionSystem,
     build_packed_system,
     compile_program,
     explore_packed,
@@ -41,7 +40,6 @@ __all__ = [
     "CompiledAction",
     "DigitStateView",
     "PackedKernel",
-    "PackedTransitionSystem",
     "PackedUnsupported",
     "StateCodec",
     "action_supports_ok",

@@ -7,15 +7,12 @@ evaluation scratch. Kernels are cached per program object (weakly, so
 they die with the program) because compilation pays a probe battery per
 action for the RW soundness gate.
 
-:class:`PackedTransitionSystem` is the flat-array counterpart of
-:class:`~repro.verification.explorer.TransitionSystem` and implements
-the same interface — ``states``, ``edges``, ``escapes``, ``index_of``,
-``successors``, ``satisfying``, ``len()``, pickling — so every consumer
-(convergence, liveness, fairness-free checks, DOT/Markov analysis)
-works on either engine unchanged. Internally it stores only integers:
-packed state codes plus a CSR edge list (``offsets``/``targets``/
-``action_ids``); ``State`` objects are decoded lazily and cached, so a
-pass that never looks at a state never builds one.
+:func:`build_packed_system` and :func:`explore_packed` are the packed
+builders of the one
+:class:`~repro.verification.explorer.TransitionSystem` type: they store
+only integers — the packed state codes plus the CSR edge arrays — and
+``State`` objects are decoded lazily, so a pass that never looks at a
+state never builds one.
 """
 
 from __future__ import annotations
@@ -24,11 +21,11 @@ import itertools
 import time
 import weakref
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import Any
 from weakref import WeakKeyDictionary
 
-from repro.core.errors import StateSpaceTooLargeError, UnknownStateError
+from repro.core.errors import StateSpaceTooLargeError
 from repro.core.predicates import Predicate
 from repro.core.program import Program
 from repro.core.state import DEFAULT_MAX_STATES, State
@@ -40,10 +37,10 @@ from repro.kernel.compile import (
     compile_predicate_fn,
     probe_battery,
 )
+from repro.verification.explorer import TransitionSystem
 
 __all__ = [
     "PackedKernel",
-    "PackedTransitionSystem",
     "build_packed_system",
     "compile_program",
     "explore_packed",
@@ -219,184 +216,53 @@ def compile_program(
     return kernel
 
 
-class _DecodedStates(Sequence):
-    """Lazy, cached ``Sequence[State]`` over an array of packed codes.
+def _packed_system(
+    kernel: PackedKernel,
+    codes,
+    resolve: Callable[[Any, Any], int | None],
+    states: list[State] | None = None,
+) -> TransitionSystem:
+    """The packed CSR over ``codes``, row by row.
 
-    Without a preset the cache is a dict keyed by index, so a sparse
-    consumer of a huge space (a witness decode out of 10^8 states) pays
-    per state touched, not per state stored.
+    ``resolve(successor, action)`` maps a successor — a code, or a raw
+    :class:`State` when a written value left its domain — to its
+    position, or ``None`` to record an escape; it may append to
+    ``codes`` while the rows are built (reachability), so the loop runs
+    until every listed code has a row.
     """
-
-    __slots__ = ("_codec", "_codes", "_preset", "_cache")
-
-    def __init__(self, codec: StateCodec, codes, preset=None) -> None:
-        self._codec = codec
-        self._codes = codes
-        self._preset: list[State] | None = (
-            list(preset) if preset is not None else None
-        )
-        self._cache: dict[int, State] = {}
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if self._preset is not None:
-            return self._preset[index]
-        index = int(index)
-        if index < 0:
-            index += len(self._codes)
-        state = self._cache.get(index)
-        if state is None:
-            state = self._codec.decode_state(int(self._codes[index]))
-            self._cache[index] = state
-        return state
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, tuple, Sequence)) and not isinstance(
-            other, (str, bytes)
-        ):
-            return len(self) == len(other) and all(
-                self[i] == other[i] for i in range(len(self))
-            )
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-class PackedTransitionSystem:
-    """A transition system backed by flat integer arrays.
-
-    Same interface as
-    :class:`~repro.verification.explorer.TransitionSystem`; state ``i``
-    is ``codes[i]`` decoded on demand, and the outgoing edges of state
-    ``i`` are ``targets[offsets[i]:offsets[i+1]]`` (positions) labelled
-    by ``action_names[action_ids[k]]``.
-    """
-
-    def __init__(
-        self,
-        codec: StateCodec,
-        codes,
+    codec = kernel.codec
+    offsets = array("q", [0])
+    targets = array("q")
+    action_ids = array("h")
+    escapes: list[tuple[int, str, State]] = []
+    position = 0
+    while position < len(codes):
+        code = codes[position]
+        digits, values = kernel.analyze_code(code)
+        for action_id, action in enumerate(kernel.actions):
+            successor = action.successor(code, digits, values)
+            if successor is None:
+                continue
+            target = resolve(successor, action)
+            if target is not None:
+                targets.append(target)
+                action_ids.append(action_id)
+            elif type(successor) is int:
+                escapes.append((position, action.name, codec.decode_state(successor)))
+            else:
+                escapes.append((position, action.name, successor))
+        offsets.append(len(targets))
+        position += 1
+    return TransitionSystem(
+        states,
         offsets,
         targets,
         action_ids,
-        action_names: tuple[str, ...],
-        escapes: list[tuple[int, str, State]] | None = None,
-        states: Sequence[State] | None = None,
-    ) -> None:
-        self.codec = codec
-        self.codes = codes
-        self.offsets = offsets
-        self.targets = targets
-        self.action_ids = action_ids
-        self.action_names = action_names
-        self.escapes: list[tuple[int, str, State]] = (
-            escapes if escapes is not None else []
-        )
-        self._states = _DecodedStates(codec, codes, preset=states)
-        self._edges: list[list[tuple[str, int]]] | None = None
-        self._code_index: dict[int, int] | None = None
-        self._pred_view: DigitStateView | None = None
-        # Same memo contract as TransitionSystem.satisfying: the
-        # predicate object is kept alive so its id cannot be recycled.
-        self._satisfying_cache: dict[int, tuple[Predicate, tuple[int, ...]]] = {}
-
-    @property
-    def states(self) -> Sequence[State]:
-        return self._states
-
-    @property
-    def edges(self) -> list[list[tuple[str, int]]]:
-        if self._edges is None:
-            names = self.action_names
-            offsets = self.offsets
-            targets = self.targets
-            action_ids = self.action_ids
-            self._edges = [
-                [
-                    (names[action_ids[k]], targets[k])
-                    for k in range(offsets[i], offsets[i + 1])
-                ]
-                for i in range(len(self.codes))
-            ]
-        return self._edges
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def successors(self, index: int) -> list[tuple[str, int]]:
-        return self.edges[index]
-
-    def index_of(self, state: State) -> int:
-        """The dense index of ``state``.
-
-        Raises:
-            UnknownStateError: if the state is not part of this system.
-        """
-        if self._code_index is None:
-            self._code_index = {
-                code: position for position, code in enumerate(self.codes)
-            }
-        position: int | None
-        try:
-            position = self._code_index.get(self.codec.encode_state(state))
-        except PackedUnsupported:
-            position = None
-        if position is None:
-            raise UnknownStateError(
-                f"state {state!r} is not among the {len(self.codes)} states "
-                "of this transition system"
-            )
-        return position
-
-    def satisfying(self, predicate: Predicate) -> tuple[int, ...]:
-        """Indices of states where ``predicate`` holds.
-
-        Computed once per predicate object and memoized, like the dict
-        engine — but evaluated over decoded value lists, so no
-        :class:`State` is built.
-        """
-        cached = self._satisfying_cache.get(id(predicate))
-        if cached is not None:
-            return cached[1]
-        if self._pred_view is None:
-            self._pred_view = DigitStateView(self.codec)
-        evaluate = compile_predicate_fn(predicate, self.codec, self._pred_view)
-        decode_values = self.codec.decode_values
-        result = tuple(
-            position
-            for position, code in enumerate(self.codes)
-            if evaluate(decode_values(code))
-        )
-        self._satisfying_cache[id(predicate)] = (predicate, result)
-        return result
-
-    def __getstate__(self) -> dict:
-        # Lazy caches (decoded states, edges, code index, satisfying
-        # memo) are rebuilt on demand after unpickling.
-        return {
-            "codec": self.codec,
-            "codes": self.codes,
-            "offsets": self.offsets,
-            "targets": self.targets,
-            "action_ids": self.action_ids,
-            "action_names": self.action_names,
-            "escapes": self.escapes,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["codec"],
-            state["codes"],
-            state["offsets"],
-            state["targets"],
-            state["action_ids"],
-            state["action_names"],
-            state["escapes"],
-        )
+        kernel.action_names,
+        escapes,
+        codec=codec,
+        codes=codes if isinstance(codes, array) else array("q", codes),
+    )
 
 
 def build_packed_system(
@@ -404,52 +270,21 @@ def build_packed_system(
     states: Iterable[State],
     *,
     kernel: PackedKernel | None = None,
-) -> PackedTransitionSystem:
-    """Packed counterpart of :func:`~repro.verification.explorer.build_transition_system`.
+) -> TransitionSystem:
+    """Packed builder behind :func:`~repro.verification.explorer.build_transition_system`.
 
     Raises:
         PackedUnsupported: if the program or any supplied state cannot
             be packed.
     """
     kernel = kernel if kernel is not None else compile_program(program)
-    codec = kernel.codec
     state_list = list(states)
-    codes = array("q", (codec.encode_state(state) for state in state_list))
-    index: dict[int, int] = {}
-    for position, code in enumerate(codes):
-        index[code] = position  # last occurrence wins, like the dict engine
-    offsets = array("q", [0])
-    targets = array("q")
-    action_ids = array("h")
-    escapes: list[tuple[int, str, State]] = []
-    actions = kernel.actions
-    for position, code in enumerate(codes):
-        digits, values = kernel.analyze_code(code)
-        for action_id, action in enumerate(actions):
-            successor = action.successor(code, digits, values)
-            if successor is None:
-                continue
-            if type(successor) is int:
-                target = index.get(successor)
-                if target is None:
-                    escapes.append(
-                        (position, action.name, codec.decode_state(successor))
-                    )
-                else:
-                    targets.append(target)
-                    action_ids.append(action_id)
-            else:
-                escapes.append((position, action.name, successor))
-        offsets.append(len(targets))
-    return PackedTransitionSystem(
-        codec,
-        codes,
-        offsets,
-        targets,
-        action_ids,
-        kernel.action_names,
-        escapes,
-        states=state_list,
+    codes = array("q", (kernel.codec.encode_state(state) for state in state_list))
+    # Last occurrence wins, like the dict engine; a raw State successor
+    # is never a key, so it escapes.
+    index = {code: position for position, code in enumerate(codes)}
+    return _packed_system(
+        kernel, codes, lambda successor, _action: index.get(successor), state_list
     )
 
 
@@ -458,8 +293,8 @@ def explore_packed(
     roots: Iterable[State],
     *,
     max_states: int = DEFAULT_MAX_STATES,
-) -> PackedTransitionSystem:
-    """Packed counterpart of :func:`~repro.verification.explorer.explore` (BFS).
+) -> TransitionSystem:
+    """Packed builder behind :func:`~repro.verification.explorer.explore` (BFS).
 
     Raises:
         PackedUnsupported: if the program, a root, or a reached
@@ -469,12 +304,16 @@ def explore_packed(
             become reachable.
     """
     kernel = compile_program(program)
-    codec = kernel.codec
     code_list: list[int] = []
     index: dict[int, int] = {}
     root_count = 0
 
-    def intern(code: int) -> int:
+    def intern(code, action=None) -> int:
+        if type(code) is not int:
+            raise PackedUnsupported(
+                f"action {action.name!r} produced a successor outside "
+                "the finite domains during exploration"
+            )
         position = index.get(code)
         if position is None:
             if len(code_list) >= max_states:
@@ -489,33 +328,5 @@ def explore_packed(
 
     for state in roots:
         root_count += 1
-        intern(codec.encode_state(state))
-    offsets = array("q", [0])
-    targets = array("q")
-    action_ids = array("h")
-    actions = kernel.actions
-    cursor = 0
-    while cursor < len(code_list):
-        code = code_list[cursor]
-        digits, values = kernel.analyze_code(code)
-        for action_id, action in enumerate(actions):
-            successor = action.successor(code, digits, values)
-            if successor is None:
-                continue
-            if type(successor) is not int:
-                raise PackedUnsupported(
-                    f"action {action.name!r} produced a successor outside "
-                    "the finite domains during exploration"
-                )
-            targets.append(intern(successor))
-            action_ids.append(action_id)
-        offsets.append(len(targets))
-        cursor += 1
-    return PackedTransitionSystem(
-        codec,
-        array("q", code_list),
-        offsets,
-        targets,
-        action_ids,
-        kernel.action_names,
-    )
+        intern(kernel.codec.encode_state(state))
+    return _packed_system(kernel, code_list, intern)

@@ -1,7 +1,7 @@
 """Packed-engine T-tolerance verification.
 
-``check_tolerance_packed`` reproduces
-:func:`repro.verification.checker.check_tolerance` bit-for-bit — same
+``check_tolerance_packed`` reproduces the dict engine of
+:func:`repro.verification.checker._check_tolerance` bit-for-bit — same
 verdicts, same closure witnesses in the same order, same error messages
 — but runs on packed codes:
 
@@ -40,18 +40,15 @@ from repro.core.errors import StateSpaceTooLargeError
 from repro.core.predicates import TRUE, Predicate
 from repro.core.program import Program
 from repro.core.state import DEFAULT_MAX_STATES, State
-from repro.kernel.engine import (
-    PackedKernel,
-    PackedTransitionSystem,
-    compile_program,
-)
+from repro.kernel.engine import PackedKernel, compile_program
 from repro.verification.checker import ToleranceReport
 from repro.verification.closure import ClosureResult, ClosureWitness
 from repro.verification.convergence import (
     ConvergenceCounterexample,
     ConvergenceResult,
-    check_convergence,
+    _converge,
 )
+from repro.verification.explorer import TransitionSystem
 
 __all__ = [
     "FullSpaceCSR",
@@ -99,7 +96,7 @@ def check_tolerance_packed(
     states: Iterable[State] | None = None,
     **options: Any,
 ) -> ToleranceReport:
-    """Packed counterpart of :func:`~repro.verification.checker.check_tolerance`:
+    """Packed counterpart of :func:`~repro.verification.checker._check_tolerance`:
     the report of :func:`check_tolerance_swept` (which documents the options)."""
     return check_tolerance_swept(
         program, invariant, fault_span, states, **options
@@ -346,7 +343,6 @@ def check_tolerance_swept(
     if states is None:
         # Full space: a successor code *is* a position, membership is a
         # mask lookup.
-        span_index = None
         if span_count == count:
             span_of = None  # identity
         else:
@@ -375,7 +371,7 @@ def check_tolerance_swept(
         span_codes = array(codec.code_typecode, range(count))
         span_offsets, span_targets, span_action_ids = offsets, entries, action_ids
         span_escapes: list[tuple[int, str, State]] = []
-        span_states_preset = None
+        span_states = None
     else:
         span_codes = array(
             codec.code_typecode,
@@ -385,7 +381,7 @@ def check_tolerance_swept(
         span_targets = array(codec.code_typecode)
         span_action_ids = array("h")
         span_escapes = []
-        span_states_preset = (
+        span_states = (
             None
             if state_list is None
             else [state_list[position] for position in span_positions]
@@ -407,33 +403,14 @@ def check_tolerance_swept(
                 )
             span_offsets.append(len(span_targets))
 
-    span_system = PackedTransitionSystem(
-        codec,
-        span_codes,
-        span_offsets,
-        span_targets,
-        span_action_ids,
-        names,
-        span_escapes,
-        states=span_states_preset,
-    )
-    # The convergence checker partitions the span by the invariant; both
-    # predicates were already evaluated on every span state, so hand the
-    # answers over instead of re-running them.
-    span_system._satisfying_cache[id(invariant)] = (
-        invariant,
-        tuple(
-            new_position
-            for new_position, position in enumerate(span_positions)
-            if s_mask[position]
-        ),
-    )
-    span_system._satisfying_cache[id(fault_span)] = (
-        fault_span,
-        tuple(range(span_count)),
-    )
-
-    if span_system.escapes:
+    # The invariant was already evaluated on every span state: its span
+    # positions come straight from the mask.
+    good = [
+        new_position
+        for new_position, position in enumerate(span_positions)
+        if s_mask[position]
+    ]
+    if span_escapes:
         if t_closure.ok:
             # T-states stepping outside the supplied set even though T is
             # closed: the caller gave a strict subset of the instance.
@@ -447,17 +424,16 @@ def check_tolerance_swept(
             ok=False,
             fairness=fairness,
             span_states=span_count,
-            bad_states=sum(
-                1 for position in span_positions if not s_mask[position]
-            ),
+            bad_states=span_count - len(good),
         )
     else:
         convergence = check_convergence(
-            program,
-            span_system.states,
-            invariant,
-            fairness=fairness,
-            system=span_system,
+            TransitionSystem(
+                span_states, span_offsets, span_targets, span_action_ids,
+                names, codec=codec, codes=span_codes,
+            ),
+            good,
+            fairness,
         )
 
     masking = s_mask == t_mask
@@ -502,6 +478,20 @@ def check_tolerance_swept(
         s_mask, None if t_always else t_mask, offsets, entries, action_ids,
         names,
     )
+
+
+def check_convergence(
+    span: TransitionSystem, good_positions: list[int], fairness: str
+) -> ConvergenceResult:
+    """The exact convergence verdict over a span the kernel carved.
+
+    The scalar engines' SCC analysis
+    (:func:`repro.verification.convergence.check_convergence`), with the
+    invariant's positions read from the sweep's mask instead of
+    re-evaluated. A module-level name, so the kernel's convergence phase
+    can be timed on its own (``perfbench``'s ``kernel.converge`` span).
+    """
+    return _converge(span, good_positions, fairness)
 
 
 def _note_sweep_metrics(
@@ -836,41 +826,21 @@ def _vectorized_full_space(
             )
         else:
             # A bad cycle exists somewhere: hand the span to the exact
-            # checker for the scalar engines' counterexample, seeding its
-            # predicate memo from the masks like the scalar sweep does.
+            # checker for the scalar engines' counterexample, with the
+            # invariant's positions taken from the mask.
             span_codes = (
                 np.arange(count, dtype=np.int64)
                 if span_rows is None
                 else span_rows
             )
-            span_system = PackedTransitionSystem(
-                codec,
-                span_codes,
-                span_offsets,
-                span_targets,
-                span_ids,
-                names,
-                [],
-            )
-            good = (
-                np.flatnonzero(s_mask)
-                if span_rows is None
-                else np.flatnonzero(s_mask[span_rows])
-            )
-            span_system._satisfying_cache[id(invariant)] = (
-                invariant,
-                tuple(good.tolist()),
-            )
-            span_system._satisfying_cache[id(fault_span)] = (
-                fault_span,
-                tuple(range(span_count)),
-            )
+            good = s_mask if span_rows is None else s_mask[span_rows]
             convergence = check_convergence(
-                program,
-                span_system.states,
-                invariant,
-                fairness=fairness,
-                system=span_system,
+                TransitionSystem(
+                    None, span_offsets, span_targets, span_ids, names,
+                    codec=codec, codes=span_codes,
+                ),
+                np.flatnonzero(good).tolist(),
+                fairness,
             )
 
     _note_memory_metrics(

@@ -312,10 +312,8 @@ def _graph_from_system(
 ) -> tuple[Any, _Graph]:
     """A transition system (``system``, or one built here over ``states``,
     default the full space) and its CSR arrays."""
-    from repro.kernel import PackedTransitionSystem
     from repro.verification.explorer import build_transition_system
 
-    np = _np
     if system is None:
         system = build_transition_system(
             program,
@@ -327,29 +325,20 @@ def _graph_from_system(
         raise ValueError("the state set is not closed under the program")
 
     def mask(predicate: Predicate):
-        flags = np.zeros(n, dtype=bool)
+        flags = _np.zeros(n, dtype=bool)
         flags[list(system.satisfying(predicate))] = True
         return flags
 
-    if isinstance(system, PackedTransitionSystem):
-        offsets, targets = system.offsets, system.targets
-        fault_edge = _fault_edges(
-            system.action_names, system.action_ids, fault_actions
-        )
-    else:
-        edges = [edge for row in system.edges for edge in row]
-        offsets = np.cumsum([0] + [len(row) for row in system.edges])
-        targets = [destination for _name, destination in edges]
-        flags = [_is_fault_name(name, fault_actions) for name, _ in edges]
-        fault_edge = np.asarray(flags, dtype=bool) if any(flags) else None
     return system, _Graph(
         n=n,
-        offsets=offsets,
-        targets=targets,
+        offsets=system.offsets,
+        targets=system.targets,
         is_target=mask(target),
         in_span=None if span is TRUE else mask(span),
-        fault_edge=fault_edge,
-        engine="packed" if isinstance(system, PackedTransitionSystem) else "dict",
+        fault_edge=_fault_edges(
+            system.action_names, system.action_ids, fault_actions
+        ),
+        engine=system.engine,
     )
 
 
@@ -648,20 +637,13 @@ def dense_hitting_times(
         ValueError: if the supplied state set is not closed.
     """
     require_numpy()
-    from repro.verification.explorer import build_transition_system
-
-    ts = (
-        system
-        if system is not None
-        else build_transition_system(program, states)
+    ts, graph = _graph_from_system(
+        program, states, target, TRUE, None, system=system, engine="auto"
     )
-    if ts.escapes:
-        raise ValueError("the state set is not closed under the program")
-
-    n = len(ts)
-    is_target = _np.array([target(state) for state in ts.states], dtype=bool)
+    n, offsets, targets = graph.n, graph.offsets, graph.targets
+    is_target = graph.is_target
     doomed = _classify_scalar(
-        *_dense_csr(ts), [bool(flag) for flag in is_target]
+        n, offsets, targets, [bool(flag) for flag in is_target]
     )
 
     transient = [
@@ -679,9 +661,9 @@ def dense_hitting_times(
         matrix = _np.eye(m)
         rhs = _np.ones(m)
         for k, state_index in enumerate(transient):
-            edges = ts.edges[state_index]
-            weight = 1.0 / len(edges)
-            for _, destination in edges:
+            row = range(offsets[state_index], offsets[state_index + 1])
+            weight = 1.0 / len(row)
+            for destination in (targets[edge] for edge in row):
                 if destination in position:
                     matrix[k, position[destination]] -= weight
                 # Destinations in the target contribute 0; doomed
@@ -698,15 +680,6 @@ def dense_hitting_times(
         maximum=float(values.max()) if n else 0.0,
         system=ts,
     )
-
-
-def _dense_csr(ts) -> tuple[int, list[int], list[int]]:
-    offsets = [0]
-    targets: list[int] = []
-    for row in ts.edges:
-        targets.extend(destination for _name, destination in row)
-        offsets.append(len(targets))
-    return len(ts), offsets, targets
 
 
 def worst_case_steps(

@@ -27,6 +27,7 @@ verdict is never produced statically.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -233,14 +234,19 @@ class StaticDischarger:
     #: class-level for the same reason as the proof memo: the library
     #: shares design instances across certification runs (the builders
     #: are memoized), so a later run's obligations present the *same*
-    #: expression and predicate objects. Capped like the memo; the
-    #: stored references are bounded by the caps, not by how many
-    #: designs the process ever certifies.
-    _pred_cache: dict[int, tuple[Any, "BoolExpr | None"]] = {}
-    _token_cache: dict[int, tuple[Any, str | None, tuple[str, ...]]] = {}
-    _pair_keys: dict[
+    #: expression and predicate objects. Capped like the memo, but a
+    #: full cache evicts its oldest entry (insertion order) rather than
+    #: refusing new ones: entries of designs certified long ago make way
+    #: for the current design's objects, and the stored references stay
+    #: bounded by the caps, not by how many designs the process ever
+    #: certifies.
+    _pred_cache: OrderedDict[int, tuple[Any, "BoolExpr | None"]] = OrderedDict()
+    _token_cache: OrderedDict[
+        int, tuple[Any, str | None, tuple[str, ...]]
+    ] = OrderedDict()
+    _pair_keys: OrderedDict[
         tuple[Any, ...], tuple[tuple[Any, ...], tuple[Any, ...] | None]
-    ] = {}
+    ] = OrderedDict()
 
     def __init__(
         self,
@@ -287,6 +293,14 @@ class StaticDischarger:
         if self._metrics is not None:
             self._metrics.counter("staticcheck.interference.attempts").add()
 
+    @classmethod
+    def _remember(cls, cache: OrderedDict, key: Any, entry: Any) -> None:
+        """Store ``entry`` in an id-keyed cache, evicting the oldest
+        entry when the cache is full."""
+        if key not in cache and len(cache) >= cls._MEMO_CAP:
+            cache.popitem(last=False)
+        cache[key] = entry
+
     def _predicate_expr(self, predicate: Predicate | None) -> BoolExpr | None:
         """Memoized :func:`predicate_expr` — combinator predicates
         rebuild fresh expression objects on every call, which would also
@@ -296,8 +310,7 @@ class StaticDischarger:
         entry = self._pred_cache.get(id(predicate))
         if entry is None or entry[0] is not predicate:
             entry = (predicate, predicate_expr(predicate))
-            if len(self._pred_cache) < self._MEMO_CAP:
-                self._pred_cache[id(predicate)] = entry
+            self._remember(self._pred_cache, id(predicate), entry)
         return entry[1]
 
     def _component_key(
@@ -315,8 +328,7 @@ class StaticDischarger:
             names: dict[str, int] = {}
             tokens = _canonical_tokens(expr, names)
             entry = (expr, tokens, tuple(names))
-            if len(self._token_cache) < self._MEMO_CAP:
-                self._token_cache[id(expr)] = entry
+            self._remember(self._token_cache, id(expr), entry)
         _, tokens, names = entry
         if tokens is None:
             return None
@@ -386,8 +398,7 @@ class StaticDischarger:
         ):
             return entry[1]
         key = compute_key()
-        if len(self._pair_keys) < self._MEMO_CAP:
-            self._pair_keys[pair] = (objects, key)
+        self._remember(self._pair_keys, pair, (objects, key))
         return key
 
     def _memoized(

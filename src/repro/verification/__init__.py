@@ -6,7 +6,7 @@ process-pool batch runner in :mod:`repro.verification.parallel` wrap
 them for repeated and fleet-wide verification.
 """
 
-from repro.verification.checker import ToleranceReport, check_tolerance
+from repro.verification.checker import ToleranceReport
 from repro.verification.closure import ClosureResult, ClosureWitness, check_closure
 from repro.verification.convergence import (
     ConvergenceCounterexample,
@@ -22,7 +22,6 @@ from repro.verification.counterexample import (
 )
 from repro.verification.explorer import (
     ENGINES,
-    Transition,
     TransitionSystem,
     build_transition_system,
     explore,
@@ -86,13 +85,11 @@ __all__ = [
     "ToleranceReport",
     "check_synchronous_convergence",
     "synchronous_orbit",
-    "Transition",
     "TransitionSystem",
     "build_transition_system",
     "check_closure",
     "check_convergence",
     "check_stair",
-    "check_tolerance",
     "explore",
     "format_computation",
     "format_state",

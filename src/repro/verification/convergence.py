@@ -146,22 +146,8 @@ def _internal_successors(
     bad: list[int],
     bad_set: set[int],
 ) -> dict[int, list[int]]:
-    """Per-bad-state successors staying inside the bad region.
-
-    Reads the packed engine's CSR arrays directly when the system carries
-    them, skipping ``ts.edges``'s per-edge tuple materialization.
-    """
-    offsets = getattr(ts, "offsets", None)
-    if offsets is None:
-        return {
-            position: [
-                target_index
-                for _, target_index in ts.edges[position]
-                if target_index in bad_set
-            ]
-            for position in bad
-        }
-    targets = ts.targets
+    """Per-bad-state successors staying inside the bad region."""
+    offsets, targets = ts.offsets, ts.targets
     return {
         position: [
             targets[k]
@@ -170,6 +156,15 @@ def _internal_successors(
         ]
         for position in bad
     }
+
+
+def _labelled_edges(ts: TransitionSystem, node: int) -> list[tuple[str, int]]:
+    """``(action_name, target)`` pairs of one state, read from the CSR."""
+    names, action_ids, targets = ts.action_names, ts.action_ids, ts.targets
+    return [
+        (names[action_ids[k]], targets[k])
+        for k in range(ts.offsets[node], ts.offsets[node + 1])
+    ]
 
 
 def _component_has_internal_edge(
@@ -211,6 +206,13 @@ def _find_cycle_in_component(
             raise ValidationError("component is not strongly connected")
 
 
+def _validate_fairness(fairness: str) -> None:
+    if fairness not in FAIRNESS_MODES:
+        raise ValidationError(
+            f"unknown fairness mode {fairness!r}; expected one of {FAIRNESS_MODES}"
+        )
+
+
 def check_convergence(
     program: Program,
     span_states: Iterable[State],
@@ -233,10 +235,7 @@ def check_convergence(
         system: Optionally a prebuilt transition system over exactly the
             span states, to share work across checks.
     """
-    if fairness not in FAIRNESS_MODES:
-        raise ValidationError(
-            f"unknown fairness mode {fairness!r}; expected one of {FAIRNESS_MODES}"
-        )
+    _validate_fairness(fairness)
     ts = system if system is not None else build_transition_system(program, span_states)
     if ts.escapes:
         index, action_name, successor = ts.escapes[0]
@@ -244,21 +243,27 @@ def check_convergence(
             "span is not closed under the program: "
             f"{ts.states[index]!r} --{action_name}--> {successor!r} leaves the span"
         )
-
     # satisfying() is memoized on the system, so the tolerance checker's
-    # earlier invariant evaluations are reused here (the packed engine
-    # pre-populates the memo from its membership masks).
-    good = set(ts.satisfying(target))
+    # earlier invariant evaluations are reused here.
+    return _converge(ts, ts.satisfying(target), fairness)
+
+
+def _converge(
+    ts: TransitionSystem, good_positions: Iterable[int], fairness: str
+) -> ConvergenceResult:
+    """The convergence verdict over a closed span system.
+
+    ``good_positions`` are the positions where the target holds; the
+    packed sweeps pass them straight from their membership masks.
+    """
+    _validate_fairness(fairness)
+    good = set(good_positions)
     bad = [position for position in range(len(ts)) if position not in good]
     bad_set = set(bad)
 
-    offsets = getattr(ts, "offsets", None)
+    offsets = ts.offsets
     for position in bad:
-        if (
-            offsets[position] == offsets[position + 1]
-            if offsets is not None
-            else not ts.edges[position]
-        ):
+        if offsets[position] == offsets[position + 1]:
             return ConvergenceResult(
                 ok=False,
                 fairness=fairness,
@@ -288,14 +293,13 @@ def check_convergence(
                 ),
             )
         members = set(component)
-        enabled_sets = [
-            {name for name, _ in ts.edges[node]} for node in component
-        ]
+        edges = {node: _labelled_edges(ts, node) for node in component}
+        enabled_sets = [{name for name, _ in edges[node]} for node in component]
         always_enabled = set.intersection(*enabled_sets)
         internal_actions = {
             name
             for node in component
-            for name, target_index in ts.edges[node]
+            for name, target_index in edges[node]
             if target_index in members
         }
         if always_enabled <= internal_actions:
@@ -310,7 +314,7 @@ def check_convergence(
                 restricted = {
                     node: [
                         target_index
-                        for name, target_index in ts.edges[node]
+                        for name, target_index in edges[node]
                         if target_index in members and name in always_enabled
                     ]
                     for node in component
@@ -353,12 +357,16 @@ def worst_case_convergence_steps(
     when the ``¬target`` subgraph is acyclic: the answer is then the
     longest path through ``¬target`` states (an adversarial daemon can
     force exactly this many steps, and no more). Returns ``None`` when
-    the subgraph has a cycle, in which case an unfair daemon can postpone
-    convergence forever.
+    the program does not converge that way: the subgraph has a cycle,
+    on which an unfair daemon can postpone convergence forever, or a
+    ``¬target`` state is deadlocked, where every computation ends.
     """
     ts = system if system is not None else build_transition_system(program, span_states)
     good = set(ts.satisfying(target))
     bad = [position for position in range(len(ts)) if position not in good]
+    offsets = ts.offsets
+    if any(offsets[position] == offsets[position + 1] for position in bad):
+        return None
     bad_set = set(bad)
     internal = _internal_successors(ts, bad, bad_set)
     components = _strongly_connected_components(bad, internal)

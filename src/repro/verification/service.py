@@ -15,13 +15,12 @@ from the cache instead of recomputed:
   (:func:`~repro.core.fingerprint.key_kind`): it is memoized in memory
   only, never persisted, and every record says which kind it has under
   ``record["key"]``;
-- **in-memory**: built :class:`TransitionSystem` objects and full
-  verdict reports are memoized per service instance;
+- **in-memory**: verdict records and full verdict reports are
+  memoized per service instance;
 - **on-disk** (optional ``cache_dir``): JSON verdict records persist
   across processes, which is what makes the parallel worker pool in
   :mod:`repro.verification.parallel` and cache-warm benchmark reruns
-  cheap. Transition systems are not persisted — they embed program
-  callables and are process-local.
+  cheap.
 """
 
 from __future__ import annotations
@@ -54,11 +53,7 @@ from repro.quantitative import (
     require_numpy,
 )
 from repro.verification.checker import ToleranceReport, _check_tolerance
-from repro.verification.explorer import (
-    TransitionSystem,
-    build_transition_system,
-    validate_engine,
-)
+from repro.verification.explorer import validate_engine
 from repro.verification.store import VerdictStore
 
 __all__ = [
@@ -329,7 +324,6 @@ class VerificationService:
         self.local_keys = LocalKeys()
         self._records: dict[tuple[str, str], dict[str, Any]] = {}
         self._reports: dict[str, ToleranceReport] = {}
-        self._systems: dict[str, TransitionSystem] = {}
         self.hits = 0
         self.hits_memory = 0
         self.hits_disk = 0
@@ -452,37 +446,6 @@ class VerificationService:
         self._records[(kind, key)] = record
         if self.store is not None:
             self.store.put(kind, key, record)
-
-    # ------------------------------------------------------------------
-    # Transition systems
-    # ------------------------------------------------------------------
-
-    def transition_system(
-        self,
-        program: Program,
-        states: Iterable[State],
-        *,
-        states_key: str,
-        engine: str = "auto",
-    ) -> TransitionSystem:
-        """The (memoized) transition graph of ``program`` over ``states``.
-
-        ``states_key`` discriminates different state sets of the same
-        program (e.g. ``"full"`` vs a window label); the full key also
-        covers the program fingerprint. ``engine`` selects the packed or
-        dict representation (see :func:`build_transition_system`) and is
-        part of the memo key — the two representations are behaviourally
-        interchangeable but not the same object shape.
-        """
-        key = (
-            f"{fingerprint_program(program, local=self.local_keys)}"
-            f":{states_key}:{engine}"
-        )
-        system = self._systems.get(key)
-        if system is None:
-            system = build_transition_system(program, states, engine=engine)
-            self._systems[key] = system
-        return system
 
     # ------------------------------------------------------------------
     # Tolerance verification
@@ -961,7 +924,6 @@ class VerificationService:
             "hits_disk": self.hits_disk,
             "misses": self.misses,
             "records": len(self._records),
-            "systems": len(self._systems),
             "seconds_computing": self.seconds_computing,
             "seconds_cached": self.seconds_cached,
         }
@@ -981,7 +943,6 @@ class VerificationService:
             "cache.hit.disk": self.hits_disk,
             "cache.miss": self.misses,
             "records": int(stats["records"]),
-            "systems": int(stats["systems"]),
         }
         if self.metrics is not None:
             # Surface registry-only counters (e.g. the packed engine's

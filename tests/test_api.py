@@ -1,15 +1,15 @@
-"""The :func:`repro.verify` facade and the deprecation shims.
+"""The :func:`repro.verify` facade and the removed legacy entry points.
 
 Two guarantees are pinned here:
 
 - **Parity** — for every library case x engine x method combination the
   facade's verdict agrees bit-for-bit (``ok``, ``classification``,
-  ``stabilizing``) with the legacy direct checker;
-- **Deprecation mechanics** — each legacy entry point still works, still
-  returns the legacy type, and warns exactly once per call.
+  ``stabilizing``) with the direct checker;
+- **Removal** — the legacy ``repro.verification.check_tolerance`` entry
+  point is gone: importing it fails.
 
-CI runs this file under ``-W error::DeprecationWarning``: everything
-except the explicitly guarded shim calls must be warning-free.
+CI runs this file under ``-W error::DeprecationWarning``: the facade
+must be warning-free.
 """
 
 import warnings
@@ -25,9 +25,7 @@ from repro.quantitative import HAVE_NUMPY
 from repro.verification import (
     METHODS,
     ServiceVerdict,
-    ToleranceReport,
     VerificationService,
-    check_tolerance,
     validate_engine,
     validate_method,
 )
@@ -167,17 +165,14 @@ class TestVerdictProtocol:
 
 
 class TestDeprecationShims:
-    def test_check_tolerance_warns_once_and_returns_legacy_type(self):
-        program, invariant = build_case("coloring-chain", SIZE)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = check_tolerance(program, invariant, TRUE)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.verify" in str(deprecations[0].message)
-        assert isinstance(report, ToleranceReport)
-        assert report.ok == _check_tolerance(program, invariant, TRUE).ok
+    def test_check_tolerance_is_removed(self):
+        import repro.verification
+
+        assert "check_tolerance" not in repro.verification.__all__
+        with pytest.raises(ImportError):
+            from repro.verification import check_tolerance  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.verification.checker import check_tolerance  # noqa: F401,F811
 
     def test_facade_is_warning_free(self):
         with warnings.catch_warnings():

@@ -309,3 +309,28 @@ class TestWorstCase:
             program_with([dec(), jump]), all_states(), TARGET
         )
         assert steps == 5
+
+    @pytest.mark.parametrize("engine", ("dict", "packed"))
+    def test_deadlock_outside_target_has_no_bound(self, engine):
+        # x in 0..2, target x = 0, one action x = 2 -> x := 1: the state
+        # x = 1 is a deadlock outside the target, so no computation from
+        # it converges and there is no worst-case step count.
+        from repro.verification import build_transition_system
+
+        step = Action(
+            "step",
+            Predicate(lambda s: s["x"] == 2, name="x = 2", support=("x",)),
+            Assignment({"x": 1}),
+            reads=("x",),
+        )
+        program = Program("stuck", [Variable("x", IntegerRangeDomain(0, 2))], [step])
+        target = Predicate(lambda s: s["x"] == 0, name="x = 0", support=("x",))
+        states = list(program.state_space())
+        system = build_transition_system(program, states, engine=engine)
+        assert not check_convergence(
+            program, states, target, fairness="none", system=system
+        ).ok
+        assert (
+            worst_case_convergence_steps(program, states, target, system=system)
+            is None
+        )

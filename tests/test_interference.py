@@ -199,6 +199,50 @@ class TestDischargeRoutes:
         assert discharger.discharged == 1
 
 
+class TestIdCacheEviction:
+    """The class-level id-keyed caches evict their oldest entry when
+    full, so objects of the current design are still cached after dead
+    designs' objects have filled them."""
+
+    CAP = 8
+
+    @pytest.fixture
+    def discharger(self, monkeypatch):
+        from collections import OrderedDict
+
+        monkeypatch.setattr(StaticDischarger, "_MEMO_CAP", self.CAP)
+        for name in ("_pred_cache", "_token_cache", "_pair_keys"):
+            monkeypatch.setattr(StaticDischarger, name, OrderedDict())
+        return StaticDischarger(_design("coloring-chain"))
+
+    def test_token_cache_keeps_the_newest_expressions(self, discharger):
+        extra = 5
+        exprs = [V("c.0") == C(value) for value in range(self.CAP + extra)]
+        cache = StaticDischarger._token_cache
+        for expr in exprs:
+            assert discharger._component_key(expr, {}) is not None
+            assert len(cache) <= self.CAP
+        assert len(cache) == self.CAP
+        for expr in exprs[extra:]:
+            assert cache[id(expr)][0] is expr
+        # ``exprs`` keeps every expression alive, so no id is recycled.
+        assert all(id(expr) not in cache for expr in exprs[:extra])
+
+    def test_predicate_and_pair_caches_stay_bounded(self, discharger):
+        predicates = [
+            (V("c.0") == C(value)).predicate(name=f"p{value}")
+            for value in range(self.CAP + 3)
+        ]
+        for predicate in predicates:
+            discharger._predicate_expr(predicate)
+            discharger._pair_cached_key("t", (predicate,), lambda: None)
+            assert len(StaticDischarger._pred_cache) <= self.CAP
+            assert len(StaticDischarger._pair_keys) <= self.CAP
+        newest = predicates[-1]
+        assert StaticDischarger._pred_cache[id(newest)][0] is newest
+        assert len(StaticDischarger._pair_keys) == self.CAP
+
+
 class TestHelpers:
     def test_predicate_expr_roundtrip(self):
         expr = (V("a") == C(1)) & (V("b") != C(0))

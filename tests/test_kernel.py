@@ -217,8 +217,14 @@ class TestPackedTransitionSystem:
         states = list(program.state_space())
         packed = build_packed_system(program, states)
         plain = build_transition_system(program, states, engine="dict")
+        assert (packed.engine, plain.engine) == ("packed", "dict")
         assert len(packed) == len(plain)
         assert list(packed.states) == list(plain.states)
+        # One CSR form: the engines agree array for array.
+        assert list(packed.offsets) == list(plain.offsets)
+        assert list(packed.targets) == list(plain.targets)
+        assert list(packed.action_ids) == list(plain.action_ids)
+        assert packed.action_names == plain.action_names
         assert packed.edges == plain.edges
         assert packed.escapes == plain.escapes
         for position in range(len(plain)):
@@ -305,25 +311,19 @@ class TestExplorePacked:
 
 class TestEngineDispatch:
     def test_auto_picks_packed_for_finite_programs(self):
-        from repro.kernel.engine import PackedTransitionSystem
-
         program = _two_var_program()
         states = list(program.state_space())
-        assert isinstance(
-            build_transition_system(program, states), PackedTransitionSystem
+        assert build_transition_system(program, states).engine == "packed"
+        assert (
+            build_transition_system(program, states, engine="packed").engine
+            == "packed"
         )
-        assert isinstance(
-            build_transition_system(program, states, engine="packed"),
-            PackedTransitionSystem,
-        )
-        assert not isinstance(
-            build_transition_system(program, states, engine="dict"),
-            PackedTransitionSystem,
+        assert (
+            build_transition_system(program, states, engine="dict").engine
+            == "dict"
         )
 
     def test_auto_falls_back_on_infinite_domains(self):
-        from repro.kernel.engine import PackedTransitionSystem
-
         count = Action(
             "count",
             Predicate(lambda s: s["n"] < 3, name="n < 3", support=("n",)),
@@ -338,7 +338,7 @@ class TestEngineDispatch:
         )
         states = [State({"n": v}) for v in range(4)]
         system = build_transition_system(program, states)
-        assert not isinstance(system, PackedTransitionSystem)
+        assert system.engine == "dict"
         with pytest.raises(PackedUnsupported):
             build_transition_system(program, states, engine="packed")
 

@@ -902,15 +902,14 @@ class TestServiceStoreIntegration:
 
 class TestServiceNamespace:
     def test_documented_import_path(self):
-        from repro.service import DaemonThread as NamespaceThread
-        from repro.service import VerificationDaemon as NamespaceDaemon
-        from repro.service import serve
-        from repro.service.server import VerdictStore as NamespaceStore
+        from repro.verification.server import serve
 
-        assert NamespaceDaemon is VerificationDaemon
-        assert NamespaceThread is DaemonThread
         assert callable(serve)
-        assert NamespaceStore is VerdictStore
+        assert VerificationDaemon.__module__ == "repro.verification.server"
+        assert DaemonThread.__module__ == "repro.verification.server"
+        assert VerdictStore.__module__ == "repro.verification.store"
+        with pytest.raises(ImportError):
+            import repro.service  # noqa: F401
 
     def test_cli_parser_accepts_serve(self):
         from repro.cli import build_parser
