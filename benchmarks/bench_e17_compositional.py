@@ -9,7 +9,11 @@ instead of the product space. The acceptance bar from the certifier PR:
   projection at or below the certifier's limit;
 - on every small instance where both methods run, the certified verdict
   must agree bit-for-bit with full exploration (``ok``,
-  ``classification``, ``stabilizing``).
+  ``classification``, ``stabilizing``);
+- the n=200 chain sweeps exactly as many obligations (``enumerated``)
+  as the n=8 chain: its other edges are renamed twins of the first
+  few, recorded as ``symmetric`` without a sweep. A timing-free guard
+  that sweeps no longer grow with ``n``.
 
 Timings land in ``BENCH_verification.json`` under the ``compositional``
 suite.
@@ -42,6 +46,15 @@ SMALL_SIZES = (2, 3, 4, 5)
 
 #: The scale demonstration: a chain no full engine can even represent.
 LARGE_CHAIN = 200
+
+#: A chain with every kind of edge the large one has.
+SMALL_CHAIN = 8
+
+
+def _enumerated(certificate) -> int:
+    return sum(
+        1 for ob in certificate.obligations if ob.discharged_by == "enumerated"
+    )
 
 
 def _differential_sweep(sizes):
@@ -199,6 +212,23 @@ def run_quick() -> int:
         )
     except AssertionError as error:
         failures.append(f"chain n={LARGE_CHAIN}: {error}")
+    else:
+        small = certify_compositional(
+            CASES["diffusing-chain"].build_design(SMALL_CHAIN)
+        )
+        swept = {
+            SMALL_CHAIN: _enumerated(small),
+            LARGE_CHAIN: _enumerated(certificate),
+        }
+        print(
+            f"  enumerated obligations: chain n={SMALL_CHAIN} "
+            f"{swept[SMALL_CHAIN]}, chain n={LARGE_CHAIN} {swept[LARGE_CHAIN]}"
+        )
+        if swept[SMALL_CHAIN] != swept[LARGE_CHAIN]:
+            failures.append(
+                f"chain n={LARGE_CHAIN} swept {swept[LARGE_CHAIN]} obligations, "
+                f"n={SMALL_CHAIN} swept {swept[SMALL_CHAIN]}: sweeps grow with n"
+            )
     if failures:
         import sys
 

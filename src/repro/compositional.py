@@ -51,6 +51,27 @@ written value falls outside its variable's domain, tabulation raises
 (an :class:`~repro.core.errors.UnknownVariableError` among others), or
 numpy is not installed. Both paths give the same certificate.
 
+Renamed twins share one sweep
+-----------------------------
+
+Theorems 1 and 2 are discharged edge by edge, so a chain or star of
+``n`` nodes repeats the same few obligations up to variable renaming.
+Each swept obligation is keyed by
+:func:`repro.staticcheck.interference.obligation_key` — the obligation
+name, whether an action fires, the action's guard and every update, each
+context predicate with its wanted truth value and ``post``, with
+variables renamed jointly by first use, plus the exact domain values of
+every projected variable. Equal keys mean the same formulas over the
+same domains up to a bijective renaming, hence the same outcome (the
+symmetry argument of parameterized checkers, applied only where it is
+exact). A certification remembers the keys whose sweep passed; a later
+obligation with an equal key still builds its own projection, so size
+and finiteness refusals are unchanged, but is recorded as
+``"symmetric"`` instead of sweeping again. Failures are never shared: a
+failing obligation is always swept, so refusals and their witnesses are
+the same with or without sharing. The memory of passed keys lives only
+as long as one :func:`certify_compositional` call.
+
 Refusals, not negatives
 -----------------------
 
@@ -86,7 +107,13 @@ from repro.kernel.codec import StateCodec
 from repro.kernel.compile import action_supports_ok, compile_expr
 from repro.kernel.sweeps import SweepUnsupported, _RangeContext
 from repro.observability import MetricsRegistry, Tracer
-from repro.staticcheck.interference import StaticCertificate, StaticDischarger
+from repro.staticcheck.interference import (
+    StaticCertificate,
+    StaticDischarger,
+    cached_predicate_expr,
+    obligation_key,
+    update_exprs,
+)
 
 try:  # numpy is optional: without it every obligation takes the loop
     import numpy as _np
@@ -121,8 +148,12 @@ class Obligation:
         variables: The projection the obligation was enumerated over
             (empty when discharged symbolically).
         space: Size of the projected state space (0 when not enumerated).
-        checked: States actually visited (after guard/context filtering).
+        checked: States actually visited (0 for a symmetric twin).
         discharged_by: ``"enumerated"`` (projection swept),
+            ``"symmetric"`` (a renamed twin of an obligation whose sweep
+            passed earlier in the same certification: equal
+            renaming-canonical keys, so the same outcome; ``variables``
+            and ``space`` are its own projection, nothing is swept),
             ``"disjoint-writes"`` (writes miss the support — preservation
             is vacuous), ``"static"`` (proved by the abstract
             interpreter over the expression DSL, with a matching
@@ -191,17 +222,16 @@ class CompositionalCertificate:
                 f"compositional certification REFUSED for {self.design!r}: "
                 f"{self.refusal}"
             )
-        enumerated = sum(
-            1 for ob in self.obligations if ob.discharged_by == "enumerated"
-        )
-        static = sum(
-            1 for ob in self.obligations if ob.discharged_by == "static"
-        )
+        counts = {"enumerated": 0, "symmetric": 0, "static": 0}
+        for ob in self.obligations:
+            if ob.discharged_by in counts:
+                counts[ob.discharged_by] += 1
         return (
             f"compositional certificate for {self.design!r}: {self.theorem}; "
             f"{self.classification} (stabilizing={self.stabilizing}); "
             f"{len(self.obligations)} obligations over {self.edges} edges "
-            f"({enumerated} enumerated, {static} static, "
+            f"({counts['enumerated']} enumerated, "
+            f"{counts['symmetric']} symmetric, {counts['static']} static, "
             f"max projection {self.max_projection} "
             f"states vs {self.total_states} total) in {self.seconds:.3f}s"
         )
@@ -242,14 +272,16 @@ class _Table:
     ``holds[key]`` is the predicate's truth value (for an action, its
     guard's) at the support code ``key``. An action's table also maps
     each written variable to the digit of the value it writes at every
-    enabled key.
+    enabled key. ``digits`` maps each support variable's values to
+    their digits.
     """
 
-    __slots__ = ("names", "weights", "holds", "writes")
+    __slots__ = ("names", "weights", "digits", "holds", "writes")
 
     def __init__(self, codec: StateCodec, holds, writes=None) -> None:
         self.names = codec.names
         self.weights = codec.weights
+        self.digits = dict(zip(codec.names, codec._value_digits))
         self.holds = holds
         self.writes = writes or {}
 
@@ -301,8 +333,25 @@ class _Projector:
         # id(predicate or action) -> (the object, its table or the
         # reason it cannot be tabulated); the object pins the id.
         self._tables: dict[int, tuple[object, _Table | str]] = {}
+        # variable -> small id of its domain's exact value list.
+        self._domain_ids: dict[str, int] = {}
+        self._domain_classes: dict[tuple, int] = {}
+        # Renamed twins over their sorted supports share one truth table.
+        self._truth: dict[tuple[Any, ...], Any] = {}
+        #: Keys of the obligations whose sweep passed so far.
+        self.passed: set[tuple[Any, ...]] = set()
         self.max_projection = 0
         self.projected_states = 0
+
+    def projection(self, names: frozenset[str], *, subject: str) -> StateCodec:
+        """The codec of an obligation's joint projection.
+
+        Raises :class:`_Refusal` like :meth:`codec`, and counts the
+        projection toward :attr:`max_projection`.
+        """
+        codec = self.codec(names, subject=subject)
+        self.max_projection = max(self.max_projection, codec.size)
+        return codec
 
     def codec(self, names: frozenset[str], *, subject: str) -> StateCodec:
         codec = self._codecs.get(names)
@@ -327,8 +376,57 @@ class _Projector:
                 f"states, above the limit of {self._limit}",
             )
         self._codecs[names] = codec
-        self.max_projection = max(self.max_projection, codec.size)
         return codec
+
+    def domain_id(self, name: str) -> int:
+        """A per-certification id of ``name``'s exact domain values.
+
+        Two variables share an id exactly when their finite domains list
+        the same values (type and ``repr``) in the same order. Only
+        called for variables of a built projection, whose domains
+        :meth:`codec` has checked to be finite.
+        """
+        found = self._domain_ids.get(name)
+        if found is None:
+            values = tuple(
+                (type(value), repr(value))
+                for value in self._variables[name].domain.values()
+            )
+            found = self._domain_classes.setdefault(
+                values, len(self._domain_classes)
+            )
+            self._domain_ids[name] = found
+        return found
+
+    def sweep_key(
+        self,
+        name: str,
+        variables: frozenset[str],
+        action: Action | None,
+        context: tuple[tuple[Predicate, bool], ...],
+        post: Predicate,
+    ) -> tuple[Any, ...] | None:
+        """The renaming-canonical key of one swept obligation, if exact.
+
+        Covers everything the sweep's outcome reads: the obligation
+        name, whether an action fires, its guard and every update (not
+        only those into ``post``'s support), each context predicate with
+        its wanted truth value, ``post``, and the domains of every
+        projected variable. ``None`` when any part is opaque or a tree
+        mentions a variable outside the projection.
+        """
+        trees = [cached_predicate_expr(predicate) for predicate, _ in context]
+        trees.append(cached_predicate_expr(post))
+        updates = None
+        if action is not None:
+            trees.insert(0, cached_predicate_expr(action.guard))
+            updates = update_exprs(action, action.writes)
+            if updates is None:
+                return None
+        kind = (name, action is not None, tuple(want for _, want in context))
+        return obligation_key(
+            kind, trees, updates, self.domain_id, projection=variables
+        )
 
     def table(self, subject: Predicate | Action) -> _Table:
         """The table of ``subject``, built on first use.
@@ -358,6 +456,24 @@ class _Projector:
         if predicate.support is None:
             raise SweepUnsupported(f"predicate {predicate.name!r} has no support")
         codec = self.codec(predicate.support, subject=predicate.name)
+        # The key renames the support's variables by their position in
+        # the codec, so equal keys mean equal truth tables key for key.
+        twin = obligation_key(
+            "table",
+            [cached_predicate_expr(predicate)],
+            None,
+            self.domain_id,
+            projection=predicate.support,
+            order=codec.names,
+        )
+        holds = self._truth.get(twin) if twin is not None else None
+        if holds is None:
+            holds = self._truth_table(predicate, codec)
+            if twin is not None:
+                self._truth[twin] = holds
+        return _Table(codec, holds)
+
+    def _truth_table(self, predicate: Predicate, codec: StateCodec):
         fn = _compiled(predicate, codec)
         if fn is None:
             raise SweepUnsupported(f"predicate {predicate.name!r} is opaque")
@@ -371,7 +487,7 @@ class _Projector:
             raise SweepUnsupported(
                 f"predicate {predicate.name!r} raised during tabulation: {error!r}"
             ) from error
-        return _Table(codec, holds)
+        return holds
 
     def _tabulate_action(self, action: Action) -> _Table:
         codec = self.codec(action.reads, subject=action.name)
@@ -622,7 +738,16 @@ def _certify(
     )
 
     # -- the invariant must be the conjunction of the constraints ------
-    _check_decomposition(candidate.invariant, constraints, battery, obligations)
+    _check_decomposition(
+        candidate.invariant, constraints, battery, projector, obligations
+    )
+
+    # variable -> positions of the constraints whose support holds it:
+    # an action meets only the constraints its writes index.
+    readers: dict[str, list[int]] = {}
+    for position, constraint in enumerate(constraints):
+        for name in constraint.support:
+            readers.setdefault(name, []).append(position)
 
     # -- closure: every closure action preserves every constraint ------
     # Theorems 1 and 2 state this antecedent over the *closure* program;
@@ -631,6 +756,7 @@ def _certify(
     _closure_obligations(
         candidate.program,
         constraints,
+        readers,
         projector,
         obligations,
         discharger,
@@ -641,7 +767,13 @@ def _certify(
     merged_disjoint = 0
     for binding in design.bindings:
         merged_disjoint += _binding_obligations(
-            binding, constraints, projector, obligations, discharger, certificates
+            binding,
+            constraints,
+            readers,
+            projector,
+            obligations,
+            discharger,
+            certificates,
         )
     if merged_disjoint:
         obligations.append(
@@ -689,6 +821,7 @@ def _check_decomposition(
     invariant: Predicate,
     constraints: Sequence[Constraint],
     battery: Sequence[State],
+    projector: _Projector,
     obligations: list[Obligation],
 ) -> None:
     """Probe that ``S`` agrees with the conjunction of the constraints.
@@ -700,6 +833,11 @@ def _check_decomposition(
     probe battery — the same sound-direction probing bar staticcheck
     uses. A disagreement refuses; agreement plus the support check is the
     decomposition contract the theorem validators already assume.
+
+    The constraint side is read from the projector's per-constraint
+    tables, gathered at each probe state's digits; a constraint without
+    a table (opaque, too large a support, numpy missing) is called per
+    probe instead, and only where the tabulated ones all hold.
     """
     started = time.perf_counter()
     union = frozenset().union(*(c.support for c in constraints))
@@ -710,10 +848,36 @@ def _check_decomposition(
             "the constraint supports; S must be the conjunction of the "
             "constraints (and T)",
         )
+    opaque: list[Constraint] = []
+    if _np is None:
+        opaque = list(constraints)
+        held = [True] * len(battery)
+    else:
+        # Every codec numbers a variable's values alike, so one digit
+        # column per variable serves every table that reads it.
+        columns: dict[str, Any] = {}
+        conjunction = _np.ones(len(battery), dtype=bool)
+        for constraint in constraints:
+            if not conjunction.any():
+                break  # false at every probe: the rest cannot matter
+            try:
+                table = projector.table(constraint.predicate)
+            except (SweepUnsupported, _Refusal):
+                opaque.append(constraint)
+                continue
+            for name, digit in table.digits.items():
+                if name not in columns:
+                    columns[name] = _np.fromiter(
+                        (digit[state[name]] for state in battery),
+                        dtype=_np.int64,
+                        count=len(battery),
+                    )
+            conjunction &= table.holds[table.key(columns.__getitem__)]
+        held = conjunction.tolist()
     checked = 0
-    for state in battery:
+    for state, tabled in zip(battery, held):
         checked += 1
-        if invariant(state) != all(c.holds(state) for c in constraints):
+        if invariant(state) != (tabled and all(c.holds(state) for c in opaque)):
             raise _Refusal(
                 "invariant-decomposition",
                 f"invariant {invariant.name!r} disagrees with the "
@@ -746,10 +910,23 @@ def _sweep(
 
     ``action`` supplies the guard and ``a`` (without one, ``post`` is
     read at ``s`` itself); ``context`` pairs each predicate with the
-    truth value it must have for ``s`` to count.
+    truth value it must have for ``s`` to count. A renamed twin of an
+    obligation that passed earlier in this certification is recorded
+    as ``"symmetric"`` without sweeping.
     """
     started = time.perf_counter()
-    codec = projector.codec(variables, subject=subject)
+    codec = projector.projection(variables, subject=subject)
+    key = projector.sweep_key(name, variables, action, context, post)
+    if key is not None and key in projector.passed:
+        return Obligation(
+            name=name,
+            subject=subject,
+            variables=tuple(codec.names),
+            space=codec.size,
+            checked=0,
+            discharged_by="symmetric",
+            seconds=time.perf_counter() - started,
+        )
     try:
         failure = projector.first_failure(codec, action, context, post)
     except UnknownVariableError as error:
@@ -762,6 +939,8 @@ def _sweep(
         ) from error
     if failure is not None:
         raise _Refusal(name, f"{subject}: fails at {dict(failure)!r}")
+    if key is not None:
+        projector.passed.add(key)
     return Obligation(
         name=name,
         subject=subject,
@@ -773,9 +952,18 @@ def _sweep(
     )
 
 
+def _met(writes: frozenset[str], readers: dict[str, list[int]]) -> list[int]:
+    """Positions of the constraints whose support meets ``writes``, ascending."""
+    met: set[int] = set()
+    for name in writes:
+        met.update(readers.get(name, ()))
+    return sorted(met)
+
+
 def _closure_obligations(
     program,
     constraints: Sequence[Constraint],
+    readers: dict[str, list[int]],
     projector: _Projector,
     obligations: list[Obligation],
     discharger: StaticDischarger | None,
@@ -790,15 +978,17 @@ def _closure_obligations(
     ``O(n)`` neighbouring pairs on bounded-degree topologies. The vacuous
     pairs are aggregated into one summary obligation to keep the
     certificate compact. Remaining pairs are first offered to the static
-    discharger; only pairs it cannot prove are swept.
+    discharger; only pairs it cannot prove are swept. ``readers`` maps
+    each variable to the positions of the constraints that read it, so
+    an action visits only the constraints its writes meet.
     """
     disjoint = 0
     for action in program.actions:
-        for constraint in constraints:
+        met = _met(action.writes, readers)
+        disjoint += len(constraints) - len(met)
+        for position in met:
+            constraint = constraints[position]
             subject = f"{action.name} preserves {constraint.name}"
-            if not action.writes & constraint.support:
-                disjoint += 1
-                continue
             if discharger is not None:
                 started = time.perf_counter()
                 if _discharge_static(
@@ -839,6 +1029,7 @@ def _closure_obligations(
 def _binding_obligations(
     binding: ConvergenceBinding,
     constraints: Sequence[Constraint],
+    readers: dict[str, list[int]],
     projector: _Projector,
     obligations: list[Obligation],
     discharger: StaticDischarger | None,
@@ -905,12 +1096,10 @@ def _binding_obligations(
     # Merged behaviour: given its own constraint already holds, the
     # action preserves every other constraint (so firing inside S stays
     # inside S even for merged closure/convergence actions).
-    disjoint = 0
-    for other in constraints:
+    met = _met(action.writes, readers)
+    for position in met:
+        other = constraints[position]
         subject = f"{action.name} preserves {other.name} given {own.name}"
-        if not action.writes & other.support:
-            disjoint += 1
-            continue
         if discharger is not None:
             started = time.perf_counter()
             if _discharge_static(
@@ -933,7 +1122,7 @@ def _binding_obligations(
                 post=other.predicate,
             )
         )
-    return disjoint
+    return len(constraints) - len(met)
 
 
 def _order_obligations(
@@ -1059,7 +1248,7 @@ def _classify(
         return "masking"
     base = battery[0]
     for constraint in constraints:
-        codec = projector.codec(
+        codec = projector.projection(
             constraint.support, subject=f"classification of {constraint.name}"
         )
         falsified = projector.first_failure(codec, None, (), constraint.predicate)

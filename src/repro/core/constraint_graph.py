@@ -74,6 +74,13 @@ class ConstraintGraph:
         self.nodes: tuple[GraphNode, ...] = tuple(nodes)
         self.edges: tuple[GraphEdge, ...] = tuple(edges)
         self._validate()
+        # Edges by target and by source, in edge order: the edge tuple
+        # never changes, so per-node queries need not scan it.
+        self._incoming: dict[GraphNode, list[GraphEdge]] = {}
+        self._outgoing: dict[GraphNode, list[GraphEdge]] = {}
+        for edge in self.edges:
+            self._incoming.setdefault(edge.target, []).append(edge)
+            self._outgoing.setdefault(edge.source, []).append(edge)
 
     # ------------------------------------------------------------------
     # Construction
@@ -231,14 +238,14 @@ class ConstraintGraph:
 
     def incoming(self, node: GraphNode) -> list[GraphEdge]:
         """Edges whose target is ``node`` (self-loops included)."""
-        return [edge for edge in self.edges if edge.target == node]
+        return list(self._incoming.get(node, ()))
 
     def outgoing(self, node: GraphNode) -> list[GraphEdge]:
         """Edges whose source is ``node`` (self-loops included)."""
-        return [edge for edge in self.edges if edge.source == node]
+        return list(self._outgoing.get(node, ()))
 
     def indegree(self, node: GraphNode) -> int:
-        return len(self.incoming(node))
+        return len(self._incoming.get(node, ()))
 
     # ------------------------------------------------------------------
     # Classification

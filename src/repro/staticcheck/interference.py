@@ -16,6 +16,11 @@ Two consumers share this module:
   :func:`repro.compositional.certify_compositional` consumes it as a
   fast path and skips the projected sweep for that obligation.
 
+Both consumers of obligation keys — the discharger's proof memo and the
+certifier's sharing of projected sweeps between renamed twins — build
+them with the one canonicalizer, :func:`obligation_key`, over the one
+DSL tokenizer, :func:`repro.core.expr.walk_tokens`.
+
 Soundness contract (same bar as the rest of :mod:`repro.staticcheck`):
 a certificate is only issued when the abstract proof is *definite*, and
 a diagnostic is only emitted on a *concrete witness* or a premise
@@ -28,7 +33,7 @@ verdict is never produced statically.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -50,6 +55,8 @@ from repro.staticcheck.absint import (
 __all__ = [
     "StaticCertificate",
     "StaticDischarger",
+    "cached_predicate_expr",
+    "obligation_key",
     "predicate_expr",
     "update_exprs",
     "find_write_write_races",
@@ -165,6 +172,142 @@ def guard_negates(guard: Predicate, constraint: Constraint) -> bool:
 #: Marks a proof-memo miss (``None`` is a memoized "don't know").
 _ABSENT = object()
 
+#: Bound on each id-keyed cache of the canonicalizer below. A full cache
+#: evicts its oldest entry (insertion order), so objects of designs
+#: certified long ago make way for the current design's objects and the
+#: stored references stay bounded however many designs a process sees.
+_CACHE_CAP = 16384
+
+#: ``id(predicate) -> (predicate, its expression or None)``. The stored
+#: object guards against a recycled id aliasing a dead object. The
+#: library shares design instances across runs (its builders are
+#: memoized), so a later run presents the *same* objects again.
+_pred_cache: OrderedDict[int, tuple[Any, BoolExpr | None]] = OrderedDict()
+
+#: ``id(expr) -> (expr, canonical tokens or None, variables in
+#: first-use order)``, guarded like :data:`_pred_cache`.
+_token_cache: OrderedDict[
+    int, tuple[Any, str | None, tuple[str, ...]]
+] = OrderedDict()
+
+
+def _remember(cache: OrderedDict, key: Any, entry: Any) -> None:
+    """Store ``entry`` in an id-keyed cache, evicting the oldest entry
+    when the cache is full."""
+    if key not in cache and len(cache) >= _CACHE_CAP:
+        cache.popitem(last=False)
+    cache[key] = entry
+
+
+def cached_predicate_expr(predicate: Predicate | None) -> BoolExpr | None:
+    """Memoized :func:`predicate_expr`.
+
+    Combinator predicates rebuild fresh expression objects on every
+    :func:`predicate_expr` call, which would also defeat the id-keyed
+    token cache of :func:`obligation_key`.
+    """
+    if predicate is None:
+        return None
+    entry = _pred_cache.get(id(predicate))
+    if entry is None or entry[0] is not predicate:
+        entry = (predicate, predicate_expr(predicate))
+        _remember(_pred_cache, id(predicate), entry)
+    return entry[1]
+
+
+def _component_key(
+    expr: Expr, joint: dict[str, int]
+) -> tuple[str, tuple[int, ...]] | None:
+    """One expression's contribution to an obligation key.
+
+    The pair (local canonical tokens, joint indices of its variables in
+    first-use order) determines the expression under the obligation's
+    joint renaming, so per-expression tokens are cached independently of
+    which obligation they appear in.
+    """
+    entry = _token_cache.get(id(expr))
+    if entry is None or entry[0] is not expr:
+        names: dict[str, int] = {}
+        tokens = _canonical_tokens(expr, names)
+        entry = (expr, tokens, tuple(names))
+        _remember(_token_cache, id(expr), entry)
+    _, tokens, names = entry
+    if tokens is None:
+        return None
+    return tokens, tuple([joint.setdefault(name, len(joint)) for name in names])
+
+
+def obligation_key(
+    kind: Any,
+    exprs: Sequence[Expr | None],
+    updates: Mapping[str, Expr] | None,
+    values: Callable[[str], Any],
+    *,
+    projection: frozenset[str] | None = None,
+    order: Sequence[str] = (),
+) -> tuple[Any, ...] | None:
+    """A renaming-canonical key of one obligation, or ``None`` if not exact.
+
+    The one canonical form of an obligation, shared by the static
+    discharger's proof memo and the compositional certifier's per-run
+    sweep sharing. Variables are renamed jointly by first use across
+    ``exprs`` (in order) and then the ``updates`` (by target name); each
+    update row records its target's joint index. The key ends with
+    ``values(name)`` of every renamed variable in joint order, an exact
+    hashable description of its domain (``None`` refuses the key).
+
+    Equal keys therefore mean the same formulas over the same domains up
+    to a bijective renaming, hence the same outcome of any question
+    decided from them alone. ``kind`` must fix everything else the
+    outcome reads, including how many ``exprs`` there are and the role
+    of each. A ``None`` or untokenizable expression (opaque predicates
+    and right-hand sides, custom folds, constants without an exact
+    ``repr``) gives no key: two different opaque callables would
+    collide on it.
+
+    ``projection``, when given, is the set of variables the obligation
+    is evaluated over: every variable the trees mention must lie inside
+    it, and the sorted ``values`` of those they never mention are
+    appended (an empty domain empties the whole projection).
+
+    ``order`` names variables that take the first joint indices, in that
+    order, before the renaming by first use: keys of trees over
+    ``order`` are then equal only when the renaming maps each position
+    of ``order`` to the same position of the other's.
+    """
+    joint = {name: index for index, name in enumerate(order)}
+    parts: list[Any] = [kind]
+    for expr in exprs:
+        if expr is None:
+            return None
+        component = _component_key(expr, joint)
+        if component is None:
+            return None
+        parts.append(component)
+    if updates is not None:
+        rows: list[Any] = []
+        for name in sorted(updates):
+            component = _component_key(updates[name], joint)
+            if component is None:
+                return None
+            rows.append((joint.setdefault(name, len(joint)), component))
+        parts.append(tuple(rows))
+    domains = []
+    for name in joint:  # insertion order == joint index order
+        if projection is not None and name not in projection:
+            return None
+        value = values(name)
+        if value is None:
+            return None
+        domains.append(value)
+    parts.append(tuple(domains))
+    if projection is not None:
+        rest = [values(name) for name in projection if name not in joint]
+        if None in rest:
+            return None
+        parts.append(tuple(sorted(rest)))
+    return tuple(parts)
+
 
 @dataclass(frozen=True)
 class StaticCertificate:
@@ -214,36 +357,21 @@ class StaticDischarger:
     variable renaming (c.1/c.2, c.2/c.3, ...) — within one design,
     across sizes of the same family, and across certification runs —
     so one proof, or one definite failure to prove, serves them all.
-    Keys canonicalize the obligation's expressions under a joint
-    renaming plus the exact value sets of the involved variables and
-    the case budget, which makes them self-contained: equal keys imply
-    equal formulas and domains, hence equal outcomes, independent of
-    which design asked. Anything opaque or inexactly abstracted is
-    simply not memoized.
+    Keys are :func:`obligation_key` over the obligation's expressions,
+    the exact value sets of the involved variables and the case budget,
+    which makes them self-contained: equal keys imply equal formulas and
+    domains, hence equal outcomes, independent of which design asked.
+    Anything opaque or inexactly abstracted is simply not memoized.
     """
 
-    #: Shared across instances; see the class docstring. Bounded so a
-    #: pathological stream of distinct obligations cannot grow it
-    #: without limit — once full, new outcomes are computed but not
-    #: stored.
-    _MEMO_CAP = 16384
+    #: Bound on the proof memo; see the class docstring. A full memo
+    #: computes new outcomes but stores none.
+    _MEMO_CAP = _CACHE_CAP
     _memo: dict[tuple[Any, ...], "StaticCertificate | None"] = {}
 
-    #: The id-keyed caches store their subject object alongside the
-    #: result so a recycled id can never alias a dead object. They are
-    #: class-level for the same reason as the proof memo: the library
-    #: shares design instances across certification runs (the builders
-    #: are memoized), so a later run's obligations present the *same*
-    #: expression and predicate objects. Capped like the memo, but a
-    #: full cache evicts its oldest entry (insertion order) rather than
-    #: refusing new ones: entries of designs certified long ago make way
-    #: for the current design's objects, and the stored references stay
-    #: bounded by the caps, not by how many designs the process ever
-    #: certifies.
-    _pred_cache: OrderedDict[int, tuple[Any, "BoolExpr | None"]] = OrderedDict()
-    _token_cache: OrderedDict[
-        int, tuple[Any, str | None, tuple[str, ...]]
-    ] = OrderedDict()
+    #: ``(tag, budget, ids of design objects) -> (the objects, their
+    #: obligation key)``: class-level and evicting like the
+    #: canonicalizer's id-keyed caches (see :func:`_remember`).
     _pair_keys: OrderedDict[
         tuple[Any, ...], tuple[tuple[Any, ...], tuple[Any, ...] | None]
     ] = OrderedDict()
@@ -265,6 +393,8 @@ class StaticDischarger:
         self._tracer = tracer
         self._metrics = metrics
         self._budget = budget
+        # kind -> (kind, budget): one shared head per kind of memo key.
+        self._kinds: dict[str, tuple[str, int]] = {}
         self.attempts = 0
         self.discharged = 0
         self._env_snapshot = self._context.env
@@ -293,48 +423,10 @@ class StaticDischarger:
         if self._metrics is not None:
             self._metrics.counter("staticcheck.interference.attempts").add()
 
-    @classmethod
-    def _remember(cls, cache: OrderedDict, key: Any, entry: Any) -> None:
-        """Store ``entry`` in an id-keyed cache, evicting the oldest
-        entry when the cache is full."""
-        if key not in cache and len(cache) >= cls._MEMO_CAP:
-            cache.popitem(last=False)
-        cache[key] = entry
-
-    def _predicate_expr(self, predicate: Predicate | None) -> BoolExpr | None:
-        """Memoized :func:`predicate_expr` — combinator predicates
-        rebuild fresh expression objects on every call, which would also
-        defeat the id-keyed token cache below."""
-        if predicate is None:
-            return None
-        entry = self._pred_cache.get(id(predicate))
-        if entry is None or entry[0] is not predicate:
-            entry = (predicate, predicate_expr(predicate))
-            self._remember(self._pred_cache, id(predicate), entry)
-        return entry[1]
-
-    def _component_key(
-        self, expr: Expr, joint: dict[str, int]
-    ) -> tuple[str, tuple[int, ...]] | None:
-        """One expression's contribution to an obligation key.
-
-        The pair (local canonical tokens, joint indices of its variables
-        in first-use order) determines the expression under the
-        obligation's joint renaming, so per-expression tokens can be
-        cached independently of which obligation they appear in.
-        """
-        entry = self._token_cache.get(id(expr))
-        if entry is None or entry[0] is not expr:
-            names: dict[str, int] = {}
-            tokens = _canonical_tokens(expr, names)
-            entry = (expr, tokens, tuple(names))
-            self._remember(self._token_cache, id(expr), entry)
-        _, tokens, names = entry
-        if tokens is None:
-            return None
-        return tokens, tuple(
-            joint.setdefault(name, len(joint)) for name in names
-        )
+    def _values(self, name: str) -> frozenset[Any] | None:
+        """The exact value set of ``name``'s abstraction, if it has one."""
+        abstract = self._env_snapshot.get(name)
+        return None if abstract is None else abstract.values
 
     def _obligation_key(
         self,
@@ -342,41 +434,17 @@ class StaticDischarger:
         exprs: Sequence[BoolExpr | None],
         updates: Mapping[str, Expr] | None,
     ) -> tuple[Any, ...] | None:
-        """A renaming-invariant memo key, or ``None`` when not safe.
+        """The proof-memo key: :func:`obligation_key` plus the budget.
 
         Memoization requires every involved expression to be
         tokenizable and every involved variable's abstraction to be an
         exact finite value set — equal keys then imply the same premise
-        formulas, post-states, and proof-search outcomes. ``None``
-        (don't memoize) is the answer for opaque guards or updates: two
-        different opaque callables would collide on the same key.
+        formulas, post-states, and proof-search outcomes.
         """
-        joint: dict[str, int] = {}
-        parts: list[Any] = [kind]
-        for expr in exprs:
-            if expr is None:
-                return None
-            component = self._component_key(expr, joint)
-            if component is None:
-                return None
-            parts.append(component)
-        if updates is not None:
-            rows: list[Any] = []
-            for name in sorted(updates):
-                component = self._component_key(updates[name], joint)
-                if component is None:
-                    return None
-                rows.append((joint.setdefault(name, len(joint)), component))
-            parts.append(tuple(rows))
-        values = []
-        for name in joint:  # insertion order == joint index order
-            abstract = self._env_snapshot.get(name)
-            if abstract is None or abstract.values is None:
-                return None
-            values.append(abstract.values)
-        parts.append(tuple(values))
-        parts.append(self._budget)
-        return tuple(parts)
+        head = self._kinds.get(kind)
+        if head is None:
+            head = self._kinds[kind] = (kind, self._budget)
+        return obligation_key(head, exprs, updates, self._values)
 
     def _pair_cached_key(
         self,
@@ -398,7 +466,7 @@ class StaticDischarger:
         ):
             return entry[1]
         key = compute_key()
-        self._remember(self._pair_keys, pair, (objects, key))
+        _remember(self._pair_keys, pair, (objects, key))
         return key
 
     def _memoized(
@@ -446,10 +514,10 @@ class StaticDischarger:
         # twins of a linear-order obligation can reuse a
         # closure-preserves proof; only guard/given/target/updates key.
         def compute_key():
-            guard_expr = self._predicate_expr(action.guard)
-            target_expr = self._predicate_expr(target.predicate)
+            guard_expr = cached_predicate_expr(action.guard)
+            target_expr = cached_predicate_expr(target.predicate)
             given_expr = (
-                self._predicate_expr(given.predicate)
+                cached_predicate_expr(given.predicate)
                 if given is not None
                 else None
             )
@@ -462,11 +530,11 @@ class StaticDischarger:
 
         def prove():
             return self._prove_preserves(
-                self._predicate_expr(action.guard),
-                self._predicate_expr(given.predicate)
+                cached_predicate_expr(action.guard),
+                cached_predicate_expr(given.predicate)
                 if given is not None
                 else None,
-                self._predicate_expr(target.predicate),
+                cached_predicate_expr(target.predicate),
                 update_exprs(action, target.support),
                 obligation=obligation,
                 subject=subject,
@@ -614,8 +682,8 @@ class StaticDischarger:
             return self._obligation_key(
                 "enabled-when-violated",
                 [
-                    self._predicate_expr(binding.action.guard),
-                    self._predicate_expr(binding.constraint.predicate),
+                    cached_predicate_expr(binding.action.guard),
+                    cached_predicate_expr(binding.constraint.predicate),
                 ],
                 None,
             )
@@ -623,8 +691,8 @@ class StaticDischarger:
         def prove():
             return self._prove_enabled_when_violated(
                 binding,
-                self._predicate_expr(binding.action.guard),
-                self._predicate_expr(binding.constraint.predicate),
+                cached_predicate_expr(binding.action.guard),
+                cached_predicate_expr(binding.constraint.predicate),
                 subject,
             )
 
@@ -685,14 +753,14 @@ class StaticDischarger:
             return self._obligation_key(
                 "establishes",
                 [
-                    self._predicate_expr(own.predicate),
-                    self._predicate_expr(action.guard),
+                    cached_predicate_expr(own.predicate),
+                    cached_predicate_expr(action.guard),
                 ],
                 updates,
             )
 
         def prove():
-            own_expr = self._predicate_expr(own.predicate)
+            own_expr = cached_predicate_expr(own.predicate)
             if own_expr is None:
                 return None
             updates = update_exprs(action, own.support)
@@ -700,7 +768,7 @@ class StaticDischarger:
                 return None
             return self._prove_establishes(
                 own_expr,
-                self._predicate_expr(action.guard),
+                cached_predicate_expr(action.guard),
                 updates,
                 subject,
             )

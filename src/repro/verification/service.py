@@ -245,7 +245,13 @@ def _tolerance_record(
 def _compositional_record(
     certificate, *, case: str, fairness: str, seconds: float, key: str
 ) -> dict[str, Any]:
-    counts = {"enumerated": 0, "disjoint-writes": 0, "trivial": 0, "static": 0}
+    counts = {
+        "enumerated": 0,
+        "symmetric": 0,
+        "disjoint-writes": 0,
+        "trivial": 0,
+        "static": 0,
+    }
     for obligation in certificate.obligations:
         counts[obligation.discharged_by] += 1
     return {
@@ -259,6 +265,7 @@ def _compositional_record(
         "stabilizing": certificate.stabilizing,
         "obligations": len(certificate.obligations),
         "enumerated": counts["enumerated"],
+        "symmetric": counts["symmetric"],
         "vacuous": counts["disjoint-writes"],
         "trivial": counts["trivial"],
         "static": counts["static"],

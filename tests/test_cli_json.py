@@ -58,6 +58,7 @@ COMPOSITIONAL_RECORD_KEYS = {
     "stabilizing",
     "obligations",
     "enumerated",
+    "symmetric",
     "vacuous",
     "trivial",
     "static",
@@ -155,8 +156,8 @@ class TestVerifyJson:
         assert not record["refusal"]
         assert record["method"] == "compositional"
         assert record["obligations"] == (
-            record["enumerated"] + record["vacuous"] + record["trivial"]
-            + record["static"]
+            record["enumerated"] + record["symmetric"] + record["vacuous"]
+            + record["trivial"] + record["static"]
         )
         assert record["static"] > 0  # the DSL protocols discharge statically
 

@@ -37,7 +37,7 @@ from repro.core.domains import IntegerRangeDomain
 from repro.core.errors import StateSpaceTooLargeError, ValidationError
 from repro.kernel.codec import PackedUnsupported
 from repro.kernel.sweeps import HAVE_NUMPY, SweepUnsupported
-from repro.core.expr import V, expr_action
+from repro.core.expr import V, expr_action, min_
 from repro.core.fingerprint import probe_states
 from repro.core.predicates import TRUE, Predicate
 from repro.core.program import Program
@@ -285,6 +285,29 @@ class TestServiceIntegration:
         assert main(["verify", name, "--size", "3", "--json", str(path)]) == 0
         assert json.loads(path.read_text())["record"]["method"] == "compositional"
 
+    def test_records_stored_before_the_symmetric_count_still_serve(
+        self, tmp_path
+    ):
+        """A stored compositional record written before ``symmetric``
+        joined the record is read back and served as it is."""
+        first = repro.verify(
+            "diffusing-chain", size=4, service=VerificationService(tmp_path)
+        )
+        assert first.record["symmetric"] > 0 and not first.cached
+        (path,) = [
+            entry for entry in tmp_path.rglob("*.json")
+            if json.loads(entry.read_text()).get("method") == "compositional"
+        ]
+        old = json.loads(path.read_text())
+        del old["symmetric"]
+        path.write_text(json.dumps(old))
+        again = repro.verify(
+            "diffusing-chain", size=4, service=VerificationService(tmp_path)
+        )
+        assert again.cached and again.ok
+        assert "symmetric" not in again.record
+        assert again.record["enumerated"] == first.record["enumerated"]
+
     def test_auto_falls_back_to_full_on_refusal(self):
         design = _two_node_cycle()
         service = VerificationService()
@@ -504,7 +527,10 @@ def path(request, monkeypatch):
 
 
 class TestTableGathers:
-    @pytest.mark.parametrize("size", (2, 3, 5))
+    # n=12: "x.10" sorts before "x.9", so renamed twin predicates list
+    # their supports in different orders; shared truth tables must not
+    # mix them up.
+    @pytest.mark.parametrize("size", (2, 3, 5, 12))
     @pytest.mark.parametrize("name", DESIGN_CASES)
     def test_table_path_matches_the_loop(self, monkeypatch, name, size):
         design = CASES[name].build_design(size)
@@ -611,3 +637,367 @@ class TestTableGathers:
             "a variable outside the projection (state has no variable 'c'); "
             "declared supports are not truthful"
         )
+
+
+# ----------------------------------------------------------------------
+# Renamed twins share one sweep
+# ----------------------------------------------------------------------
+
+
+def _unshared(monkeypatch, design, **options) -> dict:
+    """The certificate record with sweep sharing forced off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(compositional._Projector, "sweep_key", lambda *args: None)
+        return _record(design, **options)
+
+
+def _twins_as_swept(shared: dict, unshared: dict) -> tuple[dict, int]:
+    """``shared`` with each symmetric twin put back as its sweep.
+
+    Also checks that each twin's counterpart was swept and returns how
+    many twins there were.
+    """
+    assert len(shared["obligations"]) == len(unshared["obligations"])
+    twins = 0
+    restored = dict(shared, obligations=[])
+    for mine, theirs in zip(shared["obligations"], unshared["obligations"]):
+        if mine["discharged_by"] == "symmetric":
+            twins += 1
+            assert theirs["discharged_by"] == "enumerated"
+            assert mine["checked"] == 0
+            mine = dict(mine, discharged_by="enumerated", checked=theirs["checked"])
+        restored["obligations"].append(mine)
+    # Twins skip their sweeps, so they project fewer states.
+    restored["projected_states"] = unshared["projected_states"]
+    return restored, twins
+
+
+def _fresh_design(family: str, size: int) -> NonmaskingDesign:
+    """A newly built design (the library's builders are memoized)."""
+    from repro.protocols.coloring import build_coloring_design
+    from repro.protocols.diffusing import build_diffusing_design
+    from repro.protocols.leader_election import build_leader_election_design
+    from repro.topology import chain_tree, star_tree
+
+    if family == "diffusing-chain":
+        return build_diffusing_design(chain_tree(size))
+    if family == "diffusing-star":
+        return build_diffusing_design(star_tree(size))
+    if family == "coloring-chain":
+        return build_coloring_design(chain_tree(size), k=3)
+    return build_leader_election_design(star_tree(size))
+
+
+def _copy_chain(size: int, *, edge: int = -1, action_cap: int = 2,
+                constraint_escape: int = 3, source_hi: int = 2,
+                opaque: bool = False):
+    """``x.0 -> x.1 -> ... -> x.size`` over ``{0, 1, 2}``, each ``x.i``
+    repaired to ``min(x.(i-1), 2)``, i.e. copied.
+
+    ``C.i`` is ``x.i == x.(i-1) or x.(i-1) == 3`` (the escape never
+    holds). Edge ``edge`` alone may differ by one constant (the action's
+    cap, the constraint's escape, the top of its source's domain) or
+    carry an opaque-lambda constraint.
+    """
+    variables = _bits(*(f"x.{i}" for i in range(size + 1)), hi=2)
+    if edge > 0:
+        variables[edge - 1] = Variable(
+            f"x.{edge - 1}", IntegerRangeDomain(0, source_hi)
+        )
+    constraints, bindings = [], []
+    for i in range(1, size + 1):
+        here, before = V(f"x.{i}"), V(f"x.{i - 1}")
+        escape = constraint_escape if i == edge else 3
+        cap = action_cap if i == edge else 2
+        predicate = ((here == before) | (before == escape)).predicate(name=f"C.{i}")
+        if opaque and i == edge:
+            names = (f"x.{i}", f"x.{i - 1}")
+            predicate = Predicate(
+                lambda state, names=names: (
+                    state[names[0]] == state[names[1]] or state[names[1]] == 3
+                ),
+                name=f"C.{i}",
+                support=set(names),
+            )
+        constraint = Constraint(f"C.{i}", predicate)
+        constraints.append(constraint)
+        bindings.append(
+            ConvergenceBinding(
+                constraint,
+                expr_action(f"conv.{i}", here != before, {f"x.{i}": min_(before, cap)}),
+            )
+        )
+    nodes = [(f"X{i}", {f"x.{i}"}) for i in range(size + 1)]
+    return _design(variables, constraints, bindings, nodes)
+
+
+def _fires_conv3(subject: str) -> bool:
+    return subject.startswith("conv.3 ")
+
+
+def _reads_c3(subject: str) -> bool:
+    return "C.3" in subject.split()
+
+
+class TestSymmetricTwins:
+    @pytest.mark.parametrize("semantic", (True, False))
+    @pytest.mark.parametrize("size", (2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("name", DESIGN_CASES)
+    def test_library_certificates_match_unshared(
+        self, monkeypatch, name, size, semantic
+    ):
+        design = CASES[name].build_design(size)
+        shared = _record(design, semantic=semantic)
+        unshared = _unshared(monkeypatch, design, semantic=semantic)
+        restored, twins = _twins_as_swept(shared, unshared)
+        assert restored == unshared
+        if not semantic and size >= 4:
+            assert twins > 0
+
+    @pytest.mark.parametrize("semantic", (True, False))
+    @pytest.mark.parametrize(
+        "family, size",
+        [
+            ("diffusing-chain", 12),
+            ("diffusing-star", 3),
+            ("diffusing-star", 10),  # refused: projection-size
+            ("coloring-chain", 15),
+            ("leader-election-star", 8),
+        ],
+    )
+    def test_certify_large_families_match_unshared(
+        self, monkeypatch, family, size, semantic
+    ):
+        design = _fresh_design(family, size)
+        shared = _record(design, semantic=semantic)
+        unshared = _unshared(monkeypatch, design, semantic=semantic)
+        restored, twins = _twins_as_swept(shared, unshared)
+        assert restored == unshared
+        if family == "diffusing-star" and size == 10:
+            assert shared["refusal"].startswith("projection-size:")
+        if not semantic or family in ("diffusing-chain", "leader-election-star"):
+            assert twins > 0
+
+    def test_twins_skip_their_sweeps(self):
+        metrics = MetricsRegistry()
+        certificate = certify_compositional(
+            _copy_chain(6), semantic=False, metrics=metrics
+        )
+        assert certificate.ok
+        kinds = [ob.discharged_by for ob in certificate.obligations]
+        # Four classes: enabled-when-violated, establishes, and the two
+        # merged-behaviour pairs (own constraint, next edge's).
+        assert kinds.count("enumerated") == 4 + 2  # + support, decomposition
+        assert kinds.count("symmetric") == 23 - 4
+        swept = sum(
+            ob.space for ob in certificate.obligations
+            if ob.discharged_by == "enumerated" and ob.space
+        )
+        counters = metrics.report().counters
+        classified = counters["compositional.projected_states"] - swept
+        assert 0 < classified <= certificate.max_projection
+        for ob in certificate.obligations:
+            if ob.discharged_by == "symmetric":
+                assert ob.checked == 0
+                assert ob.space == 3 ** len(ob.variables)
+        assert "symmetric" in certificate.describe()
+
+    @pytest.mark.parametrize(
+        "variant, changed, refusal",
+        [
+            ({"action_cap": 1}, _fires_conv3,
+             "establishes-in-one-step: conv.3 establishes C.3: "
+             "fails at {'x.2': 2, 'x.3': 0}"),
+            ({"constraint_escape": 2}, _reads_c3,
+             "merged-behaviour: conv.3 preserves C.4 given C.3: "
+             "fails at {'x.2': 2, 'x.3': 0, 'x.4': 0}"),
+            ({"source_hi": 4}, _fires_conv3,
+             "establishes-in-one-step: conv.3 establishes C.3: "
+             "fails at {'x.2': 4, 'x.3': 0}"),
+            ({"action_cap": 3}, _fires_conv3, ""),
+            ({"constraint_escape": 4}, _reads_c3, ""),
+        ],
+    )
+    @pytest.mark.parametrize("path_kind", ("table", "loop"))
+    def test_one_differing_edge_is_swept(
+        self, monkeypatch, variant, changed, refusal, path_kind
+    ):
+        """Edge 3 differs from its twins by one constant: every obligation
+        that reads the changed part is swept, and the verdict, refusal
+        and witness are those of the unshared certificate."""
+        if path_kind == "loop":
+            monkeypatch.setattr(compositional, "_gathered_failure", _untabulated)
+        design = _copy_chain(6, edge=3, **variant)
+        certificate = certify_compositional(design, semantic=False)
+        assert certificate.refusal == refusal
+        shared = _without_seconds(certificate)
+        unshared = _unshared(monkeypatch, _copy_chain(6, edge=3, **variant), semantic=False)
+        del unshared["projected_states"]
+        for record in (shared, unshared):
+            for ob in record["obligations"]:
+                if ob["discharged_by"] == "symmetric":
+                    ob.update(discharged_by="enumerated", checked=ob["space"])
+        assert shared == unshared
+        touched = [ob for ob in certificate.obligations if changed(ob.subject)]
+        # A refusal is the failed sweep of the differing edge itself.
+        assert touched or changed(refusal.split(": ")[1])
+        for ob in touched:
+            assert ob.discharged_by == "enumerated", ob.subject
+
+    @pytest.mark.parametrize("path_kind", ("table", "loop"))
+    def test_an_opaque_constraint_never_shares(self, monkeypatch, path_kind):
+        if path_kind == "loop":
+            monkeypatch.setattr(compositional, "_gathered_failure", _untabulated)
+        opaque = certify_compositional(_copy_chain(6, edge=3, opaque=True), semantic=False)
+        plain = certify_compositional(_copy_chain(6), semantic=False)
+        assert opaque.ok and plain.ok
+        for mine, theirs in zip(opaque.obligations, plain.obligations):
+            assert (mine.name, mine.subject) == (theirs.name, theirs.subject)
+            if _reads_c3(mine.subject):
+                assert mine.discharged_by == "enumerated", mine.subject
+                assert theirs.discharged_by == "symmetric", theirs.subject
+        design = _copy_chain(6, edge=3, opaque=True)
+        projector = compositional._Projector(design, DEFAULT_PROJECTION_LIMIT)
+        edge = design.bindings[2]
+        assert projector.sweep_key(
+            "establishes-in-one-step",
+            edge.action.reads | edge.action.writes | edge.constraint.support,
+            edge.action,
+            (),
+            edge.constraint.predicate,
+        ) is None
+
+    def test_keys_cover_everything_the_outcome_reads(self):
+        """Flipping any one input of a sweep's outcome changes its key."""
+        a, b = V("a"), V("b")
+        constraint = Constraint("Cb", b == a)
+        design = _design(
+            _bits("a", "b", "c") + [Variable("d", IntegerRangeDomain(0, 2))],
+            [constraint],
+            [ConvergenceBinding(constraint, expr_action("conv_b", b != a, {"b": a}))],
+            [("A", {"a"}), ("B", {"b"}), ("C", {"c"}), ("D", {"d"})],
+        )
+        projector = compositional._Projector(design, DEFAULT_PROJECTION_LIMIT)
+        post = (b == a).predicate(name="post")
+        given = (a == 0).predicate(name="given")
+        copy = expr_action("copy", b != a, {"b": a})
+        copy_and_set = expr_action("copy", b != a, {"b": a, "c": 1})
+
+        def key(action=copy, context=((given, True),), variables="abc"):
+            return projector.sweep_key(
+                "closure-preserves", frozenset(variables), action, context, post
+            )
+
+        base = key()
+        assert base is not None and base == key()
+        assert key(context=((given, False),)) != base
+        assert key(context=()) != base
+        assert key(action=None) != base
+        # ``c`` is written but ``post`` never reads it.
+        assert key(action=copy_and_set) != base
+        # The domains of projected variables no tree mentions count too:
+        # ``c`` ranges over {0, 1}, ``d`` over {0, 1, 2}.
+        assert key(variables="abd") != base
+        assert key(variables="ab") != base
+        # A tree reading outside the projection gets no key.
+        assert key(variables="bc") is None
+        assert projector.sweep_key(
+            "establishes-in-one-step", frozenset({"a", "b", "c"}), copy,
+            ((given, True),), post,
+        ) != base
+
+    def test_sharing_works_on_the_per_state_loop(self, path):
+        certificate = certify_compositional(_copy_chain(6), semantic=False)
+        kinds = [ob.discharged_by for ob in certificate.obligations]
+        assert kinds.count("symmetric") == 19
+
+    def test_linear_order_with_shared_pairs_is_not_static(self, monkeypatch):
+        """A node whose pair sweeps are all twins of another node's still
+        found its order by sweeping, so it never claims ``static``."""
+        domain = IntegerRangeDomain(0, 2)
+        names = ("a1", "b1", "d1", "a2", "b2", "d2")
+        variables = [Variable(name, domain) for name in names]
+        constraints, bindings = [], []
+        for target, sources in (("d1", ("a1", "b1")), ("d2", ("a2", "b2"))):
+            d = V(target)
+            for source in sources:
+                constraint = Constraint(f"C{source}", d >= V(source))
+                constraints.append(constraint)
+                bindings.append(
+                    ConvergenceBinding(
+                        constraint,
+                        expr_action(
+                            f"raise_{source}", d < V(source), {target: V(source)}
+                        ),
+                    )
+                )
+        design = _design(
+            variables,
+            constraints,
+            bindings,
+            [(name.upper(), {name}) for name in names],
+        )
+        monkeypatch.setattr(
+            compositional.StaticDischarger, "order_preserves", lambda *a: None
+        )
+        pairs = []
+        real_sweep = compositional._sweep
+
+        def spy(name, *args, **kwargs):
+            obligation = real_sweep(name, *args, **kwargs)
+            if name == "linear-order":
+                pairs.append(obligation.discharged_by)
+            return obligation
+
+        monkeypatch.setattr(compositional, "_sweep", spy)
+        certificate = certify_compositional(design)
+        assert certificate.ok, certificate.refusal
+        assert certificate.theorem.startswith("Theorem 2")
+        assert pairs.count("enumerated") and pairs.count("symmetric")
+        orders = [
+            ob for ob in certificate.obligations if ob.name == "linear-order"
+        ]
+        assert [ob.discharged_by for ob in orders] == ["enumerated"] * 2
+
+
+class TestWriteIndex:
+    @pytest.mark.parametrize("size", (2, 3, 5))
+    @pytest.mark.parametrize("name", DESIGN_CASES)
+    def test_pairs_and_disjoint_counts_match_all_pairs(self, name, size):
+        """Walking the constraints each action's writes meet visits the
+        same pairs, in the same order, as testing every pair."""
+        design = CASES[name].build_design(size)
+        constraints = design.candidate.constraints
+        closure, merged = [], []
+        closure_disjoint = merged_disjoint = 0
+        for action in design.candidate.program.actions:
+            for constraint in constraints:
+                if action.writes & constraint.support:
+                    closure.append(f"{action.name} preserves {constraint.name}")
+                else:
+                    closure_disjoint += 1
+        for binding in design.bindings:
+            for other in constraints:
+                if binding.action.writes & other.support:
+                    merged.append(
+                        f"{binding.action.name} preserves {other.name} "
+                        f"given {binding.constraint.name}"
+                    )
+                else:
+                    merged_disjoint += 1
+        certificate = certify_compositional(design, semantic=False)
+        assert certificate.ok
+
+        def pairs(kind: str) -> tuple[list[str], int]:
+            visited, disjoint = [], 0
+            for ob in certificate.obligations:
+                if ob.name != kind:
+                    continue
+                if ob.discharged_by == "disjoint-writes":
+                    disjoint = ob.checked
+                else:
+                    visited.append(ob.subject)
+            return visited, disjoint
+
+        assert pairs("closure-preserves") == (closure, closure_disjoint)
+        assert pairs("merged-behaviour") == (merged, merged_disjoint)

@@ -396,3 +396,28 @@ class TestDeterministicMessages:
             ConstraintGraph.from_bindings(
                 [node("V", "v"), node("U", "u")], [b]
             )
+
+
+class TestEdgeIndex:
+    @pytest.mark.parametrize(
+        "name",
+        ("diffusing-chain", "diffusing-star", "coloring-chain", "leader-election-star"),
+    )
+    def test_queries_match_an_edge_scan(self, name):
+        from repro.protocols.library import CASES
+
+        graph = CASES[name].build_design(4).graph
+        for node in graph.nodes:
+            incoming = [edge for edge in graph.edges if edge.target == node]
+            outgoing = [edge for edge in graph.edges if edge.source == node]
+            assert graph.incoming(node) == incoming
+            assert graph.outgoing(node) == outgoing
+            assert graph.indegree(node) == len(incoming)
+
+    def test_query_results_are_fresh_lists(self):
+        from repro.protocols.library import CASES
+
+        graph = CASES["diffusing-star"].build_design(3).graph
+        hub = graph.edges[0].source
+        graph.outgoing(hub).clear()
+        assert graph.outgoing(hub)

@@ -16,6 +16,7 @@ from repro.core.domains import IntegerRangeDomain
 from repro.core.expr import C, V, expr_action
 from repro.protocols.library import CASES
 from repro.staticcheck.absint import AbstractContext
+from repro.staticcheck import interference
 from repro.staticcheck.interference import (
     StaticDischarger,
     find_establish_failures,
@@ -210,17 +211,19 @@ class TestIdCacheEviction:
     def discharger(self, monkeypatch):
         from collections import OrderedDict
 
+        monkeypatch.setattr(interference, "_CACHE_CAP", self.CAP)
         monkeypatch.setattr(StaticDischarger, "_MEMO_CAP", self.CAP)
-        for name in ("_pred_cache", "_token_cache", "_pair_keys"):
-            monkeypatch.setattr(StaticDischarger, name, OrderedDict())
+        for name in ("_pred_cache", "_token_cache"):
+            monkeypatch.setattr(interference, name, OrderedDict())
+        monkeypatch.setattr(StaticDischarger, "_pair_keys", OrderedDict())
         return StaticDischarger(_design("coloring-chain"))
 
     def test_token_cache_keeps_the_newest_expressions(self, discharger):
         extra = 5
         exprs = [V("c.0") == C(value) for value in range(self.CAP + extra)]
-        cache = StaticDischarger._token_cache
+        cache = interference._token_cache
         for expr in exprs:
-            assert discharger._component_key(expr, {}) is not None
+            assert interference._component_key(expr, {}) is not None
             assert len(cache) <= self.CAP
         assert len(cache) == self.CAP
         for expr in exprs[extra:]:
@@ -234,12 +237,12 @@ class TestIdCacheEviction:
             for value in range(self.CAP + 3)
         ]
         for predicate in predicates:
-            discharger._predicate_expr(predicate)
+            interference.cached_predicate_expr(predicate)
             discharger._pair_cached_key("t", (predicate,), lambda: None)
-            assert len(StaticDischarger._pred_cache) <= self.CAP
+            assert len(interference._pred_cache) <= self.CAP
             assert len(StaticDischarger._pair_keys) <= self.CAP
         newest = predicates[-1]
-        assert StaticDischarger._pred_cache[id(newest)][0] is newest
+        assert interference._pred_cache[id(newest)][0] is newest
         assert len(StaticDischarger._pair_keys) == self.CAP
 
 
