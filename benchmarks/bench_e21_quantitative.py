@@ -9,8 +9,11 @@ CSR value iteration against the dense reference solve, so the league
 numbers are known-correct, not merely fast.
 
 Timings land in ``BENCH_verification.json`` under the ``quantitative``
-suite. The CI perf smoke runs the differential check plus the cache-key
-separation of quantified verdicts::
+suite. The CI perf smoke runs the differential check, the cache-key
+separation of quantified verdicts, and the level-order check: every
+row whose worst case is finite (its non-target states are acyclic and
+deadlock-free) must be solved with zero Jacobi sweeps, so a fallback to
+full value iteration fails CI::
 
     PYTHONPATH=src python benchmarks/bench_e21_quantitative.py --quick
 """
@@ -61,6 +64,7 @@ def league_table() -> list[dict]:
                 "worst_case_steps": report.worst_case_steps,
                 "score": report.score,
                 "path": report.path,
+                "iterations": report.iterations,
                 "converged": report.converged,
                 "seconds": time.perf_counter() - started,
             }
@@ -86,6 +90,21 @@ def differential_check() -> int:
                 )
         checked += 1
     return checked
+
+
+def level_order_check(rows: list[dict]) -> int:
+    """Every acyclic row took no Jacobi sweep; return #acyclic rows.
+
+    A finite worst case means the Kahn peel removed every non-target
+    state, so the level-order pass must have solved them all exactly.
+    """
+    acyclic = [row for row in rows if not math.isinf(row["worst_case_steps"])]
+    for row in acyclic:
+        assert row["iterations"] == 0, (
+            f"{row['case']}: {row['iterations']} Jacobi sweeps on an "
+            "acyclic instance"
+        )
+    return len(acyclic)
 
 
 def cache_key_separation() -> None:
@@ -116,6 +135,7 @@ def test_e21_quantitative_league(benchmark, report, bench_timings):
     rows = league_table()
     assert all(row["converged"] for row in rows)
     assert all(0.0 <= row["score"] < 1.0 for row in rows)
+    level_order_check(rows)
     table = render_table(
         ["protocol", "n", "states", "E[steps]", "weighted E",
          "worst case", "score", "path", "seconds"],
@@ -145,7 +165,8 @@ def test_e21_quantitative_league(benchmark, report, bench_timings):
 
 
 def run_quick() -> int:
-    """Seconds-scale smoke: differential agreement + cache-key separation.
+    """Seconds-scale smoke: differential agreement, cache-key separation
+    and zero Jacobi sweeps on every acyclic league row.
 
     The analysis requires numpy; on an interpreter without it (the
     numpy-free ``run_all.py --quick`` job) the smoke checks the
@@ -153,7 +174,8 @@ def run_quick() -> int:
     """
     if not HAVE_NUMPY:
         return _refusal_smoke()
-    print("quantitative perf smoke: CSR-vs-dense differential + cache keys")
+    print("quantitative perf smoke: CSR-vs-dense differential, cache keys, "
+          "level order")
     try:
         checked = differential_check()
         print(f"  differential: {checked} protocols within "
@@ -161,6 +183,8 @@ def run_quick() -> int:
         cache_key_separation()
         print("  cache keys: quantify records separate from plain verdicts")
         rows = league_table()
+        acyclic = level_order_check(rows)
+        print(f"  level order: {acyclic} acyclic protocols, 0 Jacobi sweeps")
     except AssertionError as error:
         print(f"  FAILED: {error}")
         return 1

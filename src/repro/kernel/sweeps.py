@@ -25,15 +25,18 @@ module rewrites the sweeps as numpy array operations:
   the first bad deadlock by mask arithmetic and proves the bad-state
   subgraph acyclic with a vectorized Kahn peel; only when a cycle
   actually exists does the exact SCC analysis
-  (:func:`~repro.verification.convergence.check_convergence`) run.
+  (:func:`~repro.verification.convergence.check_convergence`) run, and
+  only over the bad states the peel left behind.
 - **One Kahn peel** (:func:`kahn_peel`): a round-synchronous peel of a
   region over an edge list, yielding each round's frontier, so a state
-  that peels in round ``r`` has the longest path ``r`` to an exit. It
-  decides acyclicity over a materialized CSR
-  (:func:`bad_region_acyclic`), per shard and across shard boundaries
-  on the streaming path (:func:`peel_shard_edges`,
-  :func:`edge_list_acyclic`), and — run backwards from ``S`` — gives
-  the quantitative layer's adversarial game value as the round number.
+  that peels in round ``r`` has the longest path ``r`` to an exit. Over
+  a materialized CSR it returns each bad state's level
+  (:func:`bad_region_acyclic`): the verdict is acyclic iff every bad
+  state peels, and the same levels answer the quantitative layer's
+  adversarial game value (level ``+ 1``) and order its exact solve.
+  Per shard and across shard boundaries on the streaming path it
+  decides acyclicity alone (:func:`peel_shard_edges`,
+  :func:`edge_list_acyclic`).
 - **Frontier BFS**: reachability over ``offsets``/``targets`` as array
   gather/scatter (:func:`frontier_reach`).
 
@@ -731,23 +734,44 @@ def _csr_sources(offsets, like):
     return _np.repeat(_np.arange(n, dtype=dtype), _np.diff(offsets))
 
 
-def _reverse_csr(sources, sinks, n: int):
+def _group_order(keys, bound: int):
+    """An argsort of the integer ``keys``, all in ``0 .. bound-1``, that
+    groups equal keys; the order within a group is unspecified.
+
+    The key width picks the fastest sort: numpy radix-sorts 16-bit keys
+    (``kind="stable"``) in linear time, so int16 keys are sorted as they
+    are and wider keys below ``2**16`` through a ``uint16`` copy; wider
+    ranges take the default introsort.
+    """
+    _require_numpy()
+    if keys.dtype.itemsize <= 2:
+        return _np.argsort(keys, kind="stable")
+    if bound <= 1 << 16:
+        return _np.argsort(keys.astype(_np.uint16), kind="stable")
+    return _np.argsort(keys)
+
+
+def _reverse_csr(sources, sinks, n: int, metrics=None):
     """Predecessors grouped by sink: ``(indptr, by_sink_source)``.
 
     ``by_sink_source[indptr[v]:indptr[v + 1]]`` are the sources of the
     edges into ``v``. Neither the Kahn peel nor the frontier BFS depends
-    on the order of a sink's predecessors, so one unstable ``argsort``
-    of the sinks groups them. ``by_sink_source`` keeps the dtype of
-    ``sources``.
+    on the order of a sink's predecessors, so one :func:`_group_order` of
+    the sinks groups them (a linear radix sort whenever the space has at
+    most ``2**16`` states). ``by_sink_source`` keeps the dtype of
+    ``sources``. Each build adds 1 to the ``kernel.reverse_csr`` counter
+    of ``metrics``, when one is given.
     """
     _require_numpy()
+    if metrics is not None:
+        metrics.counter("kernel.reverse_csr").add()
     indptr = _np.empty(n + 1, dtype=_np.int64)
     indptr[0] = 0
     _np.cumsum(_np.bincount(sinks, minlength=n), out=indptr[1:])
-    return indptr, sources[_np.argsort(sinks)]
+    return indptr, sources[_group_order(sinks, n)]
 
 
-def kahn_peel(region, sources, sinks, outdegree=None):
+def kahn_peel(region, sources, sinks, outdegree=None, metrics=None):
     """Round-synchronous Kahn peel of ``region`` over an edge list.
 
     Yields one frontier per round, as sorted state indices. Round 0 is
@@ -762,17 +786,18 @@ def kahn_peel(region, sources, sinks, outdegree=None):
     state's counted out-edges (default: the edges given) and is
     decremented in place; a caller can count extra edges that are not
     in the list, whose sinks therefore never peel (the shard-local peel
-    counts its boundary edges this way). Each round gathers the
-    frontier's predecessors from a reverse CSR (:func:`_reverse_csr`) and
-    decrements their counters with one ``unique(return_counts=True)``;
-    a peeled state has no counted edge left, so it is never decremented
-    again and enters the frontier exactly once.
+    counts its boundary edges this way). The peel builds one reverse
+    CSR (:func:`_reverse_csr`, counted in ``metrics``); each round
+    gathers the frontier's predecessors from it and decrements their
+    counters with one ``unique(return_counts=True)``. A peeled state has
+    no counted edge left, so it is never decremented again and enters
+    the frontier exactly once.
     """
     _require_numpy()
     n = region.size
     if outdegree is None:
         outdegree = _np.bincount(sources, minlength=n)
-    indptr, by_sink_source = _reverse_csr(sources, sinks, n)
+    indptr, by_sink_source = _reverse_csr(sources, sinks, n, metrics)
     ends = indptr[1:]
     frontier = _np.flatnonzero(region & (outdegree == 0))
     while frontier.size:
@@ -791,38 +816,54 @@ def kahn_peel(region, sources, sinks, outdegree=None):
         frontier = predecessors[left == 0]
 
 
-def _peel_levels(region, sources, sinks):
-    """The round each state peels in (:func:`kahn_peel`), ``-1`` if never."""
-    levels = _np.full(region.size, -1, dtype=_np.int64)
-    for level, frontier in enumerate(kahn_peel(region, sources, sinks)):
+def _level_dtype(n: int):
+    """The narrowest signed dtype holding every level of ``n`` states.
+
+    Levels run from ``-1`` (never peels) up to at most ``n - 1``.
+    """
+    _require_numpy()
+    for dtype in (_np.int16, _np.int32):
+        if n <= _np.iinfo(dtype).max:
+            return _np.dtype(dtype)
+    return _np.dtype(_np.int64)
+
+
+def bad_region_acyclic(bad_mask, offsets, targets, metrics=None):
+    """The Kahn peel levels of the bad states; ``-1`` where none.
+
+    The peel (:func:`kahn_peel`) of the bad states over their bad→bad
+    edges; an edge into a good state is an exit and is not counted, so
+    a bad state's level is the number of bad→bad edges on its longest
+    path out of the bad region. That is the paper's §8 variant function
+    on a finite instance, and level ``+ 1`` is the adversarial
+    scheduler's game value (:mod:`repro.quantitative`). A bad state with
+    no out-edge is a deadlock and never peels, and neither does a state
+    on a bad cycle or one that can be steered into either. Good states
+    are ``-1`` too.
+
+    The bad region is acyclic and deadlock-free — convergence holds
+    under *any* fairness, and the exact (but per-node) SCC analysis is
+    skipped entirely — iff no bad state is ``-1``. Levels come in
+    the narrowest signed dtype that holds them
+    (:func:`_level_dtype`).
+    """
+    _require_numpy()
+    degrees = _np.diff(offsets)
+    internal = _np.repeat(bad_mask, degrees)
+    internal &= bad_mask[targets]
+    # Only the bad→bad edges stay alive while the peel runs.
+    sources = _csr_sources(offsets, targets.dtype)[internal]
+    sinks = targets[internal]
+    del internal
+    levels = _np.full(bad_mask.size, -1, dtype=_level_dtype(bad_mask.size))
+    for level, frontier in enumerate(
+        kahn_peel(bad_mask & (degrees > 0), sources, sinks, metrics=metrics)
+    ):
         levels[frontier] = level
     return levels
 
 
-def _peels_away(region, sources, sinks) -> bool:
-    remaining = int(_np.count_nonzero(region))
-    for frontier in kahn_peel(region, sources, sinks):
-        remaining -= frontier.size
-    return remaining == 0
-
-
-def bad_region_acyclic(bad_mask, offsets, targets) -> bool:
-    """Whether the subgraph induced by the bad states is acyclic.
-
-    The Kahn peel (:func:`kahn_peel`) of the bad region over its
-    bad→bad edges; edges into good states are exits and are not
-    counted. The region is acyclic iff everything peels away — in which
-    case convergence holds under *any* fairness and the exact (but
-    per-node) SCC analysis is skipped entirely.
-    """
-    _require_numpy()
-    internal = _np.repeat(bad_mask, _np.diff(offsets))
-    internal &= bad_mask[targets]
-    sources = _csr_sources(offsets, targets.dtype)
-    return _peels_away(bad_mask, sources[internal], targets[internal])
-
-
-def peel_shard_edges(lo, hi, bad_slice, sources, sinks):
+def peel_shard_edges(lo, hi, bad_slice, sources, sinks, metrics=None):
     """Shard-local Kahn peel treating out-of-shard sinks as alive.
 
     ``sources``/``sinks`` are the global codes of the bad→bad edges
@@ -851,6 +892,7 @@ def peel_shard_edges(lo, hi, bad_slice, sources, sinks):
         local_src[in_shard],
         local_sinks,
         outdegree=_np.bincount(local_src, minlength=n),
+        metrics=metrics,
     ):
         resolved[frontier] = True
     keep = ~resolved[local_src]
@@ -858,7 +900,7 @@ def peel_shard_edges(lo, hi, bad_slice, sources, sinks):
     return resolved, sources[keep], sinks[keep]
 
 
-def edge_list_acyclic(sources, sinks, bad_mask) -> bool:
+def edge_list_acyclic(sources, sinks, bad_mask, metrics=None) -> bool:
     """Kahn peel over an explicit global bad→bad edge list.
 
     The streaming verdict path's boundary-frontier exchange: after the
@@ -869,7 +911,10 @@ def edge_list_acyclic(sources, sinks, bad_mask) -> bool:
     :func:`bad_region_acyclic` computes over a materialized CSR.
     """
     _require_numpy()
-    return _peels_away(bad_mask, sources, sinks)
+    remaining = int(_np.count_nonzero(bad_mask))
+    for frontier in kahn_peel(bad_mask, sources, sinks, metrics=metrics):
+        remaining -= frontier.size
+    return remaining == 0
 
 
 def frontier_reach(offsets, targets, roots, size: int):
@@ -882,7 +927,11 @@ def frontier_reach(offsets, targets, roots, size: int):
     """
     _require_numpy()
     visited = _np.zeros(size, dtype=bool)
-    frontier = _np.unique(_np.asarray(list(roots), dtype=_np.int64))
+    frontier = _np.unique(
+        roots
+        if isinstance(roots, _np.ndarray)
+        else _np.asarray(roots, dtype=_np.int64)
+    )
     visited[frontier] = True
     offsets = _np.asarray(offsets)
     targets = _np.asarray(targets)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core.errors import StateSpaceTooLargeError
@@ -71,6 +71,14 @@ class FullSpaceCSR:
     vectorized sweep holds numpy arrays, the scalar sweep (``shards ==
     0``) its ``array``/``bytearray`` buffers. It lives for one request:
     never put it on a cached report, in a record, or in a pickle.
+
+    ``levels`` are the verdict's Kahn peel levels
+    (:func:`~repro.kernel.sweeps.bad_region_acyclic`), indexed by code:
+    the round each bad ``T``-state peels in, ``-1`` for a bad state that
+    never peels and for every good or non-span state. They are set
+    whenever the vectorized verdict ran the peel, and ``None`` otherwise
+    (the scalar sweep, a bad deadlock, or ``T`` not closed), so a
+    quantify request over this CSR reads them instead of peeling again.
     """
 
     s_mask: Any
@@ -83,6 +91,7 @@ class FullSpaceCSR:
     shards: int = 0
     #: How shard fragments reached the merge ("shm", "pickle", "inline").
     transfer: str | None = None
+    levels: Any = None
 
     @property
     def vectorized(self) -> bool:
@@ -481,17 +490,28 @@ def check_tolerance_swept(
 
 
 def check_convergence(
-    span: TransitionSystem, good_positions: list[int], fairness: str
+    span: TransitionSystem,
+    good_positions: Sequence[int],
+    fairness: str,
+    *,
+    candidates: list[int] | None = None,
+    bad_count: int | None = None,
 ) -> ConvergenceResult:
     """The exact convergence verdict over a span the kernel carved.
 
     The scalar engines' SCC analysis
     (:func:`repro.verification.convergence.check_convergence`), with the
     invariant's positions read from the sweep's mask instead of
-    re-evaluated. A module-level name, so the kernel's convergence phase
-    can be timed on its own (``perfbench``'s ``kernel.converge`` span).
+    re-evaluated, or with the vectorized verdict's unpeeled bad states
+    as the only ``candidates`` (see
+    :func:`~repro.verification.convergence._converge`). A module-level
+    name, so the kernel's convergence phase can be timed on its own
+    (``perfbench``'s ``kernel.converge`` span).
     """
-    return _converge(span, good_positions, fairness)
+    return _converge(
+        span, good_positions, fairness,
+        candidates=candidates, bad_count=bad_count,
+    )
 
 
 def _note_sweep_metrics(
@@ -762,6 +782,7 @@ def _vectorized_full_space(
     # ------------------------------------------------------------------
     # Convergence over the T-span.
     # ------------------------------------------------------------------
+    levels = None  # per span position, once the peel has run
     if t_mask is None:
         span_rows = None
         span_count = count
@@ -815,34 +836,51 @@ def _vectorized_full_space(
                     kind="deadlock", states=(state,)
                 ),
             )
-        elif sweeps.bad_region_acyclic(bad_mask, span_offsets, span_targets):
-            # No bad deadlock and no bad cycle: convergence holds under
-            # any fairness, with no SCC analysis and no span system.
-            convergence = ConvergenceResult(
-                ok=True,
-                fairness=fairness,
-                span_states=span_count,
-                bad_states=bad_count,
-            )
         else:
-            # A bad cycle exists somewhere: hand the span to the exact
-            # checker for the scalar engines' counterexample, with the
-            # invariant's positions taken from the mask.
-            span_codes = (
-                np.arange(count, dtype=np.int64)
-                if span_rows is None
-                else span_rows
+            levels = sweeps.bad_region_acyclic(
+                bad_mask, span_offsets, span_targets, metrics=metrics
             )
-            good = s_mask if span_rows is None else s_mask[span_rows]
-            convergence = check_convergence(
-                TransitionSystem(
-                    None, span_offsets, span_targets, span_ids, names,
-                    codec=codec, codes=span_codes,
-                ),
-                np.flatnonzero(good).tolist(),
-                fairness,
-            )
+            stuck = bad_mask & (levels < 0)
+            if not stuck.any():
+                # No bad deadlock and no bad cycle: convergence holds
+                # under any fairness, with no SCC analysis and no span
+                # system.
+                convergence = ConvergenceResult(
+                    ok=True,
+                    fairness=fairness,
+                    span_states=span_count,
+                    bad_states=bad_count,
+                )
+            else:
+                # A bad cycle exists somewhere: hand the span to the
+                # exact checker for the scalar engines' counterexample.
+                # Only the bad states that never peeled can lie on a
+                # cycle, so only they are Tarjan candidates; the span
+                # system stays whole, so weak fairness still sees every
+                # labelled edge, peeled sinks included.
+                span_codes = (
+                    np.arange(count, dtype=np.int64)
+                    if span_rows is None
+                    else span_rows
+                )
+                convergence = check_convergence(
+                    TransitionSystem(
+                        None, span_offsets, span_targets, span_ids, names,
+                        codec=codec, codes=span_codes,
+                    ),
+                    (),
+                    fairness,
+                    candidates=np.flatnonzero(stuck).tolist(),
+                    bad_count=bad_count,
+                )
 
+    if levels is not None:
+        if span_rows is not None:
+            span_levels = levels
+            levels = np.full(count, -1, dtype=span_levels.dtype)
+            levels[span_rows] = span_levels
+        mem_bytes += levels.nbytes
+        csr = replace(csr, levels=levels)
     _note_memory_metrics(
         metrics,
         tracer,
@@ -961,7 +999,7 @@ def _streaming_full_space(
                 sources = np.empty(0, dtype=code_dtype)
                 sinks = np.empty(0, dtype=code_dtype)
             drained, sources, sinks = sweeps.peel_shard_edges(
-                lo, hi, bad_src, sources, sinks
+                lo, hi, bad_src, sources, sinks, metrics=metrics
             )
             resolved[lo:hi] = drained
             kept_sources.append(sources)
@@ -1009,7 +1047,9 @@ def _streaming_full_space(
             alive = ~resolved[sinks]
             sources = sources[alive]
             sinks = sinks[alive]
-        if not sweeps.edge_list_acyclic(sources, sinks, bad_full & ~resolved):
+        if not sweeps.edge_list_acyclic(
+            sources, sinks, bad_full & ~resolved, metrics=metrics
+        ):
             return None  # a bad cycle survives: the SCC analysis needs CSR
         convergence = ConvergenceResult(
             ok=True,

@@ -17,13 +17,15 @@ verified transition system into numbers:
       E[s] = 0                                   if target(s)
       E[s] = 1 + (1/|enabled(s)|) * sum E[s']    otherwise
 
-  computed by **CSR-native value iteration** directly over the packed
-  kernel's ``offsets``/``targets`` arrays — no dense matrix is ever
-  materialized (the historical dense ``numpy.linalg`` solve survives as
-  :func:`dense_hitting_times`, the toy-size differential reference).
-  The Jacobi sweeps are numpy array programs: this layer requires
-  numpy, and without it every entry point raises
-  :class:`QuantitativeUnsupported` (boolean verdicts do not need it).
+  computed directly over the packed kernel's ``offsets``/``targets``
+  arrays — no dense matrix is ever materialized (the historical dense
+  ``numpy.linalg`` solve survives as :func:`dense_hitting_times`, the
+  toy-size differential reference). Every state the kernel's Kahn peel
+  removes is solved exactly in one pass in level order; Jacobi value
+  iteration runs only over the states that never peel. Both are numpy
+  array programs: this layer requires numpy, and without it every
+  entry point raises :class:`QuantitativeUnsupported` (boolean
+  verdicts do not need it).
 
 - **Fault-rate-weighted expectation**: transitions fired by fault
   actions (``fault_actions=``, defaulting to action names starting with
@@ -33,11 +35,11 @@ verified transition system into numbers:
 
 - **Worst-case convergence span**: the game value against the
   adversarial scheduler, which at every state picks the enabled
-  transition maximizing remaining time. Computed exactly by max-player
-  value iteration in attractor order over the same CSR graph, as the
-  round numbers of the kernel's own Kahn peel run backwards from the
-  target (:func:`repro.kernel.sweeps.kahn_peel`); states the adversary
-  can trap outside the target (a cycle or deadlock) get ``math.inf``.
+  transition maximizing remaining time. Computed exactly as the
+  kernel's own Kahn peel levels of the non-target states plus one
+  (:func:`repro.kernel.sweeps.bad_region_acyclic`); states the
+  adversary can trap outside the target (a cycle or deadlock) never
+  peel and get ``math.inf``.
 
 - **A masking-distance-style score** in ``[0, 1]`` combining the
   fault-span escape probability (the chance a uniformly random span
@@ -55,7 +57,8 @@ Surfaced through the facade as ``repro.verify(case, quantify=True)``
 and the daemon (``POST /verify`` with ``"quantify": true``). There the
 analysis runs over the very CSR the packed full-space verdict swept
 (:class:`repro.kernel.verify.FullSpaceCSR`), so one request sweeps the
-space once.
+space once, and reads the verdict's peel levels instead of peeling
+again.
 """
 
 from __future__ import annotations
@@ -145,7 +148,8 @@ class HittingTimes:
     #: Worst start state's expectation.
     maximum: float
     system: Any
-    #: Value-iteration sweeps performed (0 for the dense solve).
+    #: Jacobi sweeps over the states that never peel (0 for the dense
+    #: solve and on every acyclic instance).
     iterations: int = 0
     #: Whether the iteration met its tolerance within the sweep cap.
     converged: bool = True
@@ -198,7 +202,8 @@ class QuantitativeReport:
     #: Masking-distance-style score in [0, 1]; 0 is immediate
     #: convergence from everywhere, 1 a span that never recovers.
     score: float
-    #: Total value-iteration sweeps (uniform + weighted chains).
+    #: Jacobi sweeps over the states that never peel (uniform +
+    #: weighted chains); 0 on every acyclic instance.
     iterations: int
     converged: bool
     tol: float
@@ -271,6 +276,8 @@ class _Graph:
     #: Per-edge fault-action flags, or None when no action is a fault.
     fault_edge: Any
     engine: str
+    #: The verdict's Kahn peel levels per state, or None to peel here.
+    levels: Any = None
 
 
 def require_numpy() -> None:
@@ -331,8 +338,8 @@ def _graph_from_system(
 
     return system, _Graph(
         n=n,
-        offsets=system.offsets,
-        targets=system.targets,
+        offsets=_index_array(system.offsets),
+        targets=_index_array(system.targets),
         is_target=mask(target),
         in_span=None if span is TRUE else mask(span),
         fault_edge=_fault_edges(
@@ -392,11 +399,12 @@ def _graph_from_csr(
         in_span=None if csr.t_mask is None else np.asarray(csr.t_mask, dtype=bool),
         fault_edge=_fault_edges(csr.action_names, csr.action_ids, fault_actions),
         engine="packed",
+        levels=csr.levels,
     )
 
 
 # ----------------------------------------------------------------------
-# Reachability classification (exact)
+# The one solver: Kahn levels first, Jacobi only where nothing peels
 # ----------------------------------------------------------------------
 
 
@@ -407,7 +415,7 @@ def _classify_scalar(n: int, offsets, targets, is_target) -> list[bool]:
     computed them: states that cannot reach the target at all, then
     states that can wander (without first being absorbed) into one.
     The dense reference's own pure-Python classification, independent
-    of the vectorized :func:`_classify`.
+    of the vectorized :func:`_doomed`.
     """
     predecessors: list[list[int]] = [[] for _ in range(n)]
     for source in range(n):
@@ -443,116 +451,212 @@ def _index_array(values):
     return _np.asarray(values, dtype=_np.int64)
 
 
-def _absorbing_edges(offsets, targets, is_target):
-    """The edges out of non-target states, as ``(sources, sinks)`` arrays.
+def _row_edges(graph: _Graph, rows):
+    """``(counts, edges, sinks)`` of the out-edges of ``rows``.
 
-    Target states are absorbing, so their own edges never count —
-    neither for reachability to the target nor in the adversarial game.
-    Sources come in the targets' (narrow) code dtype.
+    ``edges`` are CSR edge indices, row by row in the order of ``rows``
+    and in CSR (action) order within a row; ``counts`` are the rows'
+    out-degrees and ``sinks`` the edges' targets.
     """
-    from repro.kernel.sweeps import _csr_sources
+    from repro.kernel.sweeps import _gather_ranges
+
+    starts = graph.offsets[rows]
+    counts = graph.offsets[rows + 1] - starts
+    edges = _gather_ranges(starts, counts)
+    return counts, edges, graph.targets[edges]
+
+
+def _peel(graph: _Graph, metrics: Any = None):
+    """``(region, levels)``: the non-target states to solve, and their levels.
+
+    The region holds every non-target state a report reads or depends
+    on: the non-target span states when no edge leaves the span (always
+    so when the levels come from a verdict, which peels only a closed
+    span), every non-target state otherwise. ``levels`` are the
+    verdict's (:attr:`~repro.kernel.verify.FullSpaceCSR.levels`) when
+    the graph carries them; otherwise the region is peeled here, once,
+    by the kernel's own peel
+    (:func:`repro.kernel.sweeps.bad_region_acyclic`) with the region as
+    its bad states.
+    """
+    from repro.kernel import sweeps
 
     np = _np
-    off = _index_array(offsets)
-    tgt = _index_array(targets)
-    counted = ~np.repeat(np.asarray(is_target, dtype=bool), np.diff(off))
-    return _csr_sources(off, tgt.dtype)[counted], tgt[counted]
+    offsets, targets = graph.offsets, graph.targets
+    region = ~graph.is_target
+    if graph.in_span is not None:
+        span = graph.in_span
+        leaves = graph.levels is None and bool(
+            np.any(np.repeat(span, np.diff(offsets)) & ~span[targets])
+        )
+        if not leaves:
+            region &= span
+    levels = graph.levels
+    if levels is None:
+        levels = sweeps.bad_region_acyclic(
+            region, offsets, targets, metrics=metrics
+        )
+    return region, levels
 
 
-def _classify(n: int, offsets, targets, is_target):
-    """Doomed states by reverse-CSR frontier BFS, as a boolean array."""
+def _game_values(is_target, levels):
+    """The adversarial scheduler's game value of every state.
+
+    The backward attractor from the target: a state that peels in round
+    ``r`` (:func:`_peel`) has ``r`` non-target edges on its longest path
+    into the target, so the adversary can force exactly ``r + 1`` steps.
+    The target is 0; a state the adversary can trap outside it (on a
+    cycle, or steered into a deadlock) never peels and gets
+    ``math.inf``, and so does every state outside the solved region.
+    """
+    values = _np.where(is_target, 0.0, math.inf)
+    peeled = levels >= 0
+    values[peeled] = levels[peeled] + 1.0
+    return values
+
+
+def _doomed(graph: _Graph, rest, metrics: Any = None):
+    """The doomed states of ``rest``, as a boolean array over the graph.
+
+    ``rest`` are the region states that never peel. A peeled state
+    reaches the target on every path, so it is never doomed, and every
+    successor of a ``rest`` state is a target, a peeled state or in
+    ``rest``. Two frontier BFSs over one reverse CSR of ``rest``'s
+    out-edges: the ``rest`` states that cannot reach a target or a
+    peeled state, then every ``rest`` state that can wander into one.
+    """
     from repro.kernel.sweeps import _reverse_csr, frontier_reach
 
     np = _np
-    rev_offsets, rev_targets = _reverse_csr(
-        *_absorbing_edges(offsets, targets, is_target), n
-    )
-    target_roots = np.flatnonzero(np.asarray(is_target, dtype=bool))
-    reaches = (
-        frontier_reach(rev_offsets, rev_targets, target_roots, n)
-        if target_roots.size
-        else np.zeros(n, dtype=bool)
-    )
-    nonreaching = np.flatnonzero(~reaches)
-    if not nonreaching.size:
-        return np.zeros(n, dtype=bool)
-    return frontier_reach(rev_offsets, rev_targets, nonreaching, n)
-
-
-# ----------------------------------------------------------------------
-# Value iteration (the random-daemon chains)
-# ----------------------------------------------------------------------
-
-
-def _solve(
-    graph: _Graph, doomed, weights, tol: float, max_sweeps: int,
-) -> tuple[Any, int, bool]:
-    """Jacobi sweeps, one gather + segment sum per sweep.
-
-    Returns ``(x, sweeps, converged)``; ``weights`` is ``None`` for the
-    uniform chain, else one weight per edge.
-    """
-    np = _np
     n = graph.n
-    off = np.asarray(graph.offsets, dtype=np.int64)
-    tgt = np.asarray(graph.targets, dtype=np.int64)
-    counts = off[1:] - off[:-1]
-    src = np.repeat(np.arange(n, dtype=np.int64), counts)
-    is_t = np.asarray(graph.is_target, dtype=bool)
-    doom = np.asarray(doomed, dtype=bool)
-    index = np.flatnonzero(~is_t & ~doom)
-    x = np.zeros(n, dtype=np.float64)
-    if index.size == 0:
-        return x, 0, True
-    if weights is None:
-        totals = counts[index].astype(np.float64)
-    else:
-        totals = np.bincount(src, weights=weights, minlength=n)[index]
-    sweeps_done = 0
-    converged = False
-    while sweeps_done < max_sweeps:
-        sweeps_done += 1
-        values = x[tgt] if weights is None else weights * x[tgt]
-        sums = np.bincount(src, weights=values, minlength=n)
-        new = 1.0 + sums[index] / totals
-        peak = float(new.max())
-        delta = float(np.abs(new - x[index]).max())
-        x[index] = new
-        if delta <= tol * (1.0 + peak):
-            converged = True
-            break
-    return x, sweeps_done, converged
+    rows = np.flatnonzero(rest)
+    counts, _edges, sinks = _row_edges(graph, rows)
+    indptr, by_sink = _reverse_csr(np.repeat(rows, counts), sinks, n, metrics)
+    reaches = frontier_reach(indptr, by_sink, sinks[~rest[sinks]], n)
+    stuck = np.flatnonzero(rest & ~reaches)
+    if not stuck.size:
+        return np.zeros(n, dtype=bool)
+    return frontier_reach(indptr, by_sink, stuck, n)
 
 
-# ----------------------------------------------------------------------
-# Adversarial game value (max-player, attractor order)
-# ----------------------------------------------------------------------
+def _solve(graph: _Graph, levels, live, chains, tol: float, max_sweeps: int):
+    """Expected steps to the target, one ``(x, sweeps, converged)`` per chain.
+
+    ``chains`` holds one per-edge weight array per chain, ``None`` for
+    the uniform one; ``live`` marks the states that never peel but reach
+    the target with probability 1. ``x`` is exact on every peeled state
+    and within ``tol`` on ``live``; it is 0 everywhere else (the caller
+    marks doomed states ``math.inf``).
+
+    Peeled states are solved exactly, one level at a time in increasing
+    order: a state's successors are targets or lower levels, so one
+    gather and one segment sum (``bincount``) per level settle it, in
+    the same edge order, and so with the same rounding, as a Jacobi
+    sweep at its fixpoint. The order of the states within a level does
+    not matter, since each sums only its own edges. Jacobi sweeps then
+    run over ``live`` alone, every peeled value fixed; ``sweeps`` counts
+    them, so it is 0 on every acyclic instance.
+    """
+    from repro.kernel.sweeps import _group_order
+
+    np = _np
+    xs = [np.zeros(graph.n, dtype=np.float64) for _ in chains]
+
+    def block(rows):
+        """``rows``' out-edges, each edge's position in ``rows``, and
+        per chain its edge weights and each row's total weight."""
+        counts, edges, sinks = _row_edges(graph, rows)
+        src = np.repeat(np.arange(rows.size), counts)
+        weighted = []
+        for weights in chains:
+            if weights is None:
+                weighted.append((None, counts.astype(np.float64)))
+            else:
+                w = weights[edges]
+                weighted.append(
+                    (w, np.bincount(src, weights=w, minlength=rows.size))
+                )
+        return counts, sinks, src, weighted
+
+    peeled = np.flatnonzero(levels >= 0)
+    depth = np.bincount(levels[peeled])  # states per level
+    rows = peeled[_group_order(levels[peeled], depth.size)]
+    counts, sinks, src, weighted = block(rows)
+    row_bounds = np.zeros(depth.size + 1, dtype=np.int64)
+    np.cumsum(depth, out=row_bounds[1:])
+    edge_bounds = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=edge_bounds[1:])
+    edge_bounds = edge_bounds[row_bounds]
+    for x, (w, totals) in zip(xs, weighted):
+        for level in range(depth.size):
+            r0, r1 = row_bounds[level], row_bounds[level + 1]
+            e0, e1 = edge_bounds[level], edge_bounds[level + 1]
+            values = x[sinks[e0:e1]]
+            if w is not None:
+                values = w[e0:e1] * values
+            sums = np.bincount(
+                src[e0:e1] - r0, weights=values, minlength=r1 - r0
+            )
+            x[rows[r0:r1]] = 1.0 + sums / totals[r0:r1]
+
+    index = np.flatnonzero(live)
+    if not index.size:
+        return [(x, 0, True) for x in xs]
+    _counts, sinks, src, weighted = block(index)
+    solved = []
+    for x, (w, totals) in zip(xs, weighted):
+        sweeps_done = 0
+        converged = False
+        while sweeps_done < max_sweeps:
+            sweeps_done += 1
+            values = x[sinks] if w is None else w * x[sinks]
+            sums = np.bincount(src, weights=values, minlength=index.size)
+            new = 1.0 + sums / totals
+            peak = float(new.max())
+            delta = float(np.abs(new - x[index]).max())
+            x[index] = new
+            if delta <= tol * (1.0 + peak):
+                converged = True
+                break
+        solved.append((x, sweeps_done, converged))
+    return solved
+
+
+def _expectations(
+    graph: _Graph, chains, tol: float, max_sweeps: int, metrics: Any = None
+):
+    """``(levels, doomed, solved)``: one peel, then :func:`_solve`.
+
+    ``doomed`` marks the states with infinite expectation, and their
+    entries of every solved ``x`` are set to ``math.inf``.
+    """
+    region, levels = _peel(graph, metrics)
+    rest = region & (levels < 0)
+    doomed = (
+        _doomed(graph, rest, metrics)
+        if rest.any()
+        else _np.zeros(graph.n, dtype=bool)
+    )
+    solved = _solve(graph, levels, rest & ~doomed, chains, tol, max_sweeps)
+    for x, _sweeps, _converged in solved:
+        x[doomed] = math.inf
+    return levels, doomed, solved
 
 
 def _adversarial_values(n: int, offsets, targets, is_target):
-    """The game value as the round of the kernel's Kahn peel from ``S``.
-
-    The backward attractor against the adversarial scheduler, run
-    round-synchronously by :func:`repro.kernel.sweeps.kahn_peel` over
-    the edges out of non-target states: targets peel in round 0, and a
-    state peels in round ``r`` once its last successor has, so
-    ``r = 1 + max`` over the successors — exactly the adversary's value.
-    A deadlocked non-target is kept out of the peeled region (the
-    adversary stops it there forever), so it and every state that can be
-    steered into it or into a cycle avoiding the target never peel and
-    get ``math.inf``.
-    """
-    from repro.kernel.sweeps import _peel_levels
-
+    """The game value of every state (:func:`_game_values`), peeled here."""
     np = _np
     is_t = np.asarray(is_target, dtype=bool)
-    region = is_t | (np.diff(_index_array(offsets)) > 0)
-    levels = _peel_levels(
-        region, *_absorbing_edges(offsets, targets, is_target)
+    graph = _Graph(
+        n=n,
+        offsets=_index_array(offsets),
+        targets=_index_array(targets),
+        is_target=is_t,
+        in_span=None,
+        fault_edge=None,
+        engine="",
     )
-    values = levels.astype(np.float64)
-    values[levels < 0] = math.inf
-    return values
+    return _game_values(is_t, _peel(graph)[1])
 
 
 # ----------------------------------------------------------------------
@@ -570,12 +674,13 @@ def hitting_times(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = MAX_VALUE_SWEEPS,
 ) -> HittingTimes:
-    """Random-daemon expected steps-to-target, by CSR value iteration.
+    """Random-daemon expected steps-to-target, solved over the CSR.
 
     The model, ``math.inf`` semantics and closedness check of
-    :func:`dense_hitting_times`, but solved by sparse value iteration
-    over the transition system's CSR arrays instead of a dense linear
-    solve, so it scales with edges rather than states squared.
+    :func:`dense_hitting_times`, but solved over the transition system's
+    CSR arrays (level order where the Kahn peel reaches, Jacobi sweeps
+    elsewhere) instead of a dense linear solve, so it scales with edges
+    rather than states squared.
 
     Args:
         program: The program (its transition graph defines the chain).
@@ -595,9 +700,9 @@ def hitting_times(
     ts, graph = _graph_from_system(
         program, states, target, TRUE, None, system=system, engine=engine
     )
-    doomed = _classify(graph.n, graph.offsets, graph.targets, graph.is_target)
-    x, iterations, converged = _solve(graph, doomed, None, tol, max_sweeps)
-    x[doomed] = math.inf
+    _levels, doomed, [(x, iterations, converged)] = _expectations(
+        graph, [None], tol, max_sweeps
+    )
     return HittingTimes(
         expectations=tuple(x.tolist()),
         mean=math.inf if doomed.any() else (_total(x) / x.size if x.size else 0.0),
@@ -801,21 +906,17 @@ def quantify(
             system=system, engine=engine,
         )
 
-    doomed = _classify(graph.n, graph.offsets, graph.targets, graph.is_target)
-    x_uniform, sweeps_uniform, conv_uniform = _solve(
-        graph, doomed, None, tol, max_sweeps
-    )
+    chains = [None]
     if graph.fault_edge is not None:
-        weights = _np.where(graph.fault_edge, fault_rate, 1.0)
-        x_weighted, sweeps_weighted, conv_weighted = _solve(
-            graph, doomed, weights, tol, max_sweeps
-        )
-    else:
-        x_weighted = x_uniform
-        sweeps_weighted, conv_weighted = 0, True
-    adversarial = _adversarial_values(
-        graph.n, graph.offsets, graph.targets, graph.is_target
+        chains.append(_np.where(graph.fault_edge, fault_rate, 1.0))
+    levels, doomed, solved = _expectations(
+        graph, chains, tol, max_sweeps, metrics
     )
+    x_uniform, sweeps_uniform, conv_uniform = solved[0]
+    x_weighted, sweeps_weighted, conv_weighted = (
+        solved[1] if len(solved) > 1 else (x_uniform, 0, True)
+    )
+    adversarial = _game_values(graph.is_target, levels)
 
     np = _np
     n = graph.n

@@ -249,16 +249,35 @@ def check_convergence(
 
 
 def _converge(
-    ts: TransitionSystem, good_positions: Iterable[int], fairness: str
+    ts: TransitionSystem,
+    good_positions: Iterable[int],
+    fairness: str,
+    *,
+    candidates: list[int] | None = None,
+    bad_count: int | None = None,
 ) -> ConvergenceResult:
     """The convergence verdict over a closed span system.
 
     ``good_positions`` are the positions where the target holds; the
     packed sweeps pass them straight from their membership masks.
+
+    ``candidates``, when given, replace the bad positions the analysis
+    walks, and ``bad_count`` is then the true number of bad states
+    (``good_positions`` is not read). The vectorized kernel passes the
+    bad states its Kahn peel left behind, in ascending order. A peeled
+    state reaches only peeled states, so it lies on no cycle, and
+    Tarjan's DFS order among the remaining states is unchanged: the
+    counterexample is the one the whole bad region would give. Weak
+    fairness reads each component's labelled edges from ``ts``, so an
+    action whose transitions lead into peeled states still counts.
     """
     _validate_fairness(fairness)
-    good = set(good_positions)
-    bad = [position for position in range(len(ts)) if position not in good]
+    if candidates is None:
+        good = set(good_positions)
+        bad = [position for position in range(len(ts)) if position not in good]
+        bad_count = len(bad)
+    else:
+        bad = candidates
     bad_set = set(bad)
 
     offsets = ts.offsets
@@ -268,7 +287,7 @@ def _converge(
                 ok=False,
                 fairness=fairness,
                 span_states=len(ts),
-                bad_states=len(bad),
+                bad_states=bad_count,
                 counterexample=ConvergenceCounterexample(
                     kind="deadlock", states=(ts.states[position],)
                 ),
@@ -286,7 +305,7 @@ def _converge(
                 ok=False,
                 fairness=fairness,
                 span_states=len(ts),
-                bad_states=len(bad),
+                bad_states=bad_count,
                 counterexample=ConvergenceCounterexample(
                     kind="cycle",
                     states=tuple(ts.states[node] for node in cycle),
@@ -330,7 +349,7 @@ def _converge(
                 ok=False,
                 fairness=fairness,
                 span_states=len(ts),
-                bad_states=len(bad),
+                bad_states=bad_count,
                 counterexample=ConvergenceCounterexample(
                     kind="cycle",
                     states=tuple(ts.states[node] for node in cycle),
@@ -340,7 +359,7 @@ def _converge(
         ok=True,
         fairness=fairness,
         span_states=len(ts),
-        bad_states=len(bad),
+        bad_states=bad_count,
     )
 
 

@@ -10,6 +10,12 @@ rather than against a twin implementation:
 - the kernel-peel game value must equal (``==``, ``inf`` included) the
   pure-Python attractor walk kept here as :func:`adversarial_oracle`, on
   the library and on random CSR graphs with narrow code dtypes;
+- the one solver (level order where the Kahn peel reaches, Jacobi
+  elsewhere) must match the dense solve, the scalar doomed-state
+  classification and a brute-force longest path on random programs of
+  four kinds: acyclic, with cycles, with deadlocks, and with a fault
+  span and fault actions — and reusing a verdict's peel levels must
+  change nothing;
 - hand-computed values (fault-rate weighting, the score, infinities).
 
 On top of that the suite pins the :class:`QuantitativeReport` schema and
@@ -28,7 +34,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import repro
@@ -358,6 +364,226 @@ class TestAdversarialParity:
         ).tolist() == oracle
 
 
+def _graph_program(rows, fault_slots=frozenset()):
+    """A one-variable program whose transition graph is ``rows``.
+
+    Action ``k`` moves state ``s`` to ``rows[s][k]`` (when ``s`` has a
+    ``k``-th successor); it is named ``fault{k}`` for the slots in
+    ``fault_slots``, ``step{k}`` otherwise. Codes equal states, so the
+    CSR rows are ``rows`` in action order.
+    """
+    width = max((len(row) for row in rows), default=0)
+    actions = [
+        Action(
+            f"fault{k}" if k in fault_slots else f"step{k}",
+            Predicate(
+                lambda s, k=k: len(rows[s["n"]]) > k,
+                name=f"degree > {k}",
+                support=("n",),
+            ),
+            Assignment({"n": lambda s, k=k: rows[s["n"]][k]}),
+            reads=("n",),
+        )
+        for k in range(width)
+    ]
+    return _counter(actions, hi=len(rows) - 1)
+
+
+def _member_of(flags, name):
+    return Predicate(lambda s: flags[s["n"]], name=name, support=("n",))
+
+
+@st.composite
+def _solver_cases(draw):
+    """``(kind, rows, is_target, in_span, fault_slots)`` of four kinds.
+
+    ``acyclic``: every non-target edge leads to a lower state and state
+    0 is a target; ``cycles``: any edges, every state enabled;
+    ``deadlocks``: rows may be empty; ``span``: any edges plus a fault
+    span (closed or not) and fault-named actions. ``in_span`` is
+    ``None`` outside the ``span`` kind.
+    """
+    kind = draw(st.sampled_from(["acyclic", "cycles", "deadlocks", "span"]))
+    n = draw(st.integers(1, 8))
+    is_target = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = []
+    for state in range(n):
+        if kind == "acyclic" and state > 0 and not is_target[state]:
+            row = draw(st.lists(st.integers(0, state - 1), min_size=1, max_size=3))
+        else:
+            least = 0 if kind in ("deadlocks", "acyclic") else 1
+            row = draw(st.lists(st.integers(0, n - 1), min_size=least, max_size=3))
+        rows.append(row)
+    if kind == "acyclic":
+        is_target[0] = True
+    in_span = None
+    fault_slots = frozenset()
+    if kind == "span":
+        in_span = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if draw(st.booleans()):  # close it under the program
+            frontier = [state for state in range(n) if in_span[state]]
+            while frontier:
+                for successor in rows[frontier.pop()]:
+                    if not in_span[successor]:
+                        in_span[successor] = True
+                        frontier.append(successor)
+        fault_slots = frozenset(draw(st.sets(st.integers(0, 2))))
+    return kind, rows, is_target, in_span, fault_slots
+
+
+def _longest_path(rows, is_target):
+    """Brute-force game value: the longest path into the target.
+
+    0 on the target, ``inf`` where a path reaches a cycle or a deadlock
+    outside it, else ``1 +`` the successors' maximum.
+    """
+    memo = {}
+
+    def value(state, path):
+        if is_target[state]:
+            return 0.0
+        if state in path or not rows[state]:
+            return math.inf
+        if state not in memo:
+            path.add(state)
+            memo[state] = 1.0 + max(value(t, path) for t in rows[state])
+            path.discard(state)
+        return memo[state]
+
+    return [value(state, set()) for state in range(len(rows))]
+
+
+def _dense_weighted(rows, is_target, doomed, weight_of):
+    """Dense reference of the weighted chain: ``weight_of(k)`` per slot."""
+    transient = [
+        s for s in range(len(rows)) if not is_target[s] and not doomed[s]
+    ]
+    position = {s: k for k, s in enumerate(transient)}
+    values = [math.inf if doomed[s] else 0.0 for s in range(len(rows))]
+    if transient:
+        matrix = np.eye(len(transient))
+        for k, s in enumerate(transient):
+            total = sum(weight_of(slot) for slot in range(len(rows[s])))
+            for slot, t in enumerate(rows[s]):
+                if t in position:
+                    matrix[k, position[t]] -= weight_of(slot) / total
+        solution = np.linalg.solve(matrix, np.ones(len(transient)))
+        for k, s in enumerate(transient):
+            values[s] = float(solution[k])
+    return values
+
+
+def _close(got, want):
+    if math.isinf(want):
+        return math.isinf(got)
+    return got == pytest.approx(want, rel=DENSE_AGREEMENT_RTOL)
+
+
+class TestOneSolver:
+    """The one solver against the dense solve and brute force."""
+
+    @seed(1994)
+    @settings(max_examples=200, deadline=None)
+    @given(_solver_cases())
+    @example(  # a closed span with a gap: span positions are not codes
+        (
+            "span",
+            [[0], [1], [3], [0]],
+            [True, False, False, False],
+            [True, False, True, True],
+            frozenset({0}),
+        )
+    )
+    def test_matches_references(self, case):
+        kind, rows, is_target, in_span, fault_slots = case
+        n = len(rows)
+        program = _graph_program(rows, fault_slots)
+        states = list(program.state_space())
+        target = _member_of(is_target, "S")
+        span = TRUE if in_span is None else _member_of(in_span, "T")
+        offsets, targets = _csr_of(rows)
+        doomed = quantitative._classify_scalar(n, offsets, targets, is_target)
+        longest = _longest_path(rows, is_target)
+
+        fast = hitting_times(program, states, target)
+        dense = dense_hitting_times(program, states, target)
+        assert [math.isinf(x) for x in fast.expectations] == doomed
+        assert all(
+            _close(got, want)
+            for got, want in zip(fast.expectations, dense.expectations)
+        )
+        assert list(worst_case_steps(program, states, target)) == longest
+
+        rows_in_span = [
+            s for s in range(n) if in_span is None or in_span[s]
+        ]
+        doomed_span = sum(doomed[s] for s in rows_in_span)
+        weighted = _dense_weighted(
+            rows, is_target, doomed,
+            lambda slot: 0.1 if slot in fault_slots else 1.0,
+        )
+        for report in (
+            quantify(program, target, span),
+            quantify(program, target, span, shards=1),
+        ):
+            assert report.doomed_states == doomed_span
+            assert report.escape_probability == (
+                doomed_span / len(rows_in_span) if rows_in_span else 0.0
+            )
+            assert report.worst_case_steps == max(
+                (longest[s] for s in rows_in_span), default=0.0
+            )
+            if not doomed_span and rows_in_span:
+                assert _close(
+                    report.mean_steps,
+                    sum(dense.expectations[s] for s in rows_in_span)
+                    / len(rows_in_span),
+                )
+                assert _close(
+                    report.weighted_mean_steps,
+                    sum(weighted[s] for s in rows_in_span) / len(rows_in_span),
+                )
+            if kind == "acyclic":
+                assert report.iterations == 0
+
+        # A vectorized verdict hands its peel levels over; reusing them
+        # must give exactly the standalone (self-peeling) report.
+        _report, csr = check_tolerance_swept(program, target, span, shards=1)
+        if csr.levels is not None:
+            bad = [
+                s for s in rows_in_span if not is_target[s]
+            ]
+            assert all(
+                csr.levels[s] + 1 == longest[s]
+                if csr.levels[s] >= 0
+                else math.isinf(longest[s])
+                for s in bad
+            )
+            reused = quantify(program, target, span, system=csr)
+            standalone = quantify(program, target, span, shards=1)
+            assert _without_seconds(reused.to_json()) == _without_seconds(
+                standalone.to_json()
+            )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_case("diffusing-chain", 5),
+            lambda: build_dijkstra_ring(5, 2),
+        ],
+        ids=["positive", "cycles"],
+    )
+    def test_verdict_levels_match_a_standalone_peel(self, build):
+        program, invariant = build()
+        _report, csr = check_tolerance_swept(program, invariant, TRUE, shards=1)
+        assert csr.levels is not None
+        reused = quantify(program, invariant, system=csr)
+        standalone = quantify(program, invariant, shards=1)
+        assert _without_seconds(reused.to_json()) == _without_seconds(
+            standalone.to_json()
+        )
+
+
 class TestInfinitePropagation:
     def test_doomed_states_are_inf_on_both_paths(self):
         # From n=3 a deadlocking branch exists: stuck() disables
@@ -664,6 +890,21 @@ class TestOneSweepPerRequest:
             _sparse_ladder(), TARGET, memory_budget=120_000
         )
         assert counters["kernel.mem.streaming"] == 1
+
+    def test_one_reverse_csr_and_no_jacobi_on_a_positive_request(self):
+        # The verdict's peel builds the request's only reverse CSR; the
+        # solver reads its levels and solves everything in level order.
+        metrics = MetricsRegistry()
+        program, invariant = build_case("diffusing-chain", 7)
+        verdict = VerificationService(metrics=metrics).verify_tolerance(
+            program, invariant, quantify=True
+        )
+        assert verdict.ok and verdict.quantitative.ok
+        counters = metrics.report().counters
+        assert counters["kernel.sweep.vectorized"] == 1
+        assert counters["kernel.reverse_csr"] == 1
+        assert counters["quantitative.sweeps"] == 0
+        assert verdict.quantitative.iterations == 0
 
     def test_one_merged_sweep_on_a_vectorized_space(self, monkeypatch):
         import repro.kernel.shard as shard

@@ -38,7 +38,10 @@ from repro.core.predicates import TRUE
 from repro.kernel import sweeps
 from repro.kernel.shard import plan_shards
 from repro.kernel.verify import check_tolerance_packed
+from repro.observability.metrics import MetricsRegistry
 from repro.protocols.library import build_case, case_names
+from repro.protocols.token_ring import build_dijkstra_ring
+from repro.verification import convergence
 from repro.verification.checker import _check_tolerance as check_tolerance
 from repro.verification.convergence import _strongly_connected_components
 
@@ -111,24 +114,36 @@ class TestDeadlockAndAcyclicity:
     def test_acyclic_chain_peels(self):
         offsets, targets = _csr({0: [1], 1: [2], 2: [3]}, 4)
         bad = np.array([True, True, True, False])
-        assert sweeps.bad_region_acyclic(bad, offsets, targets)
+        levels = sweeps.bad_region_acyclic(bad, offsets, targets)
+        assert levels.tolist() == [2, 1, 0, -1]
+        assert _all_bad_peel(bad, offsets, targets)
 
     def test_cycle_is_detected(self):
         offsets, targets = _csr({0: [1], 1: [0], 2: [0]}, 3)
         bad = np.ones(3, dtype=bool)
-        assert not sweeps.bad_region_acyclic(bad, offsets, targets)
+        levels = sweeps.bad_region_acyclic(bad, offsets, targets)
+        assert levels.tolist() == [-1, -1, -1]
+        assert not _all_bad_peel(bad, offsets, targets)
 
     def test_self_loop_is_a_cycle(self):
         offsets, targets = _csr({1: [1]}, 2)
         bad = np.array([False, True])
-        assert not sweeps.bad_region_acyclic(bad, offsets, targets)
+        assert not _all_bad_peel(bad, offsets, targets)
 
     def test_edges_through_good_states_do_not_count(self):
         # 0 -> 1 -> 0 would be a cycle, but 1 is good: the bad region
         # {0} only has the outgoing edge and is acyclic.
         offsets, targets = _csr({0: [1], 1: [0]}, 2)
         bad = np.array([True, False])
-        assert sweeps.bad_region_acyclic(bad, offsets, targets)
+        assert sweeps.bad_region_acyclic(bad, offsets, targets).tolist() == [0, -1]
+
+    def test_deadlock_never_peels(self):
+        # 1 is a bad deadlock: it never peels, and neither does 0, which
+        # can be steered into it despite its exit to the good state 2.
+        offsets, targets = _csr({0: [1, 2]}, 3)
+        bad = np.array([True, True, False])
+        levels = sweeps.bad_region_acyclic(bad, offsets, targets)
+        assert levels.tolist() == [-1, -1, -1]
 
 
 @needs_numpy
@@ -210,6 +225,36 @@ def _longest_path_to_exit(n, region, edges):
     return [-1 if value is None else value for value in levels]
 
 
+def _kahn_levels(region, sources, sinks):
+    """The round each state peels in (:func:`sweeps.kahn_peel`), -1 if never."""
+    levels = [-1] * region.size
+    for level, frontier in enumerate(sweeps.kahn_peel(region, sources, sinks)):
+        for state in frontier.tolist():
+            levels[state] = level
+    return levels
+
+
+def _bad_region_levels(n, bad, edges):
+    """Plain-Python levels of :func:`sweeps.bad_region_acyclic`.
+
+    The longest path to an exit over the bad→bad edges, where only bad
+    states with some out-edge can peel: a good state, a bad deadlock and
+    every state that can reach a bad cycle or deadlock get -1.
+    """
+    outdegree = [0] * n
+    for source, _ in edges:
+        outdegree[source] += 1
+    region = [bad[node] and outdegree[node] > 0 for node in range(n)]
+    internal = [(s, t) for s, t in edges if bad[s] and bad[t]]
+    return _longest_path_to_exit(n, region, internal)
+
+
+def _all_bad_peel(bad, offsets, targets):
+    """The verdict's test: no bad state is left at level -1."""
+    levels = sweeps.bad_region_acyclic(bad, offsets, targets)
+    return bool((levels[bad] >= 0).all())
+
+
 def _acyclic_by_scc(n, bad, edges):
     """Whether the bad-induced subgraph is acyclic, by Tarjan's SCCs."""
     internal = {node: [] for node in range(n) if bad[node]}
@@ -241,10 +286,10 @@ class TestKahnPeel:
         n, region, edges = graph
         # The peel's contract: every edge source lies in the region.
         edges = [(s, t) for s, t in edges if region[s]]
-        levels = sweeps._peel_levels(
+        levels = _kahn_levels(
             np.asarray(region, dtype=bool), *_edge_arrays(edges, dtype)
         )
-        assert levels.tolist() == _longest_path_to_exit(n, region, edges)
+        assert levels == _longest_path_to_exit(n, region, edges)
 
     @pytest.mark.parametrize("dtype", CODE_DTYPES)
     @settings(max_examples=100, deadline=None)
@@ -252,9 +297,16 @@ class TestKahnPeel:
     def test_bad_region_acyclic_matches_scc(self, dtype, graph):
         n, bad, edges = graph
         offsets, targets = _csr_of_edges(n, edges, dtype)
-        assert sweeps.bad_region_acyclic(
-            np.asarray(bad, dtype=bool), offsets, targets
-        ) == _acyclic_by_scc(n, bad, edges)
+        bad_mask = np.asarray(bad, dtype=bool)
+        levels = sweeps.bad_region_acyclic(bad_mask, offsets, targets)
+        assert levels.tolist() == _bad_region_levels(n, bad, edges)
+        deadlocked = any(
+            bad[node] and offsets[node] == offsets[node + 1]
+            for node in range(n)
+        )
+        assert _all_bad_peel(bad_mask, offsets, targets) == (
+            _acyclic_by_scc(n, bad, edges) and not deadlocked
+        )
 
     @pytest.mark.parametrize("dtype", CODE_DTYPES)
     @settings(max_examples=100, deadline=None)
@@ -285,37 +337,44 @@ class TestKahnPeel:
     def test_empty_region(self, dtype):
         offsets, targets = _csr_of_edges(3, [(0, 1), (1, 2)], dtype)
         bad = np.zeros(3, dtype=bool)
-        assert sweeps.bad_region_acyclic(bad, offsets, targets)
+        assert sweeps.bad_region_acyclic(bad, offsets, targets).tolist() == [-1] * 3
+        assert _all_bad_peel(bad, offsets, targets)
         sources, sinks = _edge_arrays([], dtype)
-        assert sweeps._peel_levels(bad, sources, sinks).tolist() == [-1] * 3
+        assert _kahn_levels(bad, sources, sinks) == [-1] * 3
         assert sweeps.edge_list_acyclic(sources, sinks, bad)
 
     @pytest.mark.parametrize("dtype", CODE_DTYPES)
     def test_region_without_edges_peels_in_round_zero(self, dtype):
         region = np.array([True, False, True])
         sources, sinks = _edge_arrays([], dtype)
-        assert sweeps._peel_levels(region, sources, sinks).tolist() == [0, -1, 0]
+        assert _kahn_levels(region, sources, sinks) == [0, -1, 0]
+        # Over a CSR the same states are bad deadlocks: they never peel.
         offsets, targets = _csr_of_edges(3, [], dtype)
-        assert sweeps.bad_region_acyclic(region, offsets, targets)
+        levels = sweeps.bad_region_acyclic(region, offsets, targets)
+        assert levels.tolist() == [-1, -1, -1]
 
     def test_no_states(self):
         empty = np.zeros(0, dtype=bool)
         sources, sinks = _edge_arrays([], "int16")
-        assert sweeps._peel_levels(empty, sources, sinks).size == 0
+        assert _kahn_levels(empty, sources, sinks) == []
         offsets, targets = _csr_of_edges(0, [], "int16")
-        assert sweeps.bad_region_acyclic(empty, offsets, targets)
+        assert sweeps.bad_region_acyclic(empty, offsets, targets).size == 0
 
     @pytest.mark.parametrize("dtype", CODE_DTYPES)
     def test_long_chain_levels(self, dtype):
         n = 1000
         region = np.ones(n, dtype=bool)
         edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-        levels = sweeps._peel_levels(region, *_edge_arrays(edges, dtype))
-        assert levels.tolist() == list(range(n - 1, -1, -1))
+        levels = _kahn_levels(region, *_edge_arrays(edges, dtype))
+        assert levels == list(range(n - 1, -1, -1))
+        # Over a CSR the chain's last state is the good exit.
+        bad = region.copy()
+        bad[n - 1] = False
         offsets, targets = _csr_of_edges(n, edges, dtype)
-        assert sweeps.bad_region_acyclic(region, offsets, targets)
-        offsets, targets = _csr_of_edges(n, edges + [(n - 1, 1)], dtype)
-        assert not sweeps.bad_region_acyclic(region, offsets, targets)
+        levels = sweeps.bad_region_acyclic(bad, offsets, targets)
+        assert levels.tolist() == list(range(n - 2, -1, -1)) + [-1]
+        offsets, targets = _csr_of_edges(n, edges + [(n - 2, 1)], dtype)
+        assert not _all_bad_peel(bad, offsets, targets)
 
     def test_int16_codes_up_to_the_last_state(self):
         # A 2^15-state space keeps int16 codes. Halving edges peel state
@@ -323,15 +382,18 @@ class TestKahnPeel:
         # maximum, where adding 1 would wrap to -32768.
         n = 1 << 15
         edges = [(v, v // 2) for v in range(1, n)]
-        levels = sweeps._peel_levels(
+        levels = _kahn_levels(
             np.ones(n, dtype=bool), *_edge_arrays(edges, "int16")
         )
-        assert levels.tolist() == [v.bit_length() for v in range(n)]
+        assert levels == [v.bit_length() for v in range(n)]
         offsets, targets = _csr_of_edges(n, edges, "int16")
         bad = np.ones(n, dtype=bool)
         bad[0] = False
-        assert sweeps.bad_region_acyclic(bad, offsets, targets)
-        assert not sweeps.bad_region_acyclic(
+        levels = sweeps.bad_region_acyclic(bad, offsets, targets)
+        assert levels.tolist() == [-1] + [
+            v.bit_length() - 1 for v in range(1, n)
+        ]
+        assert not _all_bad_peel(
             bad, *_csr_of_edges(n, edges + [(1, n - 1)], "int16")
         )
 
@@ -516,6 +578,81 @@ class TestFailingVerdictsVectorized:
         report = self._both(program, invariant, span)
         assert report.ok
         assert not report.stabilizing
+
+
+@needs_numpy
+class TestPeeledHandOff:
+    """A negative verdict hands Tarjan only the bad states that never peel.
+
+    The vectorized verdict's counterexample must still be the dict
+    engine's, state for state, under both fairness modes.
+    """
+
+    @pytest.mark.parametrize("fairness", ["weak", "none"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_half_k_rings_match_the_dict_engine(self, n, fairness, monkeypatch):
+        # K = n // 2 counters are too few: the ring can cycle outside S.
+        program, invariant = build_dijkstra_ring(n, n // 2)
+        _force_vectorized(monkeypatch)
+        metrics = MetricsRegistry()
+        report = _packed_report(
+            program, invariant, TRUE, fairness=fairness, metrics=metrics
+        )
+        assert metrics.report().counters["kernel.sweep.vectorized"] == 1
+        assert not report.ok
+        assert report.convergence.counterexample.kind == "cycle"
+        assert report == check_tolerance(
+            program, invariant, TRUE, fairness=fairness, engine="dict"
+        )
+
+    @pytest.mark.parametrize("fairness", ["weak", "none"])
+    def test_always_enabled_exit_into_a_peeled_state(self, fairness, monkeypatch):
+        # S is n = 0. State 1 peels (down leads into S); 2 and 3 spin
+        # into each other, and ``leave``, enabled at both, leads into the
+        # peeled state 1. Weak fairness must fire ``leave``, so the spin
+        # cycle is no trap -- which the hand-off only sees if it still
+        # reads the edges into peeled states.
+        def action(name, sources, successor):
+            return Action(
+                name,
+                Predicate(
+                    lambda s: s["n"] in sources,
+                    name=f"n in {sorted(sources)}",
+                    support=("n",),
+                ),
+                Assignment({"n": successor}),
+                reads=("n",),
+                process="p",
+            )
+
+        program = Program(
+            "spin-or-leave",
+            [Variable("n", IntegerRangeDomain(0, 3), process="p")],
+            [
+                action("down", {1}, lambda s: 0),
+                action("spin", {2, 3}, lambda s: 5 - s["n"]),
+                action("leave", {2, 3}, lambda s: 1),
+            ],
+        )
+        invariant = Predicate(lambda s: s["n"] == 0, name="n = 0", support=("n",))
+        candidates = []
+        tarjan = convergence._strongly_connected_components
+
+        def recording(node_ids, successors):
+            candidates.append(list(node_ids))
+            return tarjan(node_ids, successors)
+
+        monkeypatch.setattr(
+            convergence, "_strongly_connected_components", recording
+        )
+        _force_vectorized(monkeypatch)
+        report = _packed_report(program, invariant, TRUE, fairness=fairness)
+        assert candidates == [[2, 3]]  # state 1 peeled away
+        assert report.convergence.bad_states == 3
+        assert report.convergence.ok == (fairness == "weak")
+        assert report == check_tolerance(
+            program, invariant, TRUE, fairness=fairness, engine="dict"
+        )
 
 
 @needs_numpy
