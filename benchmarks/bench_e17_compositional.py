@@ -13,7 +13,13 @@ instead of the product space. The acceptance bar from the certifier PR:
 - the n=200 chain sweeps exactly as many obligations (``enumerated``)
   as the n=8 chain: its other edges are renamed twins of the first
   few, recorded as ``symmetric`` without a sweep. A timing-free guard
-  that sweeps no longer grow with ``n``.
+  that sweeps no longer grow with ``n``;
+- after certifying freshly built designs of the four large families
+  (the benchmark's certify-large roster), no canonicalizer, projector
+  or static discharger is left alive, so no ``id()``-keyed entry
+  outlives its certification; diffusing-chain60 and coloring-chain150
+  answer ``support-honesty`` and ``invariant-decomposition`` from their
+  trees, with no probe state checked.
 
 Timings land in ``BENCH_verification.json`` under the ``compositional``
 suite.
@@ -24,13 +30,21 @@ certification, seconds)::
     PYTHONPATH=src python benchmarks/bench_e17_compositional.py --quick
 """
 
+import gc
 import time
 
+from repro import compositional
 from repro.analysis import render_table
 from repro.compositional import DEFAULT_PROJECTION_LIMIT, certify_compositional
 from repro.core.errors import StateSpaceTooLargeError
 from repro.core.predicates import TRUE
+from repro.protocols.coloring import build_coloring_design
+from repro.protocols.diffusing import build_diffusing_design
+from repro.protocols.leader_election import build_leader_election_design
 from repro.protocols.library import CASES
+from repro.staticcheck import interference
+from repro.staticcheck.interference import Canonicalizer, StaticDischarger
+from repro.topology import chain_tree, star_tree
 from repro.verification.checker import _check_tolerance
 
 #: The design-capable library cases — the certifier's whole domain.
@@ -49,6 +63,59 @@ LARGE_CHAIN = 200
 
 #: A chain with every kind of edge the large one has.
 SMALL_CHAIN = 8
+
+
+#: Freshly built designs of the certify-large families, by name.
+LARGE_DESIGNS = {
+    "diffusing-chain60": lambda: build_diffusing_design(chain_tree(60)),
+    "leader-election-star30": lambda: build_leader_election_design(
+        star_tree(30)
+    ),
+    "coloring-chain150": lambda: build_coloring_design(chain_tree(150), k=3),
+    "diffusing-star30": lambda: build_diffusing_design(star_tree(30)),
+}
+
+#: The designs whose support honesty and decomposition the trees answer.
+TREE_ANSWERED = ("diffusing-chain60", "coloring-chain150")
+
+
+def _certify_large_scope() -> list[str]:
+    """Certify the large families; return what breaks the scope bars."""
+    failures = []
+    for name, build in LARGE_DESIGNS.items():
+        certificate = certify_compositional(build())
+        probed = [
+            (ob.name, ob.checked)
+            for ob in certificate.obligations
+            if ob.name in ("support-honesty", "invariant-decomposition")
+        ]
+        print(f"  {name:<22} {certificate.status:<9} probes {probed}")
+        if name in TREE_ANSWERED and (
+            len(probed) != 2 or any(checked for _name, checked in probed)
+        ):
+            failures.append(f"{name}: probe battery used: {probed}")
+        del certificate
+    gc.collect()
+    alive = [
+        type(obj).__name__
+        for obj in gc.get_objects()
+        if isinstance(
+            obj, (Canonicalizer, StaticDischarger, compositional._Projector)
+        )
+    ]
+    # Process-wide state may hold only the token-keyed proof memo.
+    alive += [
+        f"{owner.__name__}.{attribute}"
+        for owner in (interference, compositional, StaticDischarger)
+        for attribute, value in vars(owner).items()
+        if isinstance(value, dict)
+        and attribute != "_memo"
+        and any(isinstance(key, int) for key in value)
+    ]
+    print(f"  id-keyed memos alive afterwards: {len(alive)}")
+    if alive:
+        failures.append(f"id-keyed memos outlived their certification: {alive}")
+    return failures
 
 
 def _enumerated(certificate) -> int:
@@ -229,6 +296,7 @@ def run_quick() -> int:
                 f"chain n={LARGE_CHAIN} swept {swept[LARGE_CHAIN]} obligations, "
                 f"n={SMALL_CHAIN} swept {swept[SMALL_CHAIN]}: sweeps grow with n"
             )
+    failures += _certify_large_scope()
     if failures:
         import sys
 
@@ -237,7 +305,7 @@ def run_quick() -> int:
         return 1
     print(
         "compositional perf smoke passed: verdicts agree, "
-        f"n={LARGE_CHAIN} certifies"
+        f"n={LARGE_CHAIN} certifies, caches scoped to one certification"
     )
     return 0
 

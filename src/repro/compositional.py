@@ -83,13 +83,15 @@ service, the CLI's ``--method auto``) fall back to full exploration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.actions import Action
+from repro.core.actions import Action, Assignment
 from repro.core.constraint_graph import ConstraintGraph
 from repro.core.constraints import Constraint, ConvergenceBinding
 from repro.core.design import NonmaskingDesign
@@ -99,7 +101,7 @@ from repro.core.errors import (
     ValidationError,
 )
 from repro.core.expr import BoolExpr, Expr
-from repro.core.fingerprint import probe_states
+from repro.core.fingerprint import is_trusted, probe_states
 from repro.core.introspect import infer_predicate_reads
 from repro.core.predicates import TRUE, Predicate
 from repro.core.state import State
@@ -108,10 +110,9 @@ from repro.kernel.compile import action_supports_ok, compile_expr
 from repro.kernel.sweeps import SweepUnsupported, _RangeContext
 from repro.observability import MetricsRegistry, Tracer
 from repro.staticcheck.interference import (
+    Canonicalizer,
     StaticCertificate,
     StaticDischarger,
-    cached_predicate_expr,
-    obligation_key,
     update_exprs,
 )
 
@@ -122,6 +123,7 @@ except ImportError:  # pragma: no cover - exercised by the fallback CI leg
 
 __all__ = [
     "DEFAULT_PROJECTION_LIMIT",
+    "DISCHARGE_KINDS",
     "Obligation",
     "CompositionalCertificate",
     "certify_compositional",
@@ -130,6 +132,18 @@ __all__ = [
 #: Largest projected state space an obligation may enumerate. Projections
 #: above this refuse rather than silently degrade into full exploration.
 DEFAULT_PROJECTION_LIMIT = 65_536
+
+#: Every ``discharged_by`` kind of an :class:`Obligation`, in the order
+#: reports list them, each with the field of the verification service's
+#: record that counts it.
+DISCHARGE_KINDS: dict[str, str] = {
+    "enumerated": "enumerated",
+    "symmetric": "symmetric",
+    "disjoint-writes": "vacuous",
+    "trivial": "trivial",
+    "static": "static",
+    "structural": "structural",
+}
 
 #: Theorem labels, matching :mod:`repro.core.theorems` verbatim.
 _THEOREM_1 = "Theorem 1 (out-tree constraint graph)"
@@ -158,8 +172,12 @@ class Obligation:
             is vacuous), ``"static"`` (proved by the abstract
             interpreter over the expression DSL, with a matching
             :class:`~repro.staticcheck.interference.StaticCertificate`
-            in the certificate), or ``"trivial"`` (antecedent holds by
-            identity, e.g. preserving ``T == true``).
+            in the certificate), ``"trivial"`` (antecedent holds by
+            identity, e.g. preserving ``T == true``), or
+            ``"structural"`` (support honesty or the invariant's
+            decomposition read off the library's own trusted DSL trees,
+            no probe state evaluated). :data:`DISCHARGE_KINDS` lists
+            them; any other kind is rejected.
         seconds: Wall-clock cost of discharging this obligation.
     """
 
@@ -170,6 +188,13 @@ class Obligation:
     checked: int
     discharged_by: str
     seconds: float
+
+    def __post_init__(self) -> None:
+        if self.discharged_by not in DISCHARGE_KINDS:
+            raise ValueError(
+                f"unknown discharge kind {self.discharged_by!r}; "
+                f"expected one of {sorted(DISCHARGE_KINDS)}"
+            )
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -216,23 +241,25 @@ class CompositionalCertificate:
     def __bool__(self) -> bool:
         return self.ok
 
+    def counts(self) -> dict[str, int]:
+        """Obligations per ``discharged_by`` kind, every kind listed."""
+        counts = dict.fromkeys(DISCHARGE_KINDS, 0)
+        for ob in self.obligations:
+            counts[ob.discharged_by] += 1
+        return counts
+
     def describe(self) -> str:
         if not self.ok:
             return (
                 f"compositional certification REFUSED for {self.design!r}: "
                 f"{self.refusal}"
             )
-        counts = {"enumerated": 0, "symmetric": 0, "static": 0}
-        for ob in self.obligations:
-            if ob.discharged_by in counts:
-                counts[ob.discharged_by] += 1
+        kinds = ", ".join(f"{n} {kind}" for kind, n in self.counts().items())
         return (
             f"compositional certificate for {self.design!r}: {self.theorem}; "
             f"{self.classification} (stabilizing={self.stabilizing}); "
             f"{len(self.obligations)} obligations over {self.edges} edges "
-            f"({counts['enumerated']} enumerated, "
-            f"{counts['symmetric']} symmetric, {counts['static']} static, "
-            f"max projection {self.max_projection} "
+            f"({kinds}, max projection {self.max_projection} "
             f"states vs {self.total_states} total) in {self.seconds:.3f}s"
         )
 
@@ -329,6 +356,8 @@ class _Projector:
     def __init__(self, design: NonmaskingDesign, limit: int) -> None:
         self._variables = design.program.variables
         self._limit = limit
+        #: Trees and obligation keys of this certification's objects.
+        self.trees = Canonicalizer()
         self._codecs: dict[frozenset[str], StateCodec] = {}
         # id(predicate or action) -> (the object, its table or the
         # reason it cannot be tabulated); the object pins the id.
@@ -415,16 +444,16 @@ class _Projector:
         projected variable. ``None`` when any part is opaque or a tree
         mentions a variable outside the projection.
         """
-        trees = [cached_predicate_expr(predicate) for predicate, _ in context]
-        trees.append(cached_predicate_expr(post))
+        trees = [self.trees.expr(predicate) for predicate, _ in context]
+        trees.append(self.trees.expr(post))
         updates = None
         if action is not None:
-            trees.insert(0, cached_predicate_expr(action.guard))
+            trees.insert(0, self.trees.expr(action.guard))
             updates = update_exprs(action, action.writes)
             if updates is None:
                 return None
         kind = (name, action is not None, tuple(want for _, want in context))
-        return obligation_key(
+        return self.trees.obligation_key(
             kind, trees, updates, self.domain_id, projection=variables
         )
 
@@ -458,9 +487,9 @@ class _Projector:
         codec = self.codec(predicate.support, subject=predicate.name)
         # The key renames the support's variables by their position in
         # the codec, so equal keys mean equal truth tables key for key.
-        twin = obligation_key(
+        twin = self.trees.obligation_key(
             "table",
-            [cached_predicate_expr(predicate)],
+            [self.trees.expr(predicate)],
             None,
             self.domain_id,
             projection=predicate.support,
@@ -702,13 +731,20 @@ def _certify(
         )
 
     # -- declared supports must be truthful (projection soundness) -----
-    battery = probe_states(program)
+    # Read off the trees where they are exact; the probe battery is
+    # built only for what they cannot answer.
+    battery = functools.cache(functools.partial(probe_states, program))
+    trees = projector.trees
     started = time.perf_counter()
+    probed = False
     checked_actions = {action.name: action for action in candidate.program.actions}
     for binding in design.bindings:
         checked_actions[binding.action.name] = binding.action
     for action in checked_actions.values():
-        if not action_supports_ok(action, battery):
+        if _honest_by_trees(action, trees):
+            continue
+        probed = True
+        if not action_supports_ok(action, battery()):
             raise _Refusal(
                 "support-honesty",
                 f"action {action.name!r} consults variables outside its "
@@ -716,7 +752,11 @@ def _certify(
                 "sets would be unsound",
             )
     for constraint in constraints:
-        inferred = infer_predicate_reads(constraint.predicate, battery)
+        tree = trees.trusted_expr(constraint.predicate)
+        if tree is not None and tree.variables() <= constraint.support:
+            continue
+        probed = True
+        inferred = infer_predicate_reads(constraint.predicate, battery())
         if not inferred.reads <= constraint.support:
             extra = sorted(inferred.reads - constraint.support)
             raise _Refusal(
@@ -725,15 +765,11 @@ def _certify(
                 "declared support",
             )
     obligations.append(
-        Obligation(
-            name="support-honesty",
-            subject=f"{len(checked_actions)} actions, "
-            f"{len(constraints)} constraints",
-            variables=(),
-            space=0,
-            checked=len(battery),
-            discharged_by="enumerated",
-            seconds=time.perf_counter() - started,
+        _answered(
+            "support-honesty",
+            f"{len(checked_actions)} actions, {len(constraints)} constraints",
+            len(battery()) if probed else None,
+            started,
         )
     )
 
@@ -807,7 +843,7 @@ def _certify(
         _order_obligations(graph, projector, obligations, discharger, certificates)
 
     # -- classification ------------------------------------------------
-    classification = _classify(candidate.invariant, constraints, battery, projector)
+    classification = _classify(candidate.invariant, constraints, program, projector)
     # T == true, so the fault span is the whole space: stabilizing.
     stabilizing = True
 
@@ -817,27 +853,107 @@ def _certify(
     return theorem, classification, stabilizing, len(graph.edges), total_states
 
 
+def _honest_by_trees(action: Action, trees: Canonicalizer) -> bool:
+    """Whether ``action`` passes the RW001-RW003 bar by its trees alone.
+
+    Answers only when the guard is a trusted tree
+    (:meth:`~repro.staticcheck.interference.Canonicalizer.trusted_expr`)
+    and the effect a plain :class:`Assignment` of DSL expressions and
+    constants: the reads are then the tree's variables plus the
+    right-hand sides', a superset of anything a probe could record, so
+    declared sets that cover them pass the probe too. RW003 applies
+    where :func:`~repro.kernel.compile.action_supports_ok` applies it,
+    to a lowered guard. ``False`` means "ask the probe battery", never
+    "dishonest".
+    """
+    guard = trees.trusted_expr(action.guard)
+    effect = action.effect
+    if guard is None or type(effect) is not Assignment:
+        return False
+    reads = set(guard.variables())
+    for rhs in effect.updates.values():
+        if isinstance(rhs, Expr):
+            reads |= rhs.variables()
+        elif callable(rhs):
+            return False
+    if not (reads <= action.reads and effect.writes <= action.writes):
+        return False
+    return action.guard.source is None or not (
+        action.reads - reads - action.writes
+    )
+
+
+def _answered(
+    name: str, subject: str, probes: int | None, started: float
+) -> Obligation:
+    """A support or decomposition obligation: ``probes`` states checked,
+    or ``None`` when the trees answered it."""
+    return Obligation(
+        name=name,
+        subject=subject,
+        variables=(),
+        space=0,
+        checked=probes or 0,
+        discharged_by="structural" if probes is None else "enumerated",
+        seconds=time.perf_counter() - started,
+    )
+
+
+def _conjunction_by_trees(
+    invariant: Predicate,
+    constraints: Sequence[Constraint],
+    trees: Canonicalizer,
+) -> bool:
+    """Whether ``S`` is the conjunction of the constraints by its trees.
+
+    True when ``S`` is a trusted ``all_of`` whose operands and the
+    constraint predicates are trusted trees with the same exact keys
+    (canonical tokens plus variable names), counted as multisets: each
+    operand then evaluates as a constraint does, at every state.
+    Predicate objects are not compared, since a design may build ``S``
+    from fresh copies of its constraints.
+    """
+    parts = invariant.parts
+    if not parts or parts[0] != "all" or not is_trusted(invariant):
+        return False
+
+    def keys(predicates) -> Counter | None:
+        out: Counter = Counter()
+        for predicate in predicates:
+            tree = trees.trusted_expr(predicate)
+            if tree is None:
+                return None
+            out[trees.tree_key(tree)] += 1
+        return out
+
+    mine = keys(parts[1])
+    return mine is not None and mine == keys(c.predicate for c in constraints)
+
+
 def _check_decomposition(
     invariant: Predicate,
     constraints: Sequence[Constraint],
-    battery: Sequence[State],
+    battery: Callable[[], list[State]],
     projector: _Projector,
     obligations: list[Obligation],
 ) -> None:
-    """Probe that ``S`` agrees with the conjunction of the constraints.
+    """Check that ``S`` agrees with the conjunction of the constraints.
 
     The design method's contract (Section 3) is ``S == (and of all
     constraints) and T``; the theorem conclusions are about the
     conjunction, so a stronger ``S`` would make a certificate overclaim.
-    The supports must agree exactly, and the predicates must agree on the
-    probe battery — the same sound-direction probing bar staticcheck
-    uses. A disagreement refuses; agreement plus the support check is the
-    decomposition contract the theorem validators already assume.
+    The supports must agree exactly. Then ``S`` passes structurally when
+    its trees state the conjunction (:func:`_conjunction_by_trees`);
+    otherwise the predicates must agree on the probe battery — the same
+    sound-direction probing bar staticcheck uses. A disagreement
+    refuses; agreement plus the support check is the decomposition
+    contract the theorem validators already assume.
 
-    The constraint side is read from the projector's per-constraint
-    tables, gathered at each probe state's digits; a constraint without
-    a table (opaque, too large a support, numpy missing) is called per
-    probe instead, and only where the tabulated ones all hold.
+    On the probe route, the constraint side is read from the
+    projector's per-constraint tables, gathered at each probe state's
+    digits; a constraint without a table (opaque, too large a support,
+    numpy missing) is called per probe instead, and only where the
+    tabulated ones all hold.
     """
     started = time.perf_counter()
     union = frozenset().union(*(c.support for c in constraints))
@@ -848,15 +964,21 @@ def _check_decomposition(
             "the constraint supports; S must be the conjunction of the "
             "constraints (and T)",
         )
+    if _conjunction_by_trees(invariant, constraints, projector.trees):
+        obligations.append(
+            _answered("invariant-decomposition", invariant.name, None, started)
+        )
+        return
+    probes = battery()
     opaque: list[Constraint] = []
     if _np is None:
         opaque = list(constraints)
-        held = [True] * len(battery)
+        held = [True] * len(probes)
     else:
         # Every codec numbers a variable's values alike, so one digit
         # column per variable serves every table that reads it.
         columns: dict[str, Any] = {}
-        conjunction = _np.ones(len(battery), dtype=bool)
+        conjunction = _np.ones(len(probes), dtype=bool)
         for constraint in constraints:
             if not conjunction.any():
                 break  # false at every probe: the rest cannot matter
@@ -868,15 +990,13 @@ def _check_decomposition(
             for name, digit in table.digits.items():
                 if name not in columns:
                     columns[name] = _np.fromiter(
-                        (digit[state[name]] for state in battery),
+                        (digit[state[name]] for state in probes),
                         dtype=_np.int64,
-                        count=len(battery),
+                        count=len(probes),
                     )
             conjunction &= table.holds[table.key(columns.__getitem__)]
         held = conjunction.tolist()
-    checked = 0
-    for state, tabled in zip(battery, held):
-        checked += 1
+    for state, tabled in zip(probes, held):
         if invariant(state) != (tabled and all(c.holds(state) for c in opaque)):
             raise _Refusal(
                 "invariant-decomposition",
@@ -884,15 +1004,7 @@ def _check_decomposition(
                 "conjunction of the constraints on a probe state",
             )
     obligations.append(
-        Obligation(
-            name="invariant-decomposition",
-            subject=invariant.name,
-            variables=(),
-            space=0,
-            checked=checked,
-            discharged_by="enumerated",
-            seconds=time.perf_counter() - started,
-        )
+        _answered("invariant-decomposition", invariant.name, len(probes), started)
     )
 
 
@@ -1231,7 +1343,7 @@ def _order_obligations(
 def _classify(
     invariant: Predicate,
     constraints: Sequence[Constraint],
-    battery: Sequence[State],
+    program,
     projector: _Projector,
 ) -> str:
     """Classify as masking or nonmasking without enumerating the space.
@@ -1239,14 +1351,14 @@ def _classify(
     With ``T == true`` the tolerance is *masking* iff ``S`` is
     tautological. ``S is TRUE`` certifies masking by identity. For
     nonmasking, a concrete witness is produced: a constraint falsifiable
-    on its own support projection is overlaid onto a probe state and
+    on its own support projection is overlaid onto the first probe state and
     ``S`` is evaluated directly at the resulting full state — one
     evaluation, cheap at any ``n``. No witness found refuses — this
     classification must stay bit-identical to the full method's.
     """
     if invariant is TRUE:
         return "masking"
-    base = battery[0]
+    base = probe_states(program, limit=1)[0]
     for constraint in constraints:
         codec = projector.projection(
             constraint.support, subject=f"classification of {constraint.name}"
@@ -1309,7 +1421,12 @@ def certify_compositional(
     certificates: list[StaticCertificate] = []
     projector = _Projector(design, projection_limit)
     discharger = (
-        StaticDischarger(design, tracer=tracer, metrics=metrics)
+        StaticDischarger(
+            design,
+            tracer=tracer,
+            metrics=metrics,
+            canonicalizer=projector.trees,
+        )
         if semantic
         else None
     )

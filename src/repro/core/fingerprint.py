@@ -82,6 +82,7 @@ __all__ = [
     "fingerprint_program",
     "fingerprint_predicate",
     "fingerprint_instance",
+    "is_trusted",
     "key_kind",
     "probe_states",
 ]
@@ -412,15 +413,14 @@ class _Hasher:
         self.value(predicate.source)
         self.value(predicate.parts)
         fn = predicate._fn
-        trusted = _TRUSTED_CODES.get(id(getattr(fn, "__code__", None)))
-        if trusted is None or fn.__globals__ is not trusted[1]:
+        if not is_trusted(predicate):
             self.value(fn)
             return
         # The DSL's lowering or a combinator's own lambda, in its own
         # module: its code and globals are fixed (it takes no defaults),
         # and its closure holds the source tree or the operands just
         # written (back-references).
-        self.out.append(trusted[0])
+        self.out.append(_TRUSTED_CODES[id(fn.__code__)][0])
         for cell in fn.__closure__:
             self.value(cell.cell_contents)
 
@@ -483,24 +483,75 @@ def _lambda_code(function: types.FunctionType) -> types.CodeType:
 
 
 #: The library's own evaluation lambdas, by code identity, with their
-#: token and module globals: the DSL lowering and the predicate
-#: combinators. (The code objects live as long as their modules, so their
-#: ids are never reused.)
-_TRUSTED_CODES: dict[int, tuple[str, dict[str, Any]]] = {
+#: token, module globals and the ``parts`` tag they record (``None`` for
+#: the DSL lowering, which records ``source``): the DSL lowering and the
+#: predicate combinators. (The code objects live as long as their
+#: modules, so their ids are never reused.)
+_TRUSTED_CODES: dict[int, tuple[str, dict[str, Any], str | None]] = {
     id(_lambda_code(function)): (
-        f"trusted:{function.__qualname__}", function.__globals__
+        f"trusted:{function.__qualname__}", function.__globals__, tag
     )
-    for function in (
-        BoolExpr.predicate,
-        Predicate.__and__,
-        Predicate.__or__,
-        Predicate.__invert__,
-        Predicate.implies,
-        all_of,
-        any_of,
-        count_of,
+    for function, tag in (
+        (BoolExpr.predicate, None),
+        (Predicate.__and__, "and"),
+        (Predicate.__or__, "or"),
+        (Predicate.__invert__, "not"),
+        (Predicate.implies, "implies"),
+        (all_of, "all"),
+        (any_of, "any"),
+        (count_of, "count"),
     )
 }
+
+
+def is_trusted(predicate: Predicate) -> bool:
+    """Whether ``predicate`` evaluates exactly what it records.
+
+    True when its evaluation function is the DSL lowering's or a
+    combinator's own lambda, in its own module, and the closure holds
+    exactly the record: the lowering's ``source`` (with no ``parts``),
+    or a combinator's operands (and count) as its ``parts`` list them,
+    under that combinator's tag (with no ``source``). A trusted node's
+    truth value is then its record's, evaluated the way the combinator
+    evaluates it; each operand is a node of its own, trusted or not.
+
+    The one recognizer of the library's own lambdas: cache keys hash a
+    trusted node by its record instead of its function, and the
+    compositional certifier answers support and decomposition
+    obligations from trees only when every node is trusted.
+    """
+    fn = predicate._fn
+    trusted = _TRUSTED_CODES.get(id(getattr(fn, "__code__", None)))
+    if trusted is None or fn.__globals__ is not trusted[1]:
+        return False
+    tag = trusted[2]
+    try:
+        if tag is None:  # the lowering's one cell is its tree
+            return (
+                predicate.parts is None
+                and fn.__closure__[0].cell_contents is predicate.source
+            )
+        cells = dict(
+            zip(fn.__code__.co_freevars, [c.cell_contents for c in fn.__closure__])
+        )
+    except ValueError:  # an empty cell: not the library's own closure
+        return False
+    parts = predicate.parts
+    if predicate.source is not None or not parts or parts[0] != tag:
+        return False
+    if "preds" in cells:
+        operands = cells["preds"]
+        rest = (cells["count"],) if tag == "count" else ()
+    else:
+        operands = [cells["self"]] + ([cells["other"]] if "other" in cells else [])
+        rest = ()
+    recorded = parts[1]
+    return (
+        len(parts) == 2 + len(rest)
+        and all(a is b for a, b in zip(parts[2:], rest))
+        and len(operands) == len(recorded)
+        and all(a is b for a, b in zip(operands, recorded))
+    )
 
 
 # ----------------------------------------------------------------------

@@ -364,35 +364,8 @@ def _graph_from_csr(
     vectorized sweep's resident-bytes check applies here.
     """
     np = _np
-    size = len(csr.s_mask)
-    edges = int(csr.offsets[-1])
-    if csr.vectorized:
-        # Resident footprint of the solve: the CSR plus the edge-source
-        # index and three float vectors — all must stay in memory across
-        # sweeps, so a budget below it is a structured refusal, not a
-        # streaming fallback.
-        resident = (
-            csr.s_mask.nbytes
-            + (0 if csr.t_mask is None else csr.t_mask.nbytes)
-            + csr.offsets.nbytes
-            + csr.targets.nbytes
-            + csr.action_ids.nbytes
-            + 8 * edges  # edge-source index for the segment sums
-            + 8 * edges  # per-sweep gathered successor values
-            + 3 * 8 * size  # expectation, segment-sum and update vectors
-        )
-        if metrics is not None:
-            metrics.counter("quantitative.mem.bytes").add(resident)
-        if memory_budget is not None and resident > memory_budget:
-            raise QuantitativeUnsupported(
-                f"value iteration over {size} states / {edges} edges needs "
-                f"~{resident} resident bytes, above the {memory_budget}-byte "
-                "memory_budget; unlike the boolean sweep there is no "
-                "streaming variant — raise or drop the budget"
-            )
-
-    return _Graph(
-        n=size,
+    graph = _Graph(
+        n=len(csr.s_mask),
         offsets=np.asarray(csr.offsets),
         targets=np.asarray(csr.targets),
         is_target=np.asarray(csr.s_mask, dtype=bool),
@@ -401,6 +374,58 @@ def _graph_from_csr(
         engine="packed",
         levels=csr.levels,
     )
+    if csr.vectorized:
+        # Everything the solve needs resident at once: a budget below it
+        # is a structured refusal, not a streaming fallback.
+        resident = (
+            csr.s_mask.nbytes
+            + (0 if csr.t_mask is None else csr.t_mask.nbytes)
+            + csr.offsets.nbytes
+            + csr.targets.nbytes
+            + csr.action_ids.nbytes
+            + _solve_bytes(graph)
+        )
+        if metrics is not None:
+            metrics.counter("quantitative.mem.bytes").add(resident)
+        if memory_budget is not None and resident > memory_budget:
+            raise QuantitativeUnsupported(
+                f"value iteration over {graph.n} states / "
+                f"{int(csr.offsets[-1])} edges needs ~{resident} resident "
+                f"bytes, above the {memory_budget}-byte memory_budget; "
+                "unlike the boolean sweep there is no streaming variant — "
+                "raise or drop the budget"
+            )
+    return graph
+
+
+def _solve_bytes(graph: _Graph) -> int:
+    """The bytes :func:`_expectations` allocates on top of the CSR, at most.
+
+    Its phases run one after another, so the charge is the largest of
+    them plus what outlives them all (the levels, a few state masks and,
+    with a fault chain, the per-edge fault flags and weights). Per edge:
+    the peel's bad-edge lists and reverse CSR when the CSR carries no
+    levels; the reverse CSR and edge lists of :func:`_doomed` whenever
+    some state may never peel; and the level-order solve's edge indices,
+    sinks, sources and per-level gathers (:func:`_solve`). Per state:
+    the solved vectors, row orders, degrees and totals.
+    """
+    n, e = graph.n, int(graph.offsets[-1])
+    t, o = graph.targets.itemsize, graph.offsets.itemsize
+    chains = 1 if graph.fault_edge is None else 2
+    # The level-order solve: int64 edge indices and sources, the sinks
+    # and one level's gathers, plus each fault chain's weight gathers.
+    phases = [(24 + t + 16 * (chains - 1)) * e + (32 + 2 * o + 16 * chains) * n]
+    if graph.levels is None:  # the peel: bad-edge lists, reverse CSR
+        phases.append((12 + 4 * t) * e + 32 * n)
+    region = ~graph.is_target
+    if graph.in_span is not None:
+        region &= graph.in_span
+    if graph.levels is None or bool(_np.any(region & (graph.levels < 0))):
+        # The doomed-state search: edge lists and an int64 reverse CSR.
+        phases.append((34 + t) * e + 40 * n)
+    lasting = 16 * n + (9 * e if chains > 1 else 0)
+    return lasting + max(phases)
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,11 @@ Two consumers share this module:
 
 Both consumers of obligation keys — the discharger's proof memo and the
 certifier's sharing of projected sweeps between renamed twins — build
-them with the one canonicalizer, :func:`obligation_key`, over the one
-DSL tokenizer, :func:`repro.core.expr.walk_tokens`.
+them with the one canonicalizer, :meth:`Canonicalizer.obligation_key`,
+over the one DSL tokenizer, :func:`repro.core.expr.walk_tokens`. A
+:class:`Canonicalizer` and everything it memoizes by ``id()`` lives for
+one certification; only the discharger's proof memo, keyed by tokens,
+is process-wide.
 
 Soundness contract (same bar as the rest of :mod:`repro.staticcheck`):
 a certificate is only issued when the abstract proof is *definite*, and
@@ -32,7 +35,7 @@ verdict is never produced statically.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -41,6 +44,7 @@ from repro.core.actions import Action
 from repro.core.constraints import Constraint, ConvergenceBinding
 from repro.core.design import NonmaskingDesign
 from repro.core.expr import BoolExpr, Expr, _Const, _Not
+from repro.core.fingerprint import is_trusted
 from repro.core.predicates import Predicate
 from repro.observability import MetricsRegistry, Tracer
 from repro.observability.events import INTERFERENCE_DISCHARGED
@@ -53,10 +57,9 @@ from repro.staticcheck.absint import (
 )
 
 __all__ = [
+    "Canonicalizer",
     "StaticCertificate",
     "StaticDischarger",
-    "cached_predicate_expr",
-    "obligation_key",
     "predicate_expr",
     "update_exprs",
     "find_write_write_races",
@@ -172,141 +175,167 @@ def guard_negates(guard: Predicate, constraint: Constraint) -> bool:
 #: Marks a proof-memo miss (``None`` is a memoized "don't know").
 _ABSENT = object()
 
-#: Bound on each id-keyed cache of the canonicalizer below. A full cache
-#: evicts its oldest entry (insertion order), so objects of designs
-#: certified long ago make way for the current design's objects and the
-#: stored references stay bounded however many designs a process sees.
-_CACHE_CAP = 16384
 
-#: ``id(predicate) -> (predicate, its expression or None)``. The stored
-#: object guards against a recycled id aliasing a dead object. The
-#: library shares design instances across runs (its builders are
-#: memoized), so a later run presents the *same* objects again.
-_pred_cache: OrderedDict[int, tuple[Any, BoolExpr | None]] = OrderedDict()
-
-#: ``id(expr) -> (expr, canonical tokens or None, variables in
-#: first-use order)``, guarded like :data:`_pred_cache`.
-_token_cache: OrderedDict[
-    int, tuple[Any, str | None, tuple[str, ...]]
-] = OrderedDict()
+def _all_trusted(predicate: Predicate) -> bool:
+    """Whether every node of ``predicate``'s tree is :func:`is_trusted`."""
+    if not is_trusted(predicate):
+        return False
+    parts = predicate.parts
+    return parts is None or all(_all_trusted(operand) for operand in parts[1])
 
 
-def _remember(cache: OrderedDict, key: Any, entry: Any) -> None:
-    """Store ``entry`` in an id-keyed cache, evicting the oldest entry
-    when the cache is full."""
-    if key not in cache and len(cache) >= _CACHE_CAP:
-        cache.popitem(last=False)
-    cache[key] = entry
+class Canonicalizer:
+    """The trees and obligation keys of one certification.
 
-
-def cached_predicate_expr(predicate: Predicate | None) -> BoolExpr | None:
-    """Memoized :func:`predicate_expr`.
-
-    Combinator predicates rebuild fresh expression objects on every
-    :func:`predicate_expr` call, which would also defeat the id-keyed
-    token cache of :func:`obligation_key`.
+    Memoizes :func:`predicate_expr` per predicate and the canonical
+    tokens per expression, keyed by ``id()``. Each entry stores its
+    object, so an id never aliases a dead object while the memos live;
+    they live exactly as long as the canonicalizer, which one
+    certification owns (its projector and static discharger share it),
+    so nothing here outlives the design it was built for. Combinator
+    predicates rebuild fresh expression objects on every
+    :func:`predicate_expr` call, which would defeat the token memo
+    without the first one.
     """
-    if predicate is None:
-        return None
-    entry = _pred_cache.get(id(predicate))
-    if entry is None or entry[0] is not predicate:
-        entry = (predicate, predicate_expr(predicate))
-        _remember(_pred_cache, id(predicate), entry)
-    return entry[1]
 
+    __slots__ = ("_exprs", "_tokens")
 
-def _component_key(
-    expr: Expr, joint: dict[str, int]
-) -> tuple[str, tuple[int, ...]] | None:
-    """One expression's contribution to an obligation key.
+    def __init__(self) -> None:
+        #: ``id(predicate) -> (predicate, its expression or None)``.
+        self._exprs: dict[int, tuple[Any, BoolExpr | None]] = {}
+        #: ``id(expr) -> (expr, canonical tokens or None, variables in
+        #: first-use order)``.
+        self._tokens: dict[int, tuple[Any, str | None, tuple[str, ...]]] = {}
 
-    The pair (local canonical tokens, joint indices of its variables in
-    first-use order) determines the expression under the obligation's
-    joint renaming, so per-expression tokens are cached independently of
-    which obligation they appear in.
-    """
-    entry = _token_cache.get(id(expr))
-    if entry is None or entry[0] is not expr:
-        names: dict[str, int] = {}
-        tokens = _canonical_tokens(expr, names)
-        entry = (expr, tokens, tuple(names))
-        _remember(_token_cache, id(expr), entry)
-    _, tokens, names = entry
-    if tokens is None:
-        return None
-    return tokens, tuple([joint.setdefault(name, len(joint)) for name in names])
-
-
-def obligation_key(
-    kind: Any,
-    exprs: Sequence[Expr | None],
-    updates: Mapping[str, Expr] | None,
-    values: Callable[[str], Any],
-    *,
-    projection: frozenset[str] | None = None,
-    order: Sequence[str] = (),
-) -> tuple[Any, ...] | None:
-    """A renaming-canonical key of one obligation, or ``None`` if not exact.
-
-    The one canonical form of an obligation, shared by the static
-    discharger's proof memo and the compositional certifier's per-run
-    sweep sharing. Variables are renamed jointly by first use across
-    ``exprs`` (in order) and then the ``updates`` (by target name); each
-    update row records its target's joint index. The key ends with
-    ``values(name)`` of every renamed variable in joint order, an exact
-    hashable description of its domain (``None`` refuses the key).
-
-    Equal keys therefore mean the same formulas over the same domains up
-    to a bijective renaming, hence the same outcome of any question
-    decided from them alone. ``kind`` must fix everything else the
-    outcome reads, including how many ``exprs`` there are and the role
-    of each. A ``None`` or untokenizable expression (opaque predicates
-    and right-hand sides, custom folds, constants without an exact
-    ``repr``) gives no key: two different opaque callables would
-    collide on it.
-
-    ``projection``, when given, is the set of variables the obligation
-    is evaluated over: every variable the trees mention must lie inside
-    it, and the sorted ``values`` of those they never mention are
-    appended (an empty domain empties the whole projection).
-
-    ``order`` names variables that take the first joint indices, in that
-    order, before the renaming by first use: keys of trees over
-    ``order`` are then equal only when the renaming maps each position
-    of ``order`` to the same position of the other's.
-    """
-    joint = {name: index for index, name in enumerate(order)}
-    parts: list[Any] = [kind]
-    for expr in exprs:
-        if expr is None:
+    def expr(self, predicate: Predicate | None) -> BoolExpr | None:
+        """Memoized :func:`predicate_expr`."""
+        if predicate is None:
             return None
-        component = _component_key(expr, joint)
-        if component is None:
+        entry = self._exprs.get(id(predicate))
+        if entry is None or entry[0] is not predicate:
+            entry = self._exprs[id(predicate)] = (
+                predicate,
+                predicate_expr(predicate),
+            )
+        return entry[1]
+
+    def _entry(self, expr: Expr) -> tuple[Any, str | None, tuple[str, ...]]:
+        entry = self._tokens.get(id(expr))
+        if entry is None or entry[0] is not expr:
+            names: dict[str, int] = {}
+            tokens = _canonical_tokens(expr, names)
+            entry = self._tokens[id(expr)] = (expr, tokens, tuple(names))
+        return entry
+
+    def tree_key(self, expr: Expr) -> tuple[str, tuple[str, ...]] | None:
+        """``expr``'s exact key: its canonical tokens and its variables
+        in first-use order, or ``None`` if it does not tokenize. Equal
+        keys mean the same tree."""
+        _, tokens, names = self._entry(expr)
+        return None if tokens is None else (tokens, names)
+
+    def trusted_expr(self, predicate: Predicate) -> BoolExpr | None:
+        """``predicate``'s tree, when calling ``predicate`` evaluates it.
+
+        That holds when every node is the library's own trusted code
+        (:func:`repro.core.fingerprint.is_trusted`) and the tree is
+        exact DSL (it tokenizes): then the predicate reads at most the
+        tree's variables and its truth value is the tree's. ``None``
+        otherwise; callers fall back to probing the callable.
+        """
+        expr = self.expr(predicate)
+        if expr is None or self.tree_key(expr) is None:
             return None
-        parts.append(component)
-    if updates is not None:
-        rows: list[Any] = []
-        for name in sorted(updates):
-            component = _component_key(updates[name], joint)
+        return expr if _all_trusted(predicate) else None
+
+    def _component_key(
+        self, expr: Expr, joint: dict[str, int]
+    ) -> tuple[str, tuple[int, ...]] | None:
+        """One expression's contribution to an obligation key.
+
+        The pair (local canonical tokens, joint indices of its variables
+        in first-use order) determines the expression under the
+        obligation's joint renaming, so per-expression tokens are
+        memoized independently of which obligation they appear in.
+        """
+        _, tokens, names = self._entry(expr)
+        if tokens is None:
+            return None
+        return tokens, tuple([joint.setdefault(name, len(joint)) for name in names])
+
+    def obligation_key(
+        self,
+        kind: Any,
+        exprs: Sequence[Expr | None],
+        updates: Mapping[str, Expr] | None,
+        values: Callable[[str], Any],
+        *,
+        projection: frozenset[str] | None = None,
+        order: Sequence[str] = (),
+    ) -> tuple[Any, ...] | None:
+        """A renaming-canonical key of one obligation, or ``None`` if not exact.
+
+        The one canonical form of an obligation, shared by the static
+        discharger's proof memo and the compositional certifier's
+        per-run sweep sharing. Variables are renamed jointly by first
+        use across ``exprs`` (in order) and then the ``updates`` (by
+        target name); each update row records its target's joint index.
+        The key ends with ``values(name)`` of every renamed variable in
+        joint order, an exact hashable description of its domain
+        (``None`` refuses the key).
+
+        Equal keys therefore mean the same formulas over the same
+        domains up to a bijective renaming, hence the same outcome of
+        any question decided from them alone. ``kind`` must fix
+        everything else the outcome reads, including how many ``exprs``
+        there are and the role of each. A ``None`` or untokenizable
+        expression (opaque predicates and right-hand sides, custom
+        folds, constants without an exact ``repr``) gives no key: two
+        different opaque callables would collide on it.
+
+        ``projection``, when given, is the set of variables the
+        obligation is evaluated over: every variable the trees mention
+        must lie inside it, and the sorted ``values`` of those they
+        never mention are appended (an empty domain empties the whole
+        projection).
+
+        ``order`` names variables that take the first joint indices, in
+        that order, before the renaming by first use: keys of trees over
+        ``order`` are then equal only when the renaming maps each
+        position of ``order`` to the same position of the other's.
+        """
+        joint = {name: index for index, name in enumerate(order)}
+        parts: list[Any] = [kind]
+        for expr in exprs:
+            if expr is None:
+                return None
+            component = self._component_key(expr, joint)
             if component is None:
                 return None
-            rows.append((joint.setdefault(name, len(joint)), component))
-        parts.append(tuple(rows))
-    domains = []
-    for name in joint:  # insertion order == joint index order
-        if projection is not None and name not in projection:
-            return None
-        value = values(name)
-        if value is None:
-            return None
-        domains.append(value)
-    parts.append(tuple(domains))
-    if projection is not None:
-        rest = [values(name) for name in projection if name not in joint]
-        if None in rest:
-            return None
-        parts.append(tuple(sorted(rest)))
-    return tuple(parts)
+            parts.append(component)
+        if updates is not None:
+            rows: list[Any] = []
+            for name in sorted(updates):
+                component = self._component_key(updates[name], joint)
+                if component is None:
+                    return None
+                rows.append((joint.setdefault(name, len(joint)), component))
+            parts.append(tuple(rows))
+        domains = []
+        for name in joint:  # insertion order == joint index order
+            if projection is not None and name not in projection:
+                return None
+            value = values(name)
+            if value is None:
+                return None
+            domains.append(value)
+        parts.append(tuple(domains))
+        if projection is not None:
+            rest = [values(name) for name in projection if name not in joint]
+            if None in rest:
+                return None
+            parts.append(tuple(sorted(rest)))
+        return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -357,24 +386,21 @@ class StaticDischarger:
     variable renaming (c.1/c.2, c.2/c.3, ...) — within one design,
     across sizes of the same family, and across certification runs —
     so one proof, or one definite failure to prove, serves them all.
-    Keys are :func:`obligation_key` over the obligation's expressions,
-    the exact value sets of the involved variables and the case budget,
-    which makes them self-contained: equal keys imply equal formulas and
-    domains, hence equal outcomes, independent of which design asked.
-    Anything opaque or inexactly abstracted is simply not memoized.
+    Keys are :meth:`Canonicalizer.obligation_key` over the obligation's
+    expressions, the exact value sets of the involved variables and the
+    case budget, which makes them self-contained: equal keys imply equal
+    formulas and domains, hence equal outcomes, independent of which
+    design asked. Anything opaque or inexactly abstracted is simply not
+    memoized. This memo is the only state kept across instances: the
+    trees, tokens and per-pair keys of the design's objects live in the
+    instance and its ``canonicalizer`` (the certifier passes the one its
+    projector keys sweeps with).
     """
 
     #: Bound on the proof memo; see the class docstring. A full memo
     #: computes new outcomes but stores none.
-    _MEMO_CAP = _CACHE_CAP
+    _MEMO_CAP = 16384
     _memo: dict[tuple[Any, ...], "StaticCertificate | None"] = {}
-
-    #: ``(tag, budget, ids of design objects) -> (the objects, their
-    #: obligation key)``: class-level and evicting like the
-    #: canonicalizer's id-keyed caches (see :func:`_remember`).
-    _pair_keys: OrderedDict[
-        tuple[Any, ...], tuple[tuple[Any, ...], tuple[Any, ...] | None]
-    ] = OrderedDict()
 
     def __init__(
         self,
@@ -383,6 +409,7 @@ class StaticDischarger:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         budget: int = DEFAULT_CASE_BUDGET,
+        canonicalizer: Canonicalizer | None = None,
     ) -> None:
         self._context = AbstractContext(
             {
@@ -393,6 +420,9 @@ class StaticDischarger:
         self._tracer = tracer
         self._metrics = metrics
         self._budget = budget
+        self._trees = (
+            canonicalizer if canonicalizer is not None else Canonicalizer()
+        )
         # kind -> (kind, budget): one shared head per kind of memo key.
         self._kinds: dict[str, tuple[str, int]] = {}
         self.attempts = 0
@@ -434,7 +464,8 @@ class StaticDischarger:
         exprs: Sequence[BoolExpr | None],
         updates: Mapping[str, Expr] | None,
     ) -> tuple[Any, ...] | None:
-        """The proof-memo key: :func:`obligation_key` plus the budget.
+        """The proof-memo key: :meth:`Canonicalizer.obligation_key`
+        under a ``(kind, budget)`` head.
 
         Memoization requires every involved expression to be
         tokenizable and every involved variable's abstraction to be an
@@ -444,30 +475,7 @@ class StaticDischarger:
         head = self._kinds.get(kind)
         if head is None:
             head = self._kinds[kind] = (kind, self._budget)
-        return obligation_key(head, exprs, updates, self._values)
-
-    def _pair_cached_key(
-        self,
-        tag: str,
-        objects: tuple[Any, ...],
-        compute_key: Any,
-    ) -> tuple[Any, ...] | None:
-        """Obligation key for a tuple of design objects, computed once.
-
-        A second-level cache over :meth:`_obligation_key`: the same
-        (action, constraint) pair always canonicalizes to the same key,
-        so repeat visits cost one dict lookup instead of a tree walk.
-        The stored object tuple guards against id reuse.
-        """
-        pair = (tag, self._budget, *[id(obj) for obj in objects])
-        entry = self._pair_keys.get(pair)
-        if entry is not None and all(
-            a is b for a, b in zip(entry[0], objects)
-        ):
-            return entry[1]
-        key = compute_key()
-        _remember(self._pair_keys, pair, (objects, key))
-        return key
+        return self._trees.obligation_key(head, exprs, updates, self._values)
 
     def _memoized(
         self,
@@ -513,35 +521,23 @@ class StaticDischarger:
         # The proof never consults the obligation name, so renamed
         # twins of a linear-order obligation can reuse a
         # closure-preserves proof; only guard/given/target/updates key.
-        def compute_key():
-            guard_expr = cached_predicate_expr(action.guard)
-            target_expr = cached_predicate_expr(target.predicate)
-            given_expr = (
-                cached_predicate_expr(given.predicate)
-                if given is not None
-                else None
-            )
-            return self._obligation_key(
-                "preserves",
-                [guard_expr, target_expr]
-                + ([given_expr] if given is not None else []),
-                update_exprs(action, target.support),
-            )
-
-        def prove():
-            return self._prove_preserves(
-                cached_predicate_expr(action.guard),
-                cached_predicate_expr(given.predicate)
-                if given is not None
-                else None,
-                cached_predicate_expr(target.predicate),
-                update_exprs(action, target.support),
-                obligation=obligation,
-                subject=subject,
-            )
-
-        key = self._pair_cached_key(
-            "preserves", (action, target, given), compute_key
+        guard_expr = self._trees.expr(action.guard)
+        target_expr = self._trees.expr(target.predicate)
+        given_expr = None if given is None else self._trees.expr(given.predicate)
+        updates = update_exprs(action, target.support)
+        key = self._obligation_key(
+            "preserves",
+            [guard_expr, target_expr] + ([given_expr] if given is not None else []),
+            updates,
+        )
+        prove = functools.partial(
+            self._prove_preserves,
+            guard_expr,
+            given_expr,
+            target_expr,
+            updates,
+            obligation=obligation,
+            subject=subject,
         )
         return self._memoized(
             key, prove, obligation=obligation, subject=subject
@@ -677,29 +673,17 @@ class StaticDischarger:
     ) -> StaticCertificate | None:
         """``not c ⇒ action enabled``, i.e. ``c ∨ guard`` is valid."""
         self._count_attempt()
-
-        def compute_key():
-            return self._obligation_key(
-                "enabled-when-violated",
-                [
-                    cached_predicate_expr(binding.action.guard),
-                    cached_predicate_expr(binding.constraint.predicate),
-                ],
-                None,
-            )
-
-        def prove():
-            return self._prove_enabled_when_violated(
-                binding,
-                cached_predicate_expr(binding.action.guard),
-                cached_predicate_expr(binding.constraint.predicate),
-                subject,
-            )
-
-        key = self._pair_cached_key(
-            "enabled-when-violated",
-            (binding.action, binding.constraint),
-            compute_key,
+        guard_expr = self._trees.expr(binding.action.guard)
+        constraint_expr = self._trees.expr(binding.constraint.predicate)
+        key = self._obligation_key(
+            "enabled-when-violated", [guard_expr, constraint_expr], None
+        )
+        prove = functools.partial(
+            self._prove_enabled_when_violated,
+            binding,
+            guard_expr,
+            constraint_expr,
+            subject,
         )
         return self._memoized(
             key, prove, obligation="enabled-when-violated", subject=subject
@@ -741,40 +725,19 @@ class StaticDischarger:
     ) -> StaticCertificate | None:
         """``enabled ⇒ c after the action``."""
         self._count_attempt()
-        own = binding.constraint
-        action = binding.action
-
-        # A None guard keys to None (no memo) — route 1 could still
-        # prove, but the outcome then isn't determined by these parts.
-        def compute_key():
-            updates = update_exprs(action, own.support)
-            if updates is None:
-                return None
-            return self._obligation_key(
-                "establishes",
-                [
-                    cached_predicate_expr(own.predicate),
-                    cached_predicate_expr(action.guard),
-                ],
-                updates,
-            )
-
-        def prove():
-            own_expr = cached_predicate_expr(own.predicate)
-            if own_expr is None:
-                return None
-            updates = update_exprs(action, own.support)
-            if updates is None:
-                return None
-            return self._prove_establishes(
-                own_expr,
-                cached_predicate_expr(action.guard),
-                updates,
-                subject,
-            )
-
-        key = self._pair_cached_key(
-            "establishes", (action, own), compute_key
+        own_expr = self._trees.expr(binding.constraint.predicate)
+        guard_expr = self._trees.expr(binding.action.guard)
+        updates = update_exprs(binding.action, binding.constraint.support)
+        if own_expr is None or updates is None:
+            return None  # opaque: nothing to prove from
+        # A None guard keys to None (no memo) — the post-state route
+        # could still prove, but the outcome then isn't determined by
+        # these parts.
+        key = self._obligation_key(
+            "establishes", [own_expr, guard_expr], updates
+        )
+        prove = functools.partial(
+            self._prove_establishes, own_expr, guard_expr, updates, subject
         )
         return self._memoized(
             key, prove, obligation="establishes-in-one-step", subject=subject

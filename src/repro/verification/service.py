@@ -245,15 +245,9 @@ def _tolerance_record(
 def _compositional_record(
     certificate, *, case: str, fairness: str, seconds: float, key: str
 ) -> dict[str, Any]:
-    counts = {
-        "enumerated": 0,
-        "symmetric": 0,
-        "disjoint-writes": 0,
-        "trivial": 0,
-        "static": 0,
-    }
-    for obligation in certificate.obligations:
-        counts[obligation.discharged_by] += 1
+    from repro.compositional import DISCHARGE_KINDS
+
+    counts = certificate.counts()
     return {
         "case": case,
         "method": "compositional",
@@ -264,11 +258,7 @@ def _compositional_record(
         "classification": certificate.classification,
         "stabilizing": certificate.stabilizing,
         "obligations": len(certificate.obligations),
-        "enumerated": counts["enumerated"],
-        "symmetric": counts["symmetric"],
-        "vacuous": counts["disjoint-writes"],
-        "trivial": counts["trivial"],
-        "static": counts["static"],
+        **{field: counts[kind] for kind, field in DISCHARGE_KINDS.items()},
         "edges": certificate.edges,
         "max_projection": certificate.max_projection,
         "total_states": certificate.total_states,

@@ -62,6 +62,7 @@ COMPOSITIONAL_RECORD_KEYS = {
     "vacuous",
     "trivial",
     "static",
+    "structural",
     "edges",
     "max_projection",
     "total_states",
@@ -157,7 +158,7 @@ class TestVerifyJson:
         assert record["method"] == "compositional"
         assert record["obligations"] == (
             record["enumerated"] + record["symmetric"] + record["vacuous"]
-            + record["trivial"] + record["static"]
+            + record["trivial"] + record["static"] + record["structural"]
         )
         assert record["static"] > 0  # the DSL protocols discharge statically
 

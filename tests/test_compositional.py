@@ -20,11 +20,14 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import compositional
 from repro.compositional import (
     DEFAULT_PROJECTION_LIMIT,
+    DISCHARGE_KINDS,
     CompositionalCertificate,
     certify_compositional,
 )
@@ -39,7 +42,7 @@ from repro.kernel.codec import PackedUnsupported
 from repro.kernel.sweeps import HAVE_NUMPY, SweepUnsupported
 from repro.core.expr import V, expr_action, min_
 from repro.core.fingerprint import probe_states
-from repro.core.predicates import TRUE, Predicate
+from repro.core.predicates import TRUE, Predicate, all_of
 from repro.core.program import Program
 from repro.core.variables import Variable
 from repro.observability import MetricsRegistry, Tracer
@@ -787,7 +790,9 @@ class TestSymmetricTwins:
         kinds = [ob.discharged_by for ob in certificate.obligations]
         # Four classes: enabled-when-violated, establishes, and the two
         # merged-behaviour pairs (own constraint, next edge's).
-        assert kinds.count("enumerated") == 4 + 2  # + support, decomposition
+        assert kinds.count("enumerated") == 4
+        # Support honesty and the decomposition are read off the trees.
+        assert kinds.count("structural") == 2
         assert kinds.count("symmetric") == 23 - 4
         swept = sum(
             ob.space for ob in certificate.obligations
@@ -1001,3 +1006,311 @@ class TestWriteIndex:
 
         assert pairs("closure-preserves") == (closure, closure_disjoint)
         assert pairs("merged-behaviour") == (merged, merged_disjoint)
+
+
+# ----------------------------------------------------------------------
+# Support honesty and decomposition from trusted trees
+# ----------------------------------------------------------------------
+
+#: The obligations the trees may answer instead of the probe battery.
+TREE_ANSWERED = ("support-honesty", "invariant-decomposition")
+
+
+def _probes_only(monkeypatch):
+    """Force every tree route back onto the probe battery."""
+    monkeypatch.setattr(
+        compositional.Canonicalizer, "trusted_expr", lambda self, predicate: None
+    )
+
+
+def _comparable(certificate: CompositionalCertificate) -> dict:
+    """The certificate minus ``seconds`` and minus how the tree-answered
+    obligations were discharged."""
+    record = _without_seconds(certificate)
+    for ob in record["obligations"]:
+        if ob["name"] in TREE_ANSWERED:
+            del ob["discharged_by"], ob["checked"]
+    return record
+
+
+def _both_routes(monkeypatch, build):
+    """``(tree-route certificate, probe-route certificate)`` of ``build()``."""
+    trees = certify_compositional(build())
+    with monkeypatch.context() as patch:
+        _probes_only(patch)
+        probes = certify_compositional(build())
+    return trees, probes
+
+
+_EXPRS = {
+    "eq": (lambda h, b: h == b, lambda h, b: h != b),
+    "ge": (lambda h, b: h >= b, lambda h, b: h < b),
+}
+
+
+def _constraint_predicate(template, form, here, before, spare):
+    """One constraint predicate over ``here``/``before`` in a given form;
+    ``lying``/``claims`` also read ``spare``, outside their support."""
+    make, _negate = _EXPRS[template]
+    h, b = V(here), V(before)
+    support = {here, before}
+    holds = make(h, b)
+    if form == "lowered":
+        return holds.predicate(name=f"C.{here}")
+    if form == "negated":
+        return ~(_EXPRS[template][1](h, b).predicate())
+    if form == "split":
+        return holds.predicate() & (b >= 0).predicate()
+    if form == "all_of":
+        return all_of([holds.predicate()])
+    if form == "narrow":
+        return holds.predicate().with_support({here})
+    honest = Predicate(lambda s: bool(holds(s)), name="c", support=support)
+    if form == "opaque":
+        return honest
+    lying = Predicate(
+        lambda s: bool(holds(s)) and s[spare] >= 0, name="c", support=support
+    )
+    if form == "lying":
+        return lying
+    assert form == "claims"
+    return Predicate(lying._fn, name="c", support=support,
+                     parts=("all", (holds.predicate(),)))
+
+
+def _guard(form, template, predicate, here, before, spare):
+    negate = _EXPRS[template][1]
+    violated = negate(V(here), V(before))
+    support = {here, before}
+    if form == "not":
+        return ~predicate
+    if form == "lowered":
+        return violated.predicate()
+    if form == "conj":
+        return violated.predicate() & (V(before) >= 0).predicate()
+    if form == "opaque":
+        return Predicate(lambda s: bool(violated(s)), name="g", support=support)
+    assert form == "claims"
+    return Predicate(lambda s: bool(violated(s)) and s[spare] >= 0, name="g",
+                     support=support, parts=("not", (predicate,)))
+
+
+@st.composite
+def _tree_designs(draw):
+    """A chain ``x.0 -> ... -> x.n``, node ``i`` also holding a spare
+    ``z.i``, with every constraint, guard, effect and ``S`` drawn in
+    trusted, opaque or lying forms (returned as a builder, so each call
+    builds fresh objects)."""
+    size = draw(st.integers(1, 3))
+    template = draw(st.sampled_from(sorted(_EXPRS)))
+    # Honest forms are listed twice: a lie anywhere ends the example.
+    c_forms = draw(st.lists(
+        st.sampled_from(("lowered", "negated", "split", "all_of", "opaque") * 2
+                        + ("narrow", "lying", "claims")),
+        min_size=size, max_size=size,
+    ))
+    g_forms = draw(st.lists(
+        st.sampled_from(("not", "lowered", "conj", "opaque") * 2 + ("claims",)),
+        min_size=size, max_size=size,
+    ))
+    effects = draw(st.lists(
+        st.sampled_from(("copy", "opaque") * 2 + ("lying", "spare")),
+        min_size=size, max_size=size,
+    ))
+    extra_reads = draw(st.lists(
+        st.sampled_from((False,) * 4 + (True,)), min_size=size, max_size=size
+    ))
+    s_form = draw(st.sampled_from(
+        ("same", "fresh", "reordered", "subset", "claims", "lying")
+    ))
+
+    def build():
+        spares = [f"z.{i}" for i in range(1, size + 1)]
+        variables = _bits(*(f"x.{i}" for i in range(size + 1)), *spares, hi=2)
+        constraints, bindings, fresh = [], [], []
+        for i in range(1, size + 1):
+            here, before, spare = f"x.{i}", f"x.{i - 1}", f"z.{i}"
+            form = c_forms[i - 1]
+            names = (template, form, here, before, spare)
+            predicate = _constraint_predicate(*names)
+            fresh.append(_constraint_predicate(*names))
+            constraint = Constraint(f"C.{i}", predicate)
+            guard = _guard(g_forms[i - 1], template, predicate, here, before,
+                           spare)
+            rhs = {
+                "copy": V(before),
+                "spare": V(spare),  # read unless z.i is declared
+                "opaque": lambda s, b=before: s[b],
+                "lying": lambda s, b=before, z=spare: s[b] + 0 * s[z],
+            }[effects[i - 1]]
+            reads = {here, before} | ({spare} if extra_reads[i - 1] else set())
+            action = Action(f"conv.{i}", guard, Assignment({here: rhs}),
+                            reads=reads)
+            constraints.append(constraint)
+            bindings.append(ConvergenceBinding(constraint, action))
+        predicates = [c.predicate for c in constraints]
+        union = frozenset().union(*(c.support for c in constraints))
+        invariant = {
+            "same": lambda: all_of(predicates, name="S"),
+            "fresh": lambda: all_of(fresh, name="S"),
+            "reordered": lambda: all_of(predicates[::-1], name="S"),
+            "subset": lambda: all_of(predicates[:-1] or predicates, name="S"),
+            "claims": lambda: Predicate(
+                lambda s: all(p(s) for p in predicates), name="S",
+                support=union, parts=("all", tuple(predicates)),
+            ),
+            "lying": lambda: Predicate(
+                lambda s: True, name="S", support=union,
+                parts=("all", tuple(predicates)),
+            ),
+        }[s_form]()
+        candidate = CandidateTriple(
+            program=Program("tree", variables, []),
+            invariant=invariant,
+            constraints=tuple(constraints),
+        )
+        nodes = [GraphNode("X0", frozenset({"x.0"}))] + [
+            GraphNode(f"X{i}", frozenset({f"x.{i}", f"z.{i}"}))
+            for i in range(1, size + 1)
+        ]
+        return NonmaskingDesign("tree", candidate, bindings, nodes)
+
+    return build
+
+
+class TestTreeRoutes:
+    @pytest.mark.parametrize("size", (3, 4, 5, 6))
+    @pytest.mark.parametrize("name", DESIGN_CASES)
+    def test_library_designs_answer_from_trees(self, monkeypatch, name, size):
+        trees, probes = _both_routes(
+            monkeypatch, lambda: CASES[name].build_design(size)
+        )
+        assert _comparable(trees) == _comparable(probes)
+        answered = [ob for ob in trees.obligations if ob.name in TREE_ANSWERED]
+        assert [ob.name for ob in answered] == list(TREE_ANSWERED)
+        for ob in answered:
+            assert (ob.discharged_by, ob.checked) == ("structural", 0)
+        for ob in probes.obligations:
+            if ob.name in TREE_ANSWERED:
+                assert (ob.discharged_by, ob.checked) == ("enumerated", 32)
+
+    def test_foreign_function_claiming_all_of_takes_the_probes(self):
+        a, b = V("a"), V("b")
+        constraint = Constraint("Cb", b == a)
+        conv = expr_action("conv_b", b != a, {"b": a})
+
+        def design(fn):
+            candidate = CandidateTriple(
+                program=Program("claims", _bits("a", "b"), []),
+                invariant=Predicate(fn, name="S", support={"a", "b"},
+                                    parts=("all", (constraint.predicate,))),
+                constraints=(constraint,),
+            )
+            nodes = [GraphNode("A", frozenset({"a"})),
+                     GraphNode("B", frozenset({"b"}))]
+            return NonmaskingDesign(
+                "claims", candidate, [ConvergenceBinding(constraint, conv)], nodes
+            )
+
+        honest = certify_compositional(design(lambda s: s["a"] == s["b"]))
+        assert honest.ok
+        (decomposition,) = [
+            ob for ob in honest.obligations
+            if ob.name == "invariant-decomposition"
+        ]
+        assert (decomposition.discharged_by, decomposition.checked) == (
+            "enumerated", 32,
+        )
+        lying = certify_compositional(design(lambda s: True))
+        assert lying.refusal.startswith("invariant-decomposition: invariant 'S' "
+                                        "disagrees")
+
+    def test_s_beyond_the_constraints_takes_the_probes(self, monkeypatch):
+        a, b, c = V("a"), V("b"), V("c")
+        first, second = Constraint("Cb", b == a), Constraint("Cc", c == b)
+
+        def design(operands):
+            candidate = CandidateTriple(
+                program=Program("partial", _bits("a", "b", "c"), []),
+                invariant=all_of(operands, name="S"),
+                constraints=(first, second),
+            )
+            bindings = [
+                ConvergenceBinding(first, expr_action("conv_b", b != a, {"b": a})),
+                ConvergenceBinding(second, expr_action("conv_c", c != b, {"c": b})),
+            ]
+            nodes = [GraphNode(n.upper(), frozenset({n})) for n in "abc"]
+            return NonmaskingDesign("partial", candidate, bindings, nodes)
+
+        # Reordered, with a fresh copy of one constraint: the same trees.
+        whole = _both_routes(
+            monkeypatch,
+            lambda: design([second.predicate, (b == a).predicate(name="Cb")]),
+        )
+        assert whole[0].ok and _comparable(whole[0]) == _comparable(whole[1])
+        # One operand more than the constraints: a stronger S.
+        stronger = _both_routes(
+            monkeypatch,
+            lambda: design(
+                [first.predicate, second.predicate, (a == 0).predicate()]
+            ),
+        )
+        for certificate in stronger:
+            assert certificate.refusal.startswith(
+                "invariant-decomposition: invariant 'S' disagrees"
+            )
+
+    def test_lying_combinator_guard_is_caught_by_the_probes(self):
+        a, b = V("a"), V("b")
+        constraint = Constraint("Cb", b == a)
+        guard = Predicate(lambda s: s["b"] != s["a"] and s["c"] >= 0,
+                          name="g", support={"a", "b"},
+                          parts=("not", (constraint.predicate,)))
+        action = Action("conv_b", guard, Assignment({"b": a}), reads={"a", "b"})
+        design = _design(
+            _bits("a", "b", "c"), [constraint],
+            [ConvergenceBinding(constraint, action)],
+            [("A", {"a"}), ("B", {"b"}), ("C", {"c"})],
+        )
+        certificate = certify_compositional(design)
+        assert certificate.refusal.startswith(
+            "support-honesty: action 'conv_b' consults variables outside"
+        )
+
+    @seed(1994)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_tree_designs())
+    def test_tree_and_probe_routes_agree(self, monkeypatch, build):
+        trees, probes = _both_routes(monkeypatch, build)
+        assert trees.status == probes.status
+        assert trees.refusal == probes.refusal
+        assert _comparable(trees) == _comparable(probes)
+
+
+class TestDischargeKinds:
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown discharge kind"):
+            compositional.Obligation("x", "y", (), 0, 0, "guessed", 0.0)
+
+    def test_every_emitted_kind_is_counted(self):
+        service = VerificationService()
+        emitted = set()
+        designs = [CASES[name].build_design(4) for name in DESIGN_CASES]
+        designs += [build() for build, _refusal in BROKEN_DESIGNS.values()]
+        for design in designs:
+            for semantic in (True, False):
+                certificate = certify_compositional(design, semantic=semantic)
+                counts = certificate.counts()
+                assert list(counts) == list(DISCHARGE_KINDS)
+                assert sum(counts.values()) == len(certificate.obligations)
+                emitted |= {k for k, n in counts.items() if n}
+            verdict = service.verify_tolerance(
+                design.program, design.candidate.invariant, design=design,
+                method="compositional",
+            )
+            record = verdict.record
+            assert record["obligations"] == sum(
+                record[field] for field in DISCHARGE_KINDS.values()
+            )
+        assert emitted == set(DISCHARGE_KINDS)

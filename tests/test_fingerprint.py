@@ -24,7 +24,8 @@ from repro.core import (
     probe_states,
 )
 from repro.core.expr import C, V, _Binary, walk_tokens
-from repro.core.fingerprint import LocalKeys, key_kind
+from repro.core.fingerprint import LocalKeys, is_trusted, key_kind
+from repro.core.predicates import all_of, any_of, count_of
 from repro.protocols.library import CASES, build_case
 from repro.verification.checker import _check_tolerance
 from repro.verification.server import VerificationDaemon, _Pending
@@ -207,6 +208,46 @@ class TestPredicateFingerprint:
         exec("def f(s, d=2): return d <= 0 or f(s, d - 1)", namespace)
         key = fingerprint_predicate(Predicate(namespace["f"], name="p", support=()))
         assert key_kind(key) == "exact"
+
+
+class TestIsTrusted:
+    """One recognizer of the library's own lambdas: a node is trusted when
+    its function is the lowering's or a combinator's and its closure holds
+    exactly what the node records."""
+
+    def test_lowering_and_combinators_are_trusted(self):
+        p = (V("x") == C(0)).predicate(name="p")
+        q = (V("y") < C(2)).predicate(name="q")
+        built = [p, ~p, p & q, p | q, p.implies(q), all_of([p, q]),
+                 any_of([p, q]), count_of([p, q], 1), (p & q).renamed("r"),
+                 (~p).with_support(("x", "y"))]
+        assert all(is_trusted(node) for node in built)
+
+    def test_foreign_function_with_claimed_parts_is_not(self):
+        p = (V("x") == C(0)).predicate(name="p")
+        claims = Predicate(lambda s: True, name="S", support=("x",),
+                           parts=("all", (p,)))
+        assert not is_trusted(claims)
+        assert not is_trusted(ZERO)
+
+    def test_record_must_mirror_the_closure(self):
+        p = (V("x") == C(0)).predicate(name="p")
+        q = (V("x") == C(1)).predicate(name="q")
+        conj = all_of([p])
+        swapped = Predicate(conj._fn, name=conj.name, support=("x",),
+                            parts=("all", (q,)))
+        retagged = Predicate(conj._fn, name=conj.name, support=("x",),
+                             parts=("any", (p,)))
+        resourced = Predicate(p._fn, name="p", support=("x",),
+                              source=V("x") == C(1))
+        both = Predicate(p._fn, name="p", support=("x",), source=p.source,
+                         parts=("all", (p,)))
+        for node in (swapped, retagged, resourced, both):
+            assert not is_trusted(node)
+        # The cache key hashes such a node by its function instead.
+        assert fingerprint_predicate(swapped) != fingerprint_predicate(
+            all_of([q], name=conj.name)
+        )
 
 
 class TestInstanceFingerprint:

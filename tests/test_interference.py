@@ -8,12 +8,16 @@ independently confirms. The rest covers the discharge routes and the
 IF* detectors directly.
 """
 
+import gc
+import sys
+
 import pytest
 
 from repro.compositional import certify_compositional
 from repro.core import Action, Assignment, Constraint, ConvergenceBinding
 from repro.core.domains import IntegerRangeDomain
-from repro.core.expr import C, V, expr_action
+from repro.core.expr import C, Expr, V, expr_action
+from repro.core.predicates import Predicate
 from repro.protocols.library import CASES
 from repro.staticcheck.absint import AbstractContext
 from repro.staticcheck import interference
@@ -200,50 +204,95 @@ class TestDischargeRoutes:
         assert discharger.discharged == 1
 
 
-class TestIdCacheEviction:
-    """The class-level id-keyed caches evict their oldest entry when
-    full, so objects of the current design are still cached after dead
-    designs' objects have filled them."""
+def _fresh_chain(size=8):
+    """A newly built diffusing chain (the library's cases are memoized)."""
+    from repro.protocols.diffusing import build_diffusing_design
+    from repro.topology import chain_tree
 
-    CAP = 8
+    return build_diffusing_design(chain_tree(size))
 
-    @pytest.fixture
-    def discharger(self, monkeypatch):
-        from collections import OrderedDict
 
-        monkeypatch.setattr(interference, "_CACHE_CAP", self.CAP)
-        monkeypatch.setattr(StaticDischarger, "_MEMO_CAP", self.CAP)
-        for name in ("_pred_cache", "_token_cache"):
-            monkeypatch.setattr(interference, name, OrderedDict())
-        monkeypatch.setattr(StaticDischarger, "_pair_keys", OrderedDict())
-        return StaticDischarger(_design("coloring-chain"))
+def _fresh_coloring(size=8):
+    from repro.protocols.coloring import build_coloring_design
+    from repro.topology import chain_tree
 
-    def test_token_cache_keeps_the_newest_expressions(self, discharger):
-        extra = 5
-        exprs = [V("c.0") == C(value) for value in range(self.CAP + extra)]
-        cache = interference._token_cache
-        for expr in exprs:
-            assert interference._component_key(expr, {}) is not None
-            assert len(cache) <= self.CAP
-        assert len(cache) == self.CAP
-        for expr in exprs[extra:]:
-            assert cache[id(expr)][0] is expr
-        # ``exprs`` keeps every expression alive, so no id is recycled.
-        assert all(id(expr) not in cache for expr in exprs[:extra])
+    return build_coloring_design(chain_tree(size), k=3)
 
-    def test_predicate_and_pair_caches_stay_bounded(self, discharger):
-        predicates = [
-            (V("c.0") == C(value)).predicate(name=f"p{value}")
-            for value in range(self.CAP + 3)
+
+def _design_objects(design):
+    """Every predicate, action and expression a certification can key."""
+    objects = [design.candidate.invariant]
+    actions = list(design.candidate.program.actions)
+    actions += [binding.action for binding in design.bindings]
+    for action in actions:
+        objects += [action, action.guard, action.effect]
+        objects += [
+            rhs for rhs in action.effect.updates.values()
+            if isinstance(rhs, Expr)
         ]
-        for predicate in predicates:
-            interference.cached_predicate_expr(predicate)
-            discharger._pair_cached_key("t", (predicate,), lambda: None)
-            assert len(interference._pred_cache) <= self.CAP
-            assert len(StaticDischarger._pair_keys) <= self.CAP
-        newest = predicates[-1]
-        assert interference._pred_cache[id(newest)][0] is newest
-        assert len(StaticDischarger._pair_keys) == self.CAP
+    for constraint in design.candidate.constraints:
+        objects += [constraint, constraint.predicate]
+    predicates = [o for o in objects if isinstance(o, Predicate)]
+    while predicates:
+        predicate = predicates.pop()
+        if predicate.source is not None:
+            objects.append(predicate.source)
+        if predicate.parts is not None:
+            objects += list(predicate.parts[1])
+            predicates += list(predicate.parts[1])
+    return objects
+
+
+class TestCachesScopedToOneCertification:
+    """Id-keyed memos live for one certification; only the token-keyed
+    proof memo is process-wide."""
+
+    @pytest.mark.parametrize("build", (_fresh_chain, _fresh_coloring))
+    @pytest.mark.parametrize("semantic", (True, False))
+    def test_a_certification_leaves_no_id_keyed_entry(self, build, semantic):
+        design = build()
+        # The design's own lazily built program and graph hold actions.
+        design.program, design.graph
+        objects = _design_objects(design)
+        gc.collect()
+        before = [sys.getrefcount(obj) for obj in objects]
+        certificate = certify_compositional(design, semantic=semantic)
+        assert certificate.ok
+        del certificate
+        gc.collect()
+        after = [sys.getrefcount(obj) for obj in objects]
+        held = [obj for obj, b, a in zip(objects, before, after) if a != b]
+        assert held == []
+        for owner in (interference, StaticDischarger):
+            for name, value in vars(owner).items():
+                if isinstance(value, dict) and name != "_memo":
+                    assert not any(
+                        isinstance(key, int) for key in value
+                    ), f"{owner.__name__}.{name} is keyed by ids"
+
+    def test_proof_memo_hits_across_two_fresh_designs(self, monkeypatch):
+        monkeypatch.setattr(StaticDischarger, "_memo", {})
+        proofs = []
+        for name in ("_prove_preserves", "_prove_establishes",
+                     "_prove_enabled_when_violated"):
+            real = getattr(StaticDischarger, name)
+
+            def spy(self, *args, _real=real, **kwargs):
+                proofs.append(args)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(StaticDischarger, name, spy)
+        first = certify_compositional(_fresh_chain())
+        assert first.ok and proofs
+        memo = dict(StaticDischarger._memo)
+        proofs.clear()
+        second = certify_compositional(_fresh_chain())
+        assert second.ok
+        assert proofs == []  # every outcome came from the memo
+        assert StaticDischarger._memo == memo
+        assert [ob.discharged_by for ob in second.obligations] == [
+            ob.discharged_by for ob in first.obligations
+        ]
 
 
 class TestHelpers:

@@ -31,6 +31,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -50,7 +51,8 @@ from repro.core import (
 )
 from repro.core.errors import ValidationError
 from repro.core.predicates import TRUE
-from repro.kernel.verify import check_tolerance_swept
+from repro.kernel import compile_program
+from repro.kernel.verify import check_tolerance_swept, vectorized_csr
 from repro.observability.metrics import MetricsRegistry
 from repro.protocols.library import build_case
 from repro.protocols.token_ring import build_dijkstra_ring
@@ -761,6 +763,44 @@ class TestShardedAndBudgeted:
             dense_hitting_times(program, list(program.state_space()), TARGET)
 
 
+class TestResidentEstimate:
+    """``memory_budget=`` is checked against bytes that cover the solve."""
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["uniform", "faults"])
+    @pytest.mark.parametrize("levels", [True, False], ids=["verdict", "own-peel"])
+    @pytest.mark.parametrize(
+        "name,size", [("diffusing-chain", 7), ("dijkstra-ring", 6)]
+    )
+    def test_traced_peak_stays_within_the_charged_bytes(
+        self, name, size, levels, faults
+    ):
+        program, invariant = build_case(name, size)
+        if levels:
+            _report, csr = check_tolerance_swept(program, invariant, TRUE)
+            assert csr.levels is not None
+        else:
+            csr = vectorized_csr(
+                compile_program(program), invariant, TRUE, shards=None
+            )
+        assert csr.vectorized
+        options = {"fault_actions": {program.actions[0].name}} if faults else {}
+        quantify(program, invariant, system=csr, **options)  # lazy imports
+        metrics = MetricsRegistry()
+        tracemalloc.start()
+        try:
+            quantify(program, invariant, system=csr, metrics=metrics, **options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        charged = metrics.report().counters["quantitative.mem.bytes"]
+        # The CSR was resident before tracing began; the rest is the solve.
+        swept = sum(
+            array.nbytes
+            for array in (csr.s_mask, csr.offsets, csr.targets, csr.action_ids)
+        )
+        assert peak <= charged - swept
+
+
 class TestServiceIntegration:
     def test_quantify_key_is_distinct(self):
         program, invariant, _ = _case("coloring-chain", 3)
@@ -828,7 +868,7 @@ class TestServiceIntegration:
 
 
 def _sparse_ladder():
-    """2048 states and 16 actions, one of them enabled per state.
+    """2048 states and 48 actions, one of them enabled per state.
 
     The materialized-sweep estimate counts every action on every state,
     so a budget between it and the value iteration's resident bytes
@@ -838,14 +878,14 @@ def _sparse_ladder():
         Action(
             f"step{k}",
             Predicate(
-                lambda s, k=k: s["n"] > 0 and s["n"] % 16 == k,
-                name=f"n > 0 and n % 16 = {k}",
+                lambda s, k=k: s["n"] > 0 and s["n"] % 48 == k,
+                name=f"n > 0 and n % 48 = {k}",
                 support=("n",),
             ),
             Assignment({"n": lambda s: s["n"] - 1}),
             reads=("n",),
         )
-        for k in range(16)
+        for k in range(48)
     ]
     return _counter(actions, hi=2047)
 
@@ -887,7 +927,7 @@ class TestOneSweepPerRequest:
 
     def test_record_matches_standalone_when_the_verdict_streams(self):
         _, counters = self._service_and_standalone(
-            _sparse_ladder(), TARGET, memory_budget=120_000
+            _sparse_ladder(), TARGET, memory_budget=300_000
         )
         assert counters["kernel.mem.streaming"] == 1
 
