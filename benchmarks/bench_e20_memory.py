@@ -1,18 +1,16 @@
 """E20 — kernel v3 memory model: narrow dtypes and streaming sweeps.
 
 Kernel v3 (:mod:`repro.kernel`) attacks the packed engine's peak memory
-on three fronts: state codes narrow to int16/int32 when the space fits
-(:attr:`StateCodec.code_dtype`), sharded sweep fragments travel through
-POSIX shared memory instead of pickles, and a ``memory_budget=`` turns
-the full-space sweep into the streaming count-only path that visits one
+on two fronts: state codes narrow to int16/int32 when the space fits
+(:attr:`StateCodec.code_dtype`), and a ``memory_budget=`` turns the
+full-space sweep into the streaming count-only path that visits one
 shard at a time (peak ``O(shard)`` instead of ``O(edges)``).
 
 The acceptance bar from the kernel v3 PR: on the E16 shapes *and* a
 10^7-state ring, v3 must show at least ``MIN_MEMORY_REDUCTION``x lower
 peak memory than the kernel v2 baseline (int64 codes, materialized CSR)
 at no more than ``MAX_WALL_RATIO``x the wall time — with bit-identical
-:class:`ToleranceReport` verdicts across dtype x streaming x shards,
-including shared memory force-disabled.
+:class:`ToleranceReport` verdicts across dtype x streaming x shards.
 
 The 16384-state shapes score the kernel's own accounting
 (``kernel.mem.peak_bytes``: the interpreter dominates whole-process RSS
@@ -239,7 +237,7 @@ def test_e20_memory_model(report, bench_timings):
 
 
 def test_e20_bit_identical_grid():
-    """Verdicts across dtype x streaming x shards, shm on and off."""
+    """Verdicts across dtype x streaming x shards."""
     if not sweeps.HAVE_NUMPY:
         import pytest
 
@@ -249,32 +247,21 @@ def test_e20_bit_identical_grid():
     baseline = check_tolerance(
         design.program, design.candidate.invariant, TRUE, engine="packed"
     )
-    had_no_shm = os.environ.get("REPRO_KERNEL_NO_SHM")
-    try:
-        for no_shm in (False, True):
-            if no_shm:
-                os.environ["REPRO_KERNEL_NO_SHM"] = "1"
-            for dtype in (None, "int64"):
-                for memory_budget in (None, 1):
-                    for shards in (None, 3):
-                        design = build_diffusing_design(star_tree(7))
-                        outcome, _, _, _ = _measure(
-                            design.program,
-                            design.candidate.invariant,
-                            dtype=dtype,
-                            memory_budget=memory_budget,
-                            shards=shards,
-                        )
-                        assert outcome == baseline, (
-                            f"verdict differs at dtype={dtype} "
-                            f"budget={memory_budget} shards={shards} "
-                            f"no_shm={no_shm}"
-                        )
-    finally:
-        if had_no_shm is None:
-            os.environ.pop("REPRO_KERNEL_NO_SHM", None)
-        else:
-            os.environ["REPRO_KERNEL_NO_SHM"] = had_no_shm
+    for dtype in (None, "int64"):
+        for memory_budget in (None, 1):
+            for shards in (None, 3):
+                design = build_diffusing_design(star_tree(7))
+                outcome, _, _, _ = _measure(
+                    design.program,
+                    design.candidate.invariant,
+                    dtype=dtype,
+                    memory_budget=memory_budget,
+                    shards=shards,
+                )
+                assert outcome == baseline, (
+                    f"verdict differs at dtype={dtype} "
+                    f"budget={memory_budget} shards={shards}"
+                )
 
 
 # ----------------------------------------------------------------------
@@ -307,9 +294,8 @@ RING_VERDICT_FIELDS = (
 def ring_child(config: str) -> int:
     """Verify the ring in this (fresh) process and print a JSON line.
 
-    ``config`` is ``v2`` (int64 codes, materialized CSR — the caller
-    additionally disables shared memory to reproduce the pre-v3 kernel)
-    or ``v3`` (narrow dtypes, streaming under :data:`RING_BUDGET`).
+    ``config`` is ``v2`` (int64 codes, materialized CSR, as the pre-v3
+    kernel) or ``v3`` (narrow dtypes, streaming under :data:`RING_BUDGET`).
     Isolation matters: ``ru_maxrss`` is a whole-process high-water mark,
     so each configuration must be the only verification its process
     ever ran.
@@ -347,16 +333,11 @@ def run_ring() -> int:
     print(f"  state space: {size:,} states")
     children = {}
     for config in ("v2", "v3"):
-        env = os.environ.copy()
-        if config == "v2":
-            # The pre-v3 kernel had no shared-memory transfer either.
-            env["REPRO_KERNEL_NO_SHM"] = "1"
         print(f"  running {config} child ...", flush=True)
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--ring-child", config],
             capture_output=True,
             text=True,
-            env=env,
         )
         if proc.returncode != 0:
             print(f"FAIL: {config} child exited {proc.returncode}",

@@ -16,12 +16,11 @@ single CPU, or a pool that cannot start) the shards are swept
 sequentially in-process — the merge is deterministic either way, which
 is what makes ``shards=N`` results bit-identical to ``shards=1``.
 
-Fragment transfer back to the parent has two paths (kernel v3): the
-zero-copy path parks each fragment in a shared-memory segment and ships
-only a descriptor (:mod:`repro.kernel.shm`), and the original pickle
-path serializes fragments through the pool pipe. :func:`sweep_merged`
-picks automatically and reports which one ran; both produce
-bit-identical merged arrays.
+Fragments travel back to the parent through the pool's result pipe
+(pickled once in the worker, unpickled once in the parent). At the
+sizes that shard at all this costs memory, not time; the 10^7-state
+scale runs under ``memory_budget=`` and streams in-process instead
+(``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-from repro.kernel import shm
 from repro.kernel.sweeps import Fragment, SweepPlan, merge_fragments
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "MAX_AUTO_SHARDS",
     "plan_shards",
     "sweep_merged",
-    "sweep_sharded",
 ]
 
 #: Auto-sharding aims at roughly this many states per shard.
@@ -93,25 +90,6 @@ def _sweep_worker(bounds: tuple[int, int]) -> Fragment:
     return plan.sweep_range(*bounds)
 
 
-def _shm_sweep_worker(item: tuple[str, int, int, int]) -> shm.FragmentHandle:
-    """Sweep one shard and park the fragment in a shared segment.
-
-    The worker returns only the descriptor; the arrays never touch the
-    pool pipe. Also runs in-parent on the BrokenProcessPool rerun path,
-    where :func:`~repro.kernel.shm.export_fragment` reclaims any
-    same-name segment a crashed worker left half-written.
-    """
-    token, index, lo, hi = item
-    plan = _ACTIVE
-    if plan is None:
-        raise RuntimeError(
-            "no active sweep plan in this process; sharded sweeps share "
-            "the plan by fork inheritance only"
-        )
-    fragment = plan.sweep_range(lo, hi)
-    return shm.export_fragment(fragment, shm.segment_name(token, index))
-
-
 def _pool_usable(ranges, workers: int) -> bool:
     if len(ranges) <= 1 or workers <= 1:
         return False
@@ -121,18 +99,21 @@ def _pool_usable(ranges, workers: int) -> bool:
         return False
 
 
-def sweep_sharded(
+def sweep_merged(
     plan: SweepPlan,
     ranges: list[tuple[int, int]],
     *,
     workers: int | None = None,
     metrics=None,
-) -> list[Fragment]:
-    """Sweep every range of ``plan``, in parallel when worthwhile.
+):
+    """Sweep every range of ``plan``, in parallel when worthwhile, and merge.
 
-    Returns the fragments **in range order**. Counters (when a metrics
-    registry is passed): ``kernel.sweep.vectorized`` per shard swept,
-    ``kernel.shard.merged`` with the shard count of a multi-shard run.
+    The fragments are merged **in range order**. Returns ``((s_mask,
+    t_mask, offsets, targets, action_ids), transfer)`` with ``transfer``
+    ``"pickle"`` when the shards ran on the pool, else ``"inline"``.
+    Counters (when a metrics registry is passed):
+    ``kernel.sweep.vectorized`` per shard swept, ``kernel.shard.merged``
+    with the shard count of a multi-shard run.
 
     Raises:
         SweepUnsupported: propagated from a shard whose range falls
@@ -141,7 +122,8 @@ def sweep_sharded(
     global _ACTIVE
     if workers is None:
         workers = min(len(ranges), os.cpu_count() or 1)
-    if _pool_usable(ranges, workers):
+    pool = _pool_usable(ranges, workers)
+    if pool:
         from repro.verification.parallel import run_on_pool
 
         _ACTIVE = plan
@@ -155,73 +137,4 @@ def sweep_sharded(
         metrics.counter("kernel.sweep.vectorized").add(len(ranges))
         if len(ranges) > 1:
             metrics.counter("kernel.shard.merged").add(len(ranges))
-    return fragments
-
-
-def sweep_merged(
-    plan: SweepPlan,
-    ranges: list[tuple[int, int]],
-    *,
-    workers: int | None = None,
-    metrics=None,
-):
-    """Sweep every range and merge, choosing the transfer path.
-
-    When the pool is in play and shared memory is usable, fragments
-    travel as segment descriptors and the merge slice-copies straight
-    out of the mapped segments; otherwise this is exactly
-    :func:`sweep_sharded` + :func:`~repro.kernel.sweeps.merge_fragments`.
-    Either way every segment is unlinked before returning — the token
-    backstop in the ``finally`` covers worker crashes rerouted through
-    the BrokenProcessPool rerun.
-
-    Returns ``((s_mask, t_mask, offsets, targets, action_ids),
-    transfer)`` with ``transfer`` one of ``"shm"``, ``"pickle"``, or
-    ``"inline"``. Counters match :func:`sweep_sharded`, plus
-    ``kernel.mem.shm_segments`` / ``kernel.mem.shm_unlinked`` on the
-    zero-copy path.
-    """
-    global _ACTIVE
-    if workers is None:
-        workers = min(len(ranges), os.cpu_count() or 1)
-    pool = _pool_usable(ranges, workers)
-    if not (pool and shm.shm_available()):
-        fragments = sweep_sharded(
-            plan, ranges, workers=workers, metrics=metrics
-        )
-        return merge_fragments(fragments), ("pickle" if pool else "inline")
-
-    from repro.verification.parallel import run_on_pool
-
-    token = shm.new_token()
-    items = [(token, index, lo, hi) for index, (lo, hi) in enumerate(ranges)]
-    # The tracker must exist before the fork, or each worker's private
-    # tracker unlinks its segments at worker exit (see shm docstring).
-    shm.ensure_tracker()
-    _ACTIVE = plan
-    segments: list = []
-    unlinked = 0
-    try:
-        handles = run_on_pool(_shm_sweep_worker, items, workers=workers)
-        fragments = []
-        for handle in handles:
-            fragment, segment = shm.import_fragment(handle)
-            fragments.append(fragment)
-            segments.append(segment)
-        merged = merge_fragments(fragments)
-        # Fragment arrays are views into the segments; merging >1
-        # fragments concatenates (copies), so dropping the views here
-        # lets every segment close cleanly.
-        del fragments
-        unlinked = shm.release_segments(segments)
-        segments = []
-    finally:
-        _ACTIVE = None
-        unlinked += shm.unlink_segments(token, len(ranges))
-    if metrics is not None:
-        metrics.counter("kernel.sweep.vectorized").add(len(ranges))
-        if len(ranges) > 1:
-            metrics.counter("kernel.shard.merged").add(len(ranges))
-        metrics.counter("kernel.mem.shm_segments").add(len(ranges))
-        metrics.counter("kernel.mem.shm_unlinked").add(unlinked)
-    return merged, "shm"
+    return merge_fragments(fragments), ("pickle" if pool else "inline")

@@ -89,7 +89,7 @@ class FullSpaceCSR:
     action_names: tuple[str, ...]
     #: Shards the vectorized sweep ran over; 0 for the scalar sweep.
     shards: int = 0
-    #: How shard fragments reached the merge ("shm", "pickle", "inline").
+    #: How shard fragments reached the merge ("pickle" or "inline").
     transfer: str | None = None
     levels: Any = None
 

@@ -137,7 +137,8 @@ KERNEL_SWEEP = "kernel.sweep.vectorized"
 #: Per-shard CSR fragments were merged into one system (shard count).
 KERNEL_SHARD_MERGED = "kernel.shard.merged"
 #: A full-space sweep accounted its memory (path, peak bytes, code dtype
-#: width, streaming flag, transfer mode).
+#: width, streaming flag, transfer mode: "pickle" through the pool or
+#: "inline").
 KERNEL_MEM = "kernel.mem.sweep"
 #: The quantitative analyzer solved one instance (case, states, span
 #: and doomed counts, value-iteration sweeps, execution path, engine,

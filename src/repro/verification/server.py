@@ -106,7 +106,6 @@ class _Pending:
     #: Resolved-method -> cache fingerprint ("full" and, when a design
     #: exists, "compositional").
     keys: dict[str, str]
-    request_key: str
     future: asyncio.Future = field(repr=False)
 
 
@@ -618,56 +617,36 @@ class VerificationDaemon:
                     seconds=time.perf_counter() - started,
                 )
 
-        # 2. Coalesce onto an identical in-flight request, if any.
-        request_key = f"verify:{params['method']}:{keys['full']}"
-        existing = self._inflight.get(request_key)
-        if existing is not None:
-            self.requests["deduped"] += 1
-            if self.metrics is not None:
-                self.metrics.counter("service.request.deduped").add()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    ev.SERVICE_REQUEST_DEDUPED,
-                    endpoint="verify", key=keys["full"][:16],
-                )
-            record = await asyncio.shield(existing)
-            return self._verify_response(
-                record, cached_layer="", deduped=True,
-                seconds=time.perf_counter() - started,
+        # 2. A true miss: the first of a concurrent cohort enqueues it for
+        # the next batch dispatch, the rest coalesce onto its result.
+        async def enqueue() -> tuple[dict[str, Any], str]:
+            entry_design = "compositional" in keys
+            task = VerificationTask(
+                case=f"{params['case']} (n={params['size']})",
+                builder="repro.protocols.library:build_case",
+                args=(params["case"], params["size"]),
+                fairness=params["fairness"],
+                engine=params["engine"],
+                shards=params["shards"],
+                method=params["method"],
+                design_builder=(
+                    "repro.protocols.library:build_case_design"
+                    if entry_design else None
+                ),
+                quantify=params["quantify"],
+                fault_rate=params["fault_rate"],
             )
+            if params["quantify"] and self.metrics is not None:
+                self.metrics.counter("quantitative.computed").add()
+            future: asyncio.Future = loop.create_future()
+            self._pending.append(_Pending(task=task, keys=keys, future=future))
+            self._batch_wakeup.set()
+            return await asyncio.shield(future), ""
 
-        # 3. A true miss: enqueue for the next batch dispatch.
-        entry_design = "compositional" in keys
-        task = VerificationTask(
-            case=f"{params['case']} (n={params['size']})",
-            builder="repro.protocols.library:build_case",
-            args=(params["case"], params["size"]),
-            fairness=params["fairness"],
-            engine=params["engine"],
-            shards=params["shards"],
-            method=params["method"],
-            design_builder=(
-                "repro.protocols.library:build_case_design"
-                if entry_design else None
-            ),
-            quantify=params["quantify"],
-            fault_rate=params["fault_rate"],
-        )
-        if params["quantify"] and self.metrics is not None:
-            self.metrics.counter("quantitative.computed").add()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[request_key] = future
-        self._pending.append(
-            _Pending(task=task, keys=keys, request_key=request_key, future=future)
-        )
-        self._batch_wakeup.set()
-        try:
-            record = await asyncio.shield(future)
-        finally:
-            if self._inflight.get(request_key) is future:
-                del self._inflight[request_key]
+        request_key = f"verify:{params['method']}:{keys['full']}"
+        record, _layer, deduped = await self._coalesce(request_key, enqueue)
         return self._verify_response(
-            record, cached_layer="", deduped=False,
+            record, cached_layer="", deduped=deduped,
             seconds=time.perf_counter() - started,
         )
 

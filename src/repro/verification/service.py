@@ -25,7 +25,9 @@ from the cache instead of recomputed:
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +68,13 @@ __all__ = [
 
 #: Valid values of the ``method`` switch on :meth:`verify_tolerance`.
 METHODS = ("auto", "full", "compositional")
+
+#: Records the in-memory layer keeps, least recently used evicted first
+#: (a tolerance record's report goes with it). A daemon sees a fresh key
+#: per new fault rate, so an unbounded memo grows for its lifetime; the
+#: store, when there is one, still holds every exact-key record. Far
+#: above a daemon's warm roster (serve-mix: 24 verify + 12 lint keys).
+MEMO_CAPACITY = 512
 
 
 def tolerance_fingerprint(
@@ -319,8 +328,12 @@ class VerificationService:
         #: Registry behind this service's process-local keys: it holds
         #: every object such a key names for the service's lifetime.
         self.local_keys = LocalKeys()
-        self._records: dict[tuple[str, str], dict[str, Any]] = {}
-        self._reports: dict[str, ToleranceReport] = {}
+        #: One LRU over ``(kind, key)``: ``_reports`` holds the
+        #: tolerance reports of records still in ``_records``. The lock
+        #: covers the daemon's executor threads racing its event loop.
+        self._records: OrderedDict[tuple[str, str], dict] = OrderedDict()
+        self._reports: dict[tuple[str, str], ToleranceReport] = {}
+        self._memo_lock = threading.Lock()
         self.hits = 0
         self.hits_memory = 0
         self.hits_disk = 0
@@ -333,6 +346,21 @@ class VerificationService:
     # ------------------------------------------------------------------
     # Generic record memoization (in-memory + on-disk JSON)
     # ------------------------------------------------------------------
+
+    def _recall(self, memo_key: tuple[str, str]) -> dict[str, Any] | None:
+        with self._memo_lock:
+            record = self._records.get(memo_key)
+            if record is not None:
+                self._records.move_to_end(memo_key)
+            return record
+
+    def _remember(self, memo_key: tuple[str, str], record: dict[str, Any]) -> None:
+        with self._memo_lock:
+            self._records[memo_key] = record
+            self._records.move_to_end(memo_key)
+            while len(self._records) > MEMO_CAPACITY:
+                evicted, _ = self._records.popitem(last=False)
+                self._reports.pop(evicted, None)
 
     def _note_hit(self, kind: str, key: str, layer: str) -> None:
         self.hits += 1
@@ -378,7 +406,7 @@ class VerificationService:
         process-local ``key`` is memoized in memory only.
         """
         memo_key = (kind, key)
-        record = self._records.get(memo_key)
+        record = self._recall(memo_key)
         if record is not None:
             self._note_hit(kind, key, "memory")
             return record, "memory"
@@ -386,12 +414,12 @@ class VerificationService:
         if persist:
             record = self.store.get(kind, key)
             if record is not None:
-                self._records[memo_key] = record
+                self._remember(memo_key, record)
                 self._note_hit(kind, key, "disk")
                 return record, "disk"
         self._note_miss(kind, key)
         record = compute()
-        self._records[memo_key] = record
+        self._remember(memo_key, record)
         if persist:
             # Atomic tempfile + os.replace publication inside the store:
             # concurrent workers race benignly and an interrupted writer
@@ -412,14 +440,14 @@ class VerificationService:
         last probe so each fully-missed request counts exactly once.
         """
         memo_key = (kind, key)
-        record = self._records.get(memo_key)
+        record = self._recall(memo_key)
         if record is not None:
             self._note_hit(kind, key, "memory")
             return record, "memory"
         if self.store is not None and key_kind(key) == "exact":
             record = self.store.get(kind, key)
             if record is not None:
-                self._records[memo_key] = record
+                self._remember(memo_key, record)
                 self._note_hit(kind, key, "disk")
                 return record, "disk"
         if count_miss:
@@ -440,7 +468,7 @@ class VerificationService:
             raise ValueError(
                 f"refusing to ingest a record under process-local key {key[:24]}"
             )
-        self._records[(kind, key)] = record
+        self._remember((kind, key), record)
         if self.store is not None:
             self.store.put(kind, key, record)
 
@@ -681,7 +709,7 @@ class VerificationService:
                     metrics=self.metrics,
                 ).to_json()
             seconds = time.perf_counter() - compute_started
-            self._reports[key] = report
+            self._reports[("tolerance", key)] = report
             record = _tolerance_record(
                 report, case=name, fairness=fairness, engine=resolved,
                 seconds=seconds,
@@ -696,7 +724,7 @@ class VerificationService:
         self._note_verdict("verify_tolerance", layer, elapsed)
         return ServiceVerdict(
             record=record,
-            report=self._reports.get(key),
+            report=self._reports.get(("tolerance", key)),
             cached=bool(layer),
             cache_layer=layer,
             seconds=elapsed,

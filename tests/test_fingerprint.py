@@ -420,8 +420,7 @@ class TestKeyKinds:
         daemon = VerificationDaemon(service=service)
         try:
             pending = _Pending(
-                task=None, keys={"full": "local-" + "1" * 64},
-                request_key="verify:full:local", future=None,
+                task=None, keys={"full": "local-" + "1" * 64}, future=None,
             )
             daemon._ingest(pending, {"method": "full", "ok": True})
         finally:

@@ -1,4 +1,4 @@
-"""Kernel v3 tests: narrow dtypes, zero-copy transfer, streaming verdicts.
+"""Kernel v3 tests: narrow dtypes, shard transfer, streaming verdicts.
 
 Four layers:
 
@@ -6,18 +6,21 @@ Four layers:
   plus the packed-code transport round-trip at each width;
 - unit tests for the streaming peel primitives
   (:func:`~repro.kernel.sweeps.peel_shard_edges`,
-  :func:`~repro.kernel.sweeps.edge_list_acyclic`) and the shared-memory
-  fragment transport (:mod:`repro.kernel.shm`);
+  :func:`~repro.kernel.sweeps.edge_list_acyclic`);
 - differentials pinning narrow-dtype CSR output bit-identical (after
   widening) to the ``FORCE_CODE_DTYPE='int64'`` baseline, the streaming
   count-only path bit-identical to the materialized sweep (including
-  the witness-forced fallbacks), and shm/pickle/inline transfer parity;
+  the witness-forced fallbacks), pickle/inline transfer parity, and a
+  shard worker killed mid-sweep ending in the unsharded verdict;
 - plumbing: ``memory_budget`` through service, batch tasks and the CLI,
   and the ``kernel.mem.*`` counters on every sweep path.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,7 @@ from repro.core import (
     Variable,
 )
 from repro.core.predicates import TRUE
+from repro.kernel import shard as sharding
 from repro.kernel import sweeps
 from repro.kernel.codec import StateCodec
 from repro.kernel.engine import compile_program
@@ -44,6 +48,8 @@ needs_numpy = pytest.mark.skipif(
 
 if sweeps.HAVE_NUMPY:
     import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method(allow_none=False) != "fork",
@@ -203,144 +209,34 @@ class TestEdgeListAcyclic:
         assert self._acyclic(2, [True, True], [(0, 1), (0, 1)])
 
 
-# ----------------------------------------------------------------------
-# Shared-memory fragment transport
-# ----------------------------------------------------------------------
-
-
-@needs_numpy
-class TestShmTransport:
-    def _fragment(self, with_t=True):
-        return sweeps.Fragment(
-            4,
-            7,
-            np.array([True, False, True]),
-            np.array([True, True, False]) if with_t else None,
-            np.array([0, 1, 1, 3], dtype=np.int32),
-            np.array([5, 4, 6], dtype=np.int16),
-            np.array([0, 1, 0], dtype=np.int16),
-        )
-
-    def test_export_import_round_trip(self):
-        from repro.kernel import shm
-
-        if not shm.shm_available():
-            pytest.skip("shared memory unavailable")
-        name = shm.segment_name(shm.new_token(), 0)
-        original = self._fragment()
-        handle = shm.export_fragment(original, name)
-        fragment, segment = shm.import_fragment(handle)
-        try:
-            assert fragment.lo == 4 and fragment.hi == 7
-            for field in ("s_mask", "t_mask", "offsets", "targets", "action_ids"):
-                got, want = getattr(fragment, field), getattr(original, field)
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-        finally:
-            del fragment
-            assert shm.release_segments([segment]) == 1
-
-    def test_absent_t_mask_round_trips_as_none(self):
-        from repro.kernel import shm
-
-        if not shm.shm_available():
-            pytest.skip("shared memory unavailable")
-        handle = shm.export_fragment(
-            self._fragment(with_t=False),
-            shm.segment_name(shm.new_token(), 0),
-        )
-        fragment, segment = shm.import_fragment(handle)
-        try:
-            assert fragment.t_mask is None
-        finally:
-            del fragment
-            shm.release_segments([segment])
-
-    def test_stale_segment_is_reclaimed(self):
-        from repro.kernel import shm
-
-        if not shm.shm_available():
-            pytest.skip("shared memory unavailable")
-        from multiprocessing import shared_memory
-
-        name = shm.segment_name(shm.new_token(), 0)
-        stale = shared_memory.SharedMemory(create=True, size=8, name=name)
-        stale.close()  # deliberately NOT unlinked: a crashed worker's leavings
-        handle = shm.export_fragment(self._fragment(), name)
-        fragment, segment = shm.import_fragment(handle)
-        del fragment
-        shm.release_segments([segment])
-        assert shm.unlink_segments(handle.name[3:-2], 1) == 0  # already gone
-
-    def test_disable_env_forces_unavailable(self, monkeypatch):
-        from repro.kernel import shm
-
-        monkeypatch.setenv(shm.DISABLE_ENV, "1")
-        assert not shm.shm_available()
-        monkeypatch.delenv(shm.DISABLE_ENV)
-
-    def test_unlink_segments_tolerates_absent(self):
-        from repro.kernel import shm
-
-        assert shm.unlink_segments(shm.new_token(), 4) == 0
-
-
-def _no_dev_shm_leftovers():
-    if not os.path.isdir("/dev/shm"):
-        return True
-    return not [f for f in os.listdir("/dev/shm") if f.startswith("rk3")]
-
-
 @needs_numpy
 @needs_fork
 class TestTransferParity:
-    """shm, pickle, and inline transfers produce bit-identical merges."""
+    """pickle and inline transfers produce bit-identical merges; the pool
+    run needs no shared memory and no resource tracker."""
 
-    def _merged(self, workers, monkeypatch=None, disable_shm=False):
-        from repro.kernel import shard as sharding
-
+    def _merged(self, workers):
         program, invariant = build_case("coloring-chain", 6)
         kernel = compile_program(program)
         plan = sweeps.SweepPlan(kernel, invariant, None)
         ranges = sharding.plan_shards(kernel.codec.size, 3)
-        if disable_shm:
-            monkeypatch.setenv("REPRO_KERNEL_NO_SHM", "1")
-        try:
-            return sharding.sweep_merged(plan, ranges, workers=workers)
-        finally:
-            if disable_shm:
-                monkeypatch.delenv("REPRO_KERNEL_NO_SHM")
+        return sharding.sweep_merged(plan, ranges, workers=workers)
 
-    def test_shm_pickle_inline_bit_identical(self, monkeypatch):
-        from repro.kernel import shm
-
+    def test_pickle_inline_bit_identical(self):
         merged_inline, transfer_inline = self._merged(workers=1)
         assert transfer_inline == "inline"
-        merged_pickle, transfer_pickle = self._merged(
-            workers=2, monkeypatch=monkeypatch, disable_shm=True
-        )
+        merged_pickle, transfer_pickle = self._merged(workers=2)
         assert transfer_pickle == "pickle"
-        results = [merged_inline, merged_pickle]
-        if shm.shm_available():
-            merged_shm, transfer_shm = self._merged(workers=2)
-            assert transfer_shm == "shm"
-            results.append(merged_shm)
-            assert _no_dev_shm_leftovers()
-        for other in results[1:]:
-            for a, b in zip(results[0], other):
-                if a is None:
-                    assert b is None
-                else:
-                    assert a.dtype == b.dtype
-                    assert np.array_equal(a, b)
+        for a, b in zip(merged_inline, merged_pickle):
+            if a is None:
+                assert b is None
+            else:
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
 
-    def test_shm_counters(self):
-        from repro.kernel import shm
-        from repro.kernel import shard as sharding
+    def test_pool_run_counters(self):
         from repro.observability.metrics import MetricsRegistry
 
-        if not shm.shm_available():
-            pytest.skip("shared memory unavailable")
         program, invariant = build_case("coloring-chain", 6)
         kernel = compile_program(program)
         plan = sweeps.SweepPlan(kernel, invariant, None)
@@ -349,11 +245,97 @@ class TestTransferParity:
         _, transfer = sharding.sweep_merged(
             plan, ranges, workers=2, metrics=metrics
         )
-        assert transfer == "shm"
-        report = metrics.report()
-        assert report.counters["kernel.mem.shm_segments"] == 3
-        assert report.counters["kernel.mem.shm_unlinked"] == 3
-        assert _no_dev_shm_leftovers()
+        assert transfer == "pickle"
+        counters = metrics.report().counters
+        assert counters["kernel.sweep.vectorized"] == 3
+        assert counters["kernel.shard.merged"] == 3
+        assert not [name for name in counters if "shm" in name]
+
+    def test_pool_run_starts_no_resource_tracker(self):
+        # A fresh interpreter: another test may have started the tracker.
+        completed = subprocess.run(
+            [sys.executable, "-c", _NO_TRACKER_SCRIPT, str(SRC)],
+            env=os.environ, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "pickle"
+
+
+_NO_TRACKER_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from multiprocessing import resource_tracker
+from repro.kernel import shard, sweeps
+from repro.kernel.engine import compile_program
+from repro.protocols.library import build_case
+
+program, invariant = build_case("coloring-chain", 6)
+kernel = compile_program(program)
+plan = sweeps.SweepPlan(kernel, invariant, None)
+ranges = shard.plan_shards(kernel.codec.size, 3)
+_, transfer = shard.sweep_merged(plan, ranges, workers=2)
+assert resource_tracker._resource_tracker._pid is None, "tracker started"
+assert "multiprocessing.shared_memory" not in sys.modules
+print(transfer)
+"""
+
+
+def _dying_sweep_worker(bounds):
+    """Stand-in for ``shard._sweep_worker``: pool children die on entry.
+
+    Fork-started children inherit the monkeypatch and leave a marker
+    before ``os._exit``; the parent's in-process rerun sweeps for real.
+    """
+    if multiprocessing.parent_process() is not None:
+        with open(_KILL_MARKER, "a") as marker:
+            marker.write(f"{os.getpid()}\n")
+        os._exit(1)
+    return _REAL_SWEEP_WORKER(bounds)
+
+
+_REAL_SWEEP_WORKER = sharding._sweep_worker
+_KILL_MARKER = None
+
+
+@needs_numpy
+@needs_fork
+class TestShardWorkerKilled:
+    """A shard worker dying mid-sweep still ends in the unsharded verdict."""
+
+    @pytest.fixture(autouse=True)
+    def _kill_children(self, monkeypatch, tmp_path):
+        self.marker = tmp_path / "killed"
+        monkeypatch.setattr(sweeps, "VECTOR_MIN_STATES", 0)
+        # Three shards get a pool even on a single-CPU host.
+        monkeypatch.setattr(sharding.os, "cpu_count", lambda: 3)
+        monkeypatch.setitem(globals(), "_KILL_MARKER", str(self.marker))
+        self.monkeypatch = monkeypatch
+
+    def _sharded_and_unsharded(self, program, invariant):
+        unsharded = check_tolerance_packed(program, invariant, TRUE, shards=1)
+        assert not self.marker.exists()
+        self.monkeypatch.setattr(sharding, "_sweep_worker", _dying_sweep_worker)
+        sharded = check_tolerance_packed(program, invariant, TRUE, shards=3)
+        assert self.marker.read_text().strip(), "no pool child was killed"
+        return sharded, unsharded
+
+    def test_positive_verdict(self):
+        program, invariant = build_case("coloring-chain", 6)
+        sharded, unsharded = self._sharded_and_unsharded(program, invariant)
+        assert unsharded.ok
+        assert sharded == unsharded
+
+    def test_negative_verdict_with_witness(self):
+        program, _ = build_case("coloring-chain", 6)
+        # recolor.1 moves color.1 off 0: a closure witness, then a deadlock.
+        invariant = Predicate(
+            lambda s: s["color.1"] == 0, name="color.1 = 0", support=("color.1",)
+        )
+        sharded, unsharded = self._sharded_and_unsharded(program, invariant)
+        assert not unsharded.ok
+        assert unsharded.s_closure.witnesses
+        assert unsharded.convergence.counterexample is not None
+        assert sharded == unsharded
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +346,6 @@ class TestTransferParity:
 @needs_numpy
 @pytest.mark.parametrize("name", case_names())
 def test_narrow_csr_bit_identical_to_int64_baseline(name, monkeypatch):
-    from repro.kernel import shard as sharding
-
     program, invariant = build_case(name)
     kernel = compile_program(program)
 
@@ -606,7 +586,7 @@ class TestMemoryAccounting:
         mem = [e for e in tracer.events if e.kind == "kernel.mem.sweep"]
         assert len(mem) == 1
         assert mem[0].fields["path"] == "vectorized"
-        assert mem[0].fields["transfer"] in ("shm", "pickle", "inline")
+        assert mem[0].fields["transfer"] in ("pickle", "inline")
 
     def test_service_threads_memory_budget(self):
         from repro.verification.service import VerificationService

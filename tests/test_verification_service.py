@@ -98,6 +98,42 @@ class TestServiceDifferential:
         assert stats["records"] == 1
 
 
+class TestMemoBound:
+    """The in-memory layer is one LRU of ``MEMO_CAPACITY`` records."""
+
+    def test_capacity_clears_a_daemon_warm_roster(self):
+        from repro.verification import service as service_module
+
+        # serve-mix keeps 24 verify + 12 lint keys warm.
+        assert service_module.MEMO_CAPACITY >= 4 * (24 + 12)
+
+    def test_distinct_keys_stay_bounded_and_warm_key_stays_hit(
+        self, monkeypatch
+    ):
+        pytest.importorskip("numpy")
+        from repro.verification import service as service_module
+
+        monkeypatch.setattr(service_module, "MEMO_CAPACITY", 8)
+        service = VerificationService()
+        warm_program, warm_invariant = build_case("dijkstra-ring", 3)
+        service.verify_tolerance(warm_program, warm_invariant)
+        program, invariant = build_case("coloring-chain", 3)
+        for index in range(1, 25):
+            service.verify_tolerance(
+                program, invariant, quantify=True, fault_rate=index / 100
+            )
+            assert service.stats()["records"] <= 8
+            if index % 4 == 0:
+                warm = service.verify_tolerance(warm_program, warm_invariant)
+                assert warm.cache_layer == "memory"
+                assert warm.report is not None
+        assert len(service._reports) <= 8
+        evicted = service.verify_tolerance(
+            program, invariant, quantify=True, fault_rate=0.01
+        )
+        assert not evicted.cached
+
+
 class TestDiskCache:
     def test_survives_fresh_service_instances(self, tmp_path):
         program, invariant = build_case("dijkstra-ring", 3)
