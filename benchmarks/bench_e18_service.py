@@ -24,6 +24,7 @@ import tempfile
 import threading
 import time
 
+import repro.verification.server as server_module
 from repro.analysis import render_table
 from repro.verification.server import DaemonThread
 
@@ -115,8 +116,22 @@ def _replay(handle, total, clients):
 
 
 def _verify_dedup(burst=16):
-    """Cold daemon + ``burst`` identical concurrent requests = 1 computation."""
-    handle = DaemonThread(workers=1, batch_window=0.25).start()
+    """Cold daemon + ``burst`` identical concurrent requests = 1 computation.
+
+    The one verification is held until every other request has
+    coalesced onto it, so the burst is a true in-flight cohort however
+    fast the daemon dispatches.
+    """
+    entered, release = threading.Event(), threading.Event()
+    original = server_module.run_batch
+
+    def held_run_batch(tasks, **kwargs):
+        entered.set()
+        release.wait(timeout=60)
+        return original(tasks, **kwargs)
+
+    server_module.run_batch = held_run_batch
+    handle = DaemonThread(workers=1).start()
     try:
         results = []
 
@@ -137,6 +152,12 @@ def _verify_dedup(burst=16):
         threads = [threading.Thread(target=fire) for _ in range(burst)]
         for thread in threads:
             thread.start()
+        entered.wait(timeout=60)
+        deadline = time.time() + 60
+        while (handle.daemon.requests["deduped"] < burst - 1
+               and time.time() < deadline):
+            time.sleep(0.01)
+        release.set()
         for thread in threads:
             thread.join()
         computed = handle.daemon.requests["computed"]
@@ -144,22 +165,23 @@ def _verify_dedup(burst=16):
             f"{burst} identical concurrent requests caused {computed} "
             "verifications; in-flight dedup is broken"
         )
+        deduped = handle.daemon.requests["deduped"]
+        assert deduped == burst - 1, (
+            f"{deduped} of {burst - 1} followers coalesced onto the held "
+            "verification"
+        )
         assert all(record["ok"] for record in results)
-        return {
-            "burst": burst,
-            "computed": computed,
-            "deduped": handle.daemon.requests["deduped"],
-        }
+        return {"burst": burst, "computed": computed, "deduped": deduped}
     finally:
+        release.set()
         handle.stop()
+        server_module.run_batch = original
 
 
 def _run_load(total, clients, workers):
     """One full load experiment against a fresh store-backed daemon."""
     with tempfile.TemporaryDirectory() as cache_dir:
-        handle = DaemonThread(
-            workers=workers, cache_dir=cache_dir, batch_window=0.01
-        ).start()
+        handle = DaemonThread(workers=workers, cache_dir=cache_dir).start()
         try:
             latencies, wall, failures = _replay(handle, total, clients)
             assert not failures, f"failed requests: {failures[:5]}"

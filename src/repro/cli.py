@@ -625,7 +625,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 port=args.port,
                 cache_dir=args.cache,
                 workers=args.workers,
-                batch_window=args.batch_window,
                 max_batch=args.max_batch,
                 store_shards=args.store_shards,
                 warm_capacity=args.warm_capacity,
@@ -824,12 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="process-pool width for batched verification misses",
-    )
-    serve.add_argument(
-        "--batch-window", type=float, default=0.01, metavar="SECONDS",
-        help="how long cache-missing requests are collected before one "
-        "batch is dispatched to the pool",
+        help="process-pool width for verification misses (1 = compute "
+        "in the daemon's dispatcher thread)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=16, metavar="N",

@@ -285,6 +285,26 @@ class WorkerPool:
                 self.starts += 1
             return self._executor
 
+    def start(self) -> None:
+        """Fork the workers now instead of on the first batch.
+
+        A fork copies every lock in the state it is in at that moment.
+        A worker forked while another thread of this process is inside
+        an import inherits that module's lock held by a thread it does
+        not have, and deadlocks on its first task that imports the
+        module. A caller that runs other threads (the daemon) starts
+        its pool before they do.
+
+        Raises:
+            RuntimeError: after :meth:`close`.
+            OSError, ValueError: if the executor cannot start.
+        """
+        executor = self.executor()
+        # Under the fork start method ProcessPoolExecutor launches all
+        # its workers on the first submit; elsewhere, one per submit.
+        for _ in range(self.workers):
+            executor.submit(int)
+
     def discard(self, executor: ProcessPoolExecutor) -> None:
         """Shut down ``executor`` after it broke; joins its workers."""
         with self._lock:

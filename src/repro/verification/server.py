@@ -24,20 +24,26 @@ Three scaling mechanisms sit between the socket and the checkers:
    is already cached is answered inline, and concurrent *in-flight*
    duplicates coalesce onto the first request's future — N identical
    concurrent requests cause exactly one verification;
-2. **deduped batching** — cache-missing verify requests are collected
-   for a short window (``batch_window``) and dispatched as one
+2. **group-commit batching** — a cache-missing verify request is
+   dispatched as soon as the batch dispatcher is free: with no batch in
+   flight it goes out at once, alone; misses that arrive while a batch
+   runs form the next one (up to ``max_batch``). Each batch is one
    :func:`~repro.verification.parallel.run_batch` call, honouring each
-   request's ``engine=``/``method=``/``shards=``; multi-task batches run
-   on one :class:`~repro.verification.parallel.WorkerPool` that opens on
-   the first such batch and stays warm for the daemon's lifetime
-   (replaced when a worker dies, shut down after the drain); results are
-   ingested back into the service so later duplicates are memory hits;
+   request's ``engine=``/``method=``/``shards=``, on one
+   :class:`~repro.verification.parallel.WorkerPool` that forks when the
+   daemon starts and stays warm for its lifetime (replaced when a
+   worker dies, shut down after the drain), so no verification holds
+   the event loop's interpreter. The dispatcher thread ingests the
+   results into the service (and its store) before the waiting
+   requests are answered, so later duplicates are memory hits;
 3. **the sharded verdict store** — with ``cache_dir=`` verdicts persist
    in bucketed directories with an LRU warm tier and size-bounded
    eviction (``store_entries``/``store_bytes``), so a restarted daemon
    keeps its corpus warm within budget.
 
-Observability: ``service.request.*`` and ``store.*`` events/counters
+Observability: ``service.request.*`` and ``store.*`` events/counters,
+and the ``service.batch.wait`` (enqueue to dispatch, per miss) and
+``service.batch.compute`` (dispatch to records back, per batch) timers,
 flow through :mod:`repro.observability` into ``GET /stats`` and
 :meth:`VerificationDaemon.report`. See ``docs/SERVICE.md`` for the
 endpoint reference and operations guide.
@@ -49,6 +55,7 @@ import asyncio
 import json
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +64,7 @@ from typing import Any
 from repro.core.errors import ValidationError
 from repro.core.fingerprint import fingerprint_program, key_kind
 from repro.observability import events as ev
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry, Timer
 from repro.observability.report import RunReport
 from repro.observability.tracer import Tracer
 from repro.quantitative import (
@@ -68,6 +75,7 @@ from repro.quantitative import (
 from repro.verification.explorer import validate_engine
 from repro.verification.parallel import VerificationTask, WorkerPool, run_batch
 from repro.verification.service import (
+    MEMO_CAPACITY,
     VerificationService,
     tolerance_fingerprint,
     validate_method,
@@ -90,6 +98,14 @@ _JSON_HEADERS = "Content-Type: application/json\r\n"
 _FAIRNESS = ("weak", "none")
 
 
+def _timer_ms(timer: Timer) -> dict[str, float]:
+    return {
+        "count": timer.count,
+        "mean_ms": timer.mean * 1000,
+        "max_ms": timer.max * 1000,
+    }
+
+
 class RequestError(Exception):
     """A malformed or unanswerable request — becomes an HTTP 4xx."""
 
@@ -107,6 +123,8 @@ class _Pending:
     #: exists, "compositional").
     keys: dict[str, str]
     future: asyncio.Future = field(repr=False)
+    #: ``time.perf_counter()`` when the miss was queued.
+    enqueued: float = field(default_factory=time.perf_counter)
 
 
 class VerificationDaemon:
@@ -118,12 +136,9 @@ class VerificationDaemon:
             :attr:`port` after :meth:`start`).
         cache_dir: Root of the sharded verdict store; ``None`` keeps
             verdicts in memory only.
-        workers: Process-pool width for batched verification misses
-            (``1`` = compute in the dispatcher thread). The pool opens
-            on the first multi-task batch and is kept warm until
-            :meth:`stop`; single-task batches never use it.
-        batch_window: Seconds cache-missing requests are collected
-            before one batch is dispatched.
+        workers: Process-pool width for verification misses (``1`` =
+            compute in the dispatcher thread). The pool forks in
+            :meth:`start` and is kept warm until :meth:`stop`.
         max_batch: Largest batch handed to the pool at once.
         store_shards: Bucket directories in the verdict store.
         warm_capacity: Decoded records kept in the store's LRU warm tier.
@@ -143,7 +158,6 @@ class VerificationDaemon:
         port: int = 8421,
         cache_dir: str | Path | None = None,
         workers: int = 2,
-        batch_window: float = 0.01,
         max_batch: int = 16,
         store_shards: int = 16,
         warm_capacity: int = 128,
@@ -156,7 +170,6 @@ class VerificationDaemon:
         self.host = host
         self.port = port
         self.workers = max(1, workers)
-        self.batch_window = batch_window
         self.max_batch = max(1, max_batch)
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -193,10 +206,15 @@ class VerificationDaemon:
         self._drained: asyncio.Event | None = None
         self._started_monotonic = time.monotonic()
         #: (case, size, fairness, with_design, quantify, fault_rate)
-        #: -> fingerprint dict.
-        self._key_cache: dict[
+        #: -> fingerprint dict, least recently used evicted first: every
+        #: fresh fault rate is a new entry. Key builds run on several
+        #: executor threads, hence the lock.
+        self._key_cache: OrderedDict[
             tuple[str, int, str, bool, bool, float], dict[str, str]
-        ] = {}
+        ] = OrderedDict()
+        self._key_lock = threading.Lock()
+        self._wait_timer = self.metrics.timer("service.batch.wait")
+        self._compute_timer = self.metrics.timer("service.batch.compute")
         self.requests = {
             "total": 0,
             "verify": 0,
@@ -218,6 +236,25 @@ class VerificationDaemon:
 
     async def start(self) -> None:
         """Bind the listening socket; :attr:`port` is the real port."""
+        # Import what a miss runs before the pool forks: every worker
+        # inherits it instead of importing it on its first task, and a
+        # later fork (a replaced pool) cannot catch these imports half
+        # done.
+        import repro.compositional  # noqa: F401
+        import repro.kernel.shard  # noqa: F401
+        import repro.kernel.verify  # noqa: F401
+        import repro.protocols.library  # noqa: F401
+        import repro.staticcheck  # noqa: F401
+
+        if self.workers > 1:
+            # Fork before any executor thread can be inside an import
+            # (see WorkerPool.start), and before the listening socket
+            # exists for the workers to inherit. A pool that cannot
+            # start leaves batches to the in-process fallback.
+            try:
+                self._pool.start()
+            except (OSError, ValueError):
+                pass
         self._batch_wakeup = asyncio.Event()
         self._drained = asyncio.Event()
         self._drained.set()
@@ -528,8 +565,10 @@ class VerificationDaemon:
         """Cache fingerprints for a verify request, by resolved method.
 
         Builds the instance once per distinct ``(case, size, fairness,
-        design?)`` and memoizes — library builders are deterministic, so
-        the fingerprints are too.
+        design?, quantify, fault_rate)`` and memoizes the
+        :data:`~repro.verification.service.MEMO_CAPACITY` most recently
+        used — library builders are deterministic, so the fingerprints
+        are too.
         """
         from repro.protocols.library import CASES, build_case
 
@@ -547,9 +586,11 @@ class VerificationDaemon:
             params["case"], params["size"], params["fairness"], with_design,
             quantify, fault_rate,
         )
-        keys = self._key_cache.get(memo_key)
-        if keys is not None:
-            return keys
+        with self._key_lock:
+            keys = self._key_cache.get(memo_key)
+            if keys is not None:
+                self._key_cache.move_to_end(memo_key)
+                return keys
         if with_design:
             design = entry.build_design(params["size"])
             program, invariant = design.program, design.candidate.invariant
@@ -568,7 +609,11 @@ class VerificationDaemon:
                 fairness=params["fairness"], method="compositional",
                 design=design, local=local,
             )
-        self._key_cache[memo_key] = keys
+        with self._key_lock:
+            self._key_cache[memo_key] = keys
+            self._key_cache.move_to_end(memo_key)
+            while len(self._key_cache) > MEMO_CAPACITY:
+                self._key_cache.popitem(last=False)
         return keys
 
     @staticmethod
@@ -618,7 +663,7 @@ class VerificationDaemon:
                 )
 
         # 2. A true miss: the first of a concurrent cohort enqueues it for
-        # the next batch dispatch, the rest coalesce onto its result.
+        # the next batch, the rest coalesce onto its result.
         async def enqueue() -> tuple[dict[str, Any], str]:
             entry_design = "compositional" in keys
             task = VerificationTask(
@@ -674,22 +719,26 @@ class VerificationDaemon:
     # ------------------------------------------------------------------
 
     async def _batch_loop(self) -> None:
+        """Group commit: dispatch pending misses as soon as none is in flight.
+
+        One batch runs at a time; misses that arrive while it runs are
+        the next batch, so a lone miss never waits for company and a
+        burst is dispatched in as few batches as the dispatcher's pace
+        allows.
+        """
         loop = asyncio.get_event_loop()
         while True:
             await self._batch_wakeup.wait()
             self._batch_wakeup.clear()
-            if not self._pending:
-                continue
-            if self.batch_window > 0:
-                # The collection window: let compatible concurrent
-                # requests pile into this dispatch.
-                await asyncio.sleep(self.batch_window)
             batch = self._pending[: self.max_batch]
             del self._pending[: len(batch)]
             if self._pending:
                 self._batch_wakeup.set()
             if not batch:
                 continue
+            dispatched = time.perf_counter()
+            for pending in batch:
+                self._wait_timer.record(dispatched - pending.enqueued)
             self.requests["batches"] += 1
             self.requests["batched_tasks"] += len(batch)
             if self.metrics is not None:
@@ -702,10 +751,9 @@ class VerificationDaemon:
                     workers=self.workers,
                     cases=tuple(pending.task.case for pending in batch),
                 )
-            tasks = [pending.task for pending in batch]
             try:
                 records = await loop.run_in_executor(
-                    self._executor, self._run_batch, tasks
+                    self._executor, self._run_batch, batch
                 )
             except Exception as error:
                 for pending in batch:
@@ -716,20 +764,33 @@ class VerificationDaemon:
                             )
                         )
                 continue
+            finally:
+                self._compute_timer.record(time.perf_counter() - dispatched)
             for pending, record in zip(batch, records):
-                self._ingest(pending, record)
                 if not pending.future.done():
                     pending.future.set_result(record)
 
-    def _run_batch(self, tasks: list[VerificationTask]) -> list[dict[str, Any]]:
-        self.requests["computed"] += len(tasks)
+    def _run_batch(self, batch: list[_Pending]) -> list[dict[str, Any]]:
+        """Verify one batch and ingest its records (dispatcher thread).
+
+        Every record is in the cache layers before :meth:`_batch_loop`
+        answers its request, and the store's file writes stay off the
+        event loop.
+        """
+        self.requests["computed"] += len(batch)
         # Workers get no cache_dir: the daemon owns the store and
         # ingests the returned records itself (pool workers write the
         # flat layout, the daemon's store is sharded — mixing them
-        # would fork the corpus). A single task is cheaper computed
-        # right here than shipped to the pool and back.
-        pool = self._pool if len(tasks) > 1 and self.workers > 1 else None
-        return run_batch(tasks, cache_dir=None, pool=pool)
+        # would fork the corpus). Even a lone miss goes to the pool: an
+        # in-process compute would hold this interpreter's lock while
+        # the event loop has cache hits to answer.
+        pool = self._pool if self.workers > 1 else None
+        records = run_batch(
+            [pending.task for pending in batch], cache_dir=None, pool=pool
+        )
+        for pending, record in zip(batch, records):
+            self._ingest(pending, record)
+        return records
 
     def _ingest(self, pending: _Pending, record: dict[str, Any]) -> None:
         """Adopt one pool record into the service's cache layers.
@@ -934,14 +995,13 @@ class VerificationDaemon:
         }
 
     def stats(self) -> dict[str, Any]:
-        """The ``GET /stats`` payload: request, cache, store and pool counters."""
+        """The ``GET /stats`` payload: counters and the batch timers."""
         service_stats = self.service.stats()
         hits = service_stats["hits"]
         lookups = hits + service_stats["misses"]
         return {
             "uptime_seconds": self.uptime_seconds(),
             "workers": self.workers,
-            "batch_window": self.batch_window,
             "inflight": self._open_requests,
             "requests": dict(self.requests),
             "service": service_stats,
@@ -963,6 +1023,11 @@ class VerificationDaemon:
                 if name.startswith("quantitative.")
             },
             "pool": self._pool_stats(),
+            # Queue wait per miss and compute per batch, in milliseconds.
+            "batch": {
+                "wait": _timer_ms(self._wait_timer),
+                "compute": _timer_ms(self._compute_timer),
+            },
         }
 
     def _pool_stats(self) -> dict[str, int]:
@@ -1078,6 +1143,14 @@ class DaemonThread:
         try:
             self._loop.run_forever()
         finally:
+            # Keep-alive connections idle in their read outlive stop();
+            # end their handlers before the loop closes under them.
+            leftover = asyncio.all_tasks(self._loop)
+            for task in leftover:
+                task.cancel()
+            self._loop.run_until_complete(
+                asyncio.gather(*leftover, return_exceptions=True)
+            )
             self._loop.close()
 
     def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:

@@ -22,6 +22,12 @@ module factors that layer into an explicit :class:`VerdictStore`:
   events and counters, surfaced through :meth:`stats` (and, in the
   daemon, through ``GET /stats`` and RunReports).
 
+The store is **thread-safe**: one lock guards the index, the warm tier
+and the counters, while file reads, writes and unlinks run outside it
+(the daemon reads on its event loop while its dispatcher thread writes
+ingested records and its executor threads memoize lint and simulate
+results).
+
 Writes are **atomic and crash-safe**: each record lands in a uniquely
 named temporary file in the target directory and is published with
 :func:`os.replace`, so a reader can never observe a partially written
@@ -35,6 +41,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any
@@ -107,6 +114,8 @@ class VerdictStore:
         self.writes = 0
         self.evictions = 0
         self._bytes = 0
+        #: Guards ``_index``, ``_warm``, ``_bytes`` and the counters.
+        self._lock = threading.Lock()
         self._load_index()
 
     # ------------------------------------------------------------------
@@ -166,10 +175,6 @@ class VerdictStore:
     # ------------------------------------------------------------------
 
     def _note_hit(self, kind: str, key: str, tier: str) -> None:
-        if tier == "warm":
-            self.hits_warm += 1
-        else:
-            self.hits_disk += 1
         if self.metrics is not None:
             self.metrics.counter("store.hit").add()
             self.metrics.counter(f"store.hit.{tier}").add()
@@ -179,14 +184,14 @@ class VerdictStore:
             )
 
     def _note_miss(self, kind: str, key: str) -> None:
-        self.misses += 1
+        with self._lock:
+            self.misses += 1
         if self.metrics is not None:
             self.metrics.counter("store.miss").add()
         if self.tracer is not None:
             self.tracer.emit(ev.STORE_MISS, record_kind=kind, key=key[:16])
 
     def _note_evict(self, kind: str, key: str, reason: str) -> None:
-        self.evictions += 1
         if self.metrics is not None:
             self.metrics.counter("store.evict").add()
         if self.tracer is not None:
@@ -206,11 +211,14 @@ class VerdictStore:
         writer must never poison later reads.
         """
         entry = (kind, key[:40])
-        record = self._warm.get(entry)
+        with self._lock:
+            record = self._warm.get(entry)
+            if record is not None:
+                self._warm.move_to_end(entry)
+                if entry in self._index:
+                    self._index.move_to_end(entry)
+                self.hits_warm += 1
         if record is not None:
-            self._warm.move_to_end(entry)
-            if entry in self._index:
-                self._index.move_to_end(entry)
             self._note_hit(kind, key, "warm")
             return record
         path = self.path(kind, key)
@@ -227,12 +235,14 @@ class VerdictStore:
             self._discard(entry, path)
             self._note_miss(kind, key)
             return None
-        if entry in self._index:
-            self._index.move_to_end(entry)
-        else:
-            self._index[entry] = len(text)
-            self._bytes += len(text)
-        self._warm_insert(entry, record)
+        with self._lock:
+            if entry in self._index:
+                self._index.move_to_end(entry)
+            else:
+                self._index[entry] = len(text)
+                self._bytes += len(text)
+            self._warm_insert(entry, record)
+            self.hits_disk += 1
         self._note_hit(kind, key, "disk")
         return record
 
@@ -271,17 +281,22 @@ class VerdictStore:
                 pass
             raise
         entry = (kind, key[:40])
-        previous = self._index.pop(entry, 0)
-        self._bytes += len(payload) - previous
-        self._index[entry] = len(payload)
-        self._warm_insert(entry, record)
-        self.writes += 1
+        with self._lock:
+            previous = self._index.pop(entry, 0)
+            self._bytes += len(payload) - previous
+            self._index[entry] = len(payload)
+            self._warm_insert(entry, record)
+            self.writes += 1
+            evicted = self._over_budget()
         if self.metrics is not None:
             self.metrics.counter("store.write").add()
-        self._enforce_budget()
+        for (old_kind, old_key), reason in evicted:
+            self._unlink(self.path(old_kind, old_key))
+            self._note_evict(old_kind, old_key, reason)
         return path
 
     def _warm_insert(self, entry: tuple[str, str], record: dict[str, Any]) -> None:
+        # Caller holds the lock.
         if self.warm_capacity <= 0:
             return
         self._warm[entry] = record
@@ -289,31 +304,42 @@ class VerdictStore:
         while len(self._warm) > self.warm_capacity:
             self._warm.popitem(last=False)
 
-    def _discard(self, entry: tuple[str, str], path: Path) -> None:
-        size = self._index.pop(entry, 0)
-        self._bytes -= size
+    def _forget(self, entry: tuple[str, str]) -> None:
+        # Caller holds the lock.
+        self._bytes -= self._index.pop(entry, 0)
         self._warm.pop(entry, None)
+
+    @staticmethod
+    def _unlink(path: Path) -> None:
         try:
             path.unlink()
         except OSError:
             pass
 
-    def _enforce_budget(self) -> None:
-        def over_budget() -> str | None:
-            if self.max_entries is not None and len(self._index) > self.max_entries:
-                return "max_entries"
-            if self.max_bytes is not None and self._bytes > self.max_bytes:
-                return "max_bytes"
-            return None
+    def _discard(self, entry: tuple[str, str], path: Path) -> None:
+        with self._lock:
+            self._forget(entry)
+        self._unlink(path)
 
+    def _over_budget(self) -> list[tuple[tuple[str, str], str]]:
+        """Forget least-recently-used entries until within budget.
+
+        Caller holds the lock and unlinks the returned entries' files
+        after releasing it. Returns ``[(entry, reason), ...]``.
+        """
+        evicted = []
         while self._index:
-            reason = over_budget()
-            if reason is None:
+            if self.max_entries is not None and len(self._index) > self.max_entries:
+                reason = "max_entries"
+            elif self.max_bytes is not None and self._bytes > self.max_bytes:
+                reason = "max_bytes"
+            else:
                 break
-            entry, _ = next(iter(self._index.items()))
-            kind, key = entry
-            self._discard(entry, self.path(kind, key))
-            self._note_evict(kind, key, reason)
+            entry = next(iter(self._index))
+            self._forget(entry)
+            self.evictions += 1
+            evicted.append((entry, reason))
+        return evicted
 
     # ------------------------------------------------------------------
     # Introspection
@@ -333,21 +359,22 @@ class VerdictStore:
 
     def stats(self) -> dict[str, Any]:
         """Hit-rate and budget counters for ``/stats`` and RunReports."""
-        hits = self.hits_warm + self.hits_disk
-        lookups = hits + self.misses
-        return {
-            "entries": len(self._index),
-            "bytes": self._bytes,
-            "shards": self.shards,
-            "warm_capacity": self.warm_capacity,
-            "warm_entries": len(self._warm),
-            "max_entries": self.max_entries,
-            "max_bytes": self.max_bytes,
-            "hits": hits,
-            "hits_warm": self.hits_warm,
-            "hits_disk": self.hits_disk,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "hit_rate": (hits / lookups) if lookups else 0.0,
-        }
+        with self._lock:
+            hits = self.hits_warm + self.hits_disk
+            lookups = hits + self.misses
+            return {
+                "entries": len(self._index),
+                "bytes": self._bytes,
+                "shards": self.shards,
+                "warm_capacity": self.warm_capacity,
+                "warm_entries": len(self._warm),
+                "max_entries": self.max_entries,
+                "max_bytes": self.max_bytes,
+                "hits": hits,
+                "hits_warm": self.hits_warm,
+                "hits_disk": self.hits_disk,
+                "misses": self.misses,
+                "writes": self.writes,
+                "evictions": self.evictions,
+                "hit_rate": (hits / lookups) if lookups else 0.0,
+            }

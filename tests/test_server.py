@@ -8,15 +8,19 @@ with :mod:`http.client` — no mocked transport — pinning:
   call provenance);
 - in-flight dedup: N concurrent identical requests cause exactly one
   verification;
+- group commit: a miss is dispatched as soon as no batch is in flight,
+  and misses queued behind a running batch form the next one (a patched
+  ``run_batch`` holds a batch so the queue is deterministic);
 - ``/healthz`` responsiveness while every executor thread is blocked;
 - graceful shutdown draining accepted requests;
-- the warm worker pool: multi-task batches share one pool, a dead
-  worker ends in correct verdicts and one fresh pool, and no pool
-  worker outlives the daemon.
+- the warm worker pool: every batch, a lone miss too, runs on one pool
+  (``workers=1`` computes in-process), a dead worker ends in correct
+  verdicts and one fresh pool, and no pool worker outlives the daemon.
 
 The store tests cover the sharded layout, the LRU warm tier,
-size-bounded eviction, index recovery across restarts, and the
-truncated-entry-is-a-miss contract behind the atomic-write fix.
+size-bounded eviction, index recovery across restarts, concurrent
+readers and writers, and the truncated-entry-is-a-miss contract behind
+the atomic-write fix.
 """
 
 import json
@@ -41,6 +45,7 @@ from repro.observability import (
 )
 from repro.verification.parallel import run_batch
 from repro.verification.server import (
+    MEMO_CAPACITY,
     PROVENANCE_KEYS,
     DaemonThread,
     VerificationDaemon,
@@ -82,9 +87,89 @@ def get(handle, path, timeout=60):
 
 @pytest.fixture
 def daemon():
-    handle = DaemonThread(workers=1, batch_window=0.005).start()
+    handle = DaemonThread(workers=1).start()
     yield handle
     handle.stop()
+
+
+class _BatchGate(list):
+    """Every ``(tasks, records)`` pair the daemon's batches returned.
+
+    Installed as ``server.run_batch``; :meth:`hold_next` makes the next
+    batch wait until released, so tests can queue misses behind it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._hold = None
+
+    def hold_next(self):
+        """Hold the next batch; returns its ``(entered, release)`` events."""
+        self._hold = (threading.Event(), threading.Event())
+        return self._hold
+
+    def __call__(self, tasks, **kwargs):
+        hold, self._hold = self._hold, None
+        if hold is not None:
+            entered, release = hold
+            entered.set()
+            assert release.wait(timeout=30)
+        records = run_batch(tasks, **kwargs)
+        self.append((list(tasks), records))
+        return records
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    gate = _BatchGate()
+    monkeypatch.setattr(server_module, "run_batch", gate)
+    return gate
+
+
+def _await(condition, timeout=10.0):
+    deadline = time.time() + timeout
+    while not condition():
+        assert time.time() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+def _group_commit(handle, batches, bodies, *, settled=None):
+    """POST ``bodies`` so the first one's batch runs alone.
+
+    That batch is held until the other bodies are queued behind it
+    (``/healthz`` ``pending_batch``), or until ``settled()`` for
+    followers that never queue (in-flight duplicates), then released.
+    Returns the records in body order.
+    """
+    entered, release = batches.hold_next()
+    results = [None] * len(bodies)
+
+    def fire(index):
+        results[index] = post(handle, "/verify", bodies[index])
+
+    threads = [
+        threading.Thread(target=fire, args=(index,))
+        for index in range(len(bodies))
+    ]
+    if settled is None:
+        queued = len(bodies) - 1
+
+        def settled():
+            return get(handle, "/healthz")[1]["pending_batch"] == queued
+
+    threads[0].start()
+    try:
+        assert entered.wait(timeout=30)
+        for thread in threads[1:]:
+            thread.start()
+        _await(settled)
+    finally:
+        release.set()
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    assert all(status == 200 for status, _ in results)
+    return [record for _, record in results]
 
 
 # ----------------------------------------------------------------------
@@ -298,56 +383,34 @@ class TestRequestValidation:
 
 
 class TestDedupAndBatching:
-    def test_concurrent_identical_requests_compute_once(self):
-        handle = DaemonThread(workers=1, batch_window=0.25).start()
+    def test_concurrent_identical_requests_compute_once(self, batches):
+        handle = DaemonThread(workers=1).start()
         try:
-            results = []
-
-            def fire():
-                results.append(
-                    post(handle, "/verify", {"case": "mis-cycle", "size": 5})
-                )
-
-            threads = [threading.Thread(target=fire) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert all(status == 200 for status, _ in results)
-            assert all(record["ok"] for _, record in results)
-            # Exactly one verification ran; every other request either
-            # coalesced onto its future or (arriving after ingestion)
-            # hit the cache.
+            records = _group_commit(
+                handle, batches, [{"case": "mis-cycle", "size": 5}] * 6,
+                settled=lambda: handle.daemon.requests["deduped"] == 5,
+            )
+            assert all(record["ok"] for record in records)
+            # Exactly one verification ran; the five requests that
+            # arrived while it was held coalesced onto its future.
             assert handle.daemon.requests["computed"] == 1
-            followers = [
-                record for _, record in results
-                if record["deduped"] or record["cached"]
-            ]
-            assert len(followers) == 5
+            assert [record["deduped"] for record in records] == [False] + [True] * 5
         finally:
             handle.stop()
 
-    def test_distinct_requests_share_one_batch_dispatch(self):
-        handle = DaemonThread(workers=1, batch_window=0.25).start()
+    def test_distinct_requests_share_one_batch_dispatch(self, batches):
+        handle = DaemonThread(workers=1).start()
         try:
-            bodies = [
+            _group_commit(handle, batches, [
                 {"case": "dijkstra-ring", "size": 3},
                 {"case": "mis-cycle", "size": 4},
                 {"case": "matching-cycle", "size": 3},
-            ]
-            results = []
-
-            def fire(body):
-                results.append(post(handle, "/verify", body))
-
-            threads = [threading.Thread(target=fire, args=(b,)) for b in bodies]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert all(status == 200 for status, _ in results)
+            ])
+            # Group commit: the first miss went out alone at once; the
+            # two that queued behind it shared the next dispatch.
+            assert [len(tasks) for tasks, _ in batches] == [1, 2]
             assert handle.daemon.requests["computed"] == 3
-            assert handle.daemon.requests["batches"] == 1
+            assert handle.daemon.requests["batches"] == 2
         finally:
             handle.stop()
 
@@ -469,6 +532,40 @@ class TestObservability:
         assert "service.batch.dispatch" in kinds
         assert set(kinds) <= set(EVENT_KINDS) | {"cache.hit", "cache.miss"}
 
+    def test_stats_time_queue_wait_and_compute(self, daemon):
+        post(daemon, "/verify", {"case": "dijkstra-ring", "size": 3})
+        post(daemon, "/verify", {"case": "mis-cycle", "size": 4})
+        status, stats = get(daemon, "/stats")
+        assert status == 200
+        wait, compute = stats["batch"]["wait"], stats["batch"]["compute"]
+        assert wait["count"] == 2  # one per miss
+        assert compute["count"] == 2  # one per batch
+        for timer in (wait, compute):
+            assert set(timer) == {"count", "mean_ms", "max_ms"}
+            assert 0 <= timer["mean_ms"] <= timer["max_ms"]
+        assert compute["max_ms"] > 0
+        report = daemon.daemon.report()
+        assert report.timers["service.batch.wait"]["count"] == 2
+        assert report.timers["service.batch.compute"]["count"] == 2
+
+    def test_key_cache_is_a_bounded_lru(self):
+        daemon = VerificationDaemon(workers=1)
+
+        def keys(rate):
+            return daemon._verify_keys(daemon._normalize_verify(
+                {"case": "dijkstra-ring", "size": 3, "quantify": True,
+                 "fault_rate": rate}
+            ))
+
+        warm = keys(0.5)
+        for index in range(2 * MEMO_CAPACITY):
+            keys(1.0 + index)
+            if index % 64 == 0:
+                assert keys(0.5) is warm  # a hit refreshes its recency
+        assert len(daemon._key_cache) == MEMO_CAPACITY
+        assert keys(0.5) is warm
+        assert keys(1.0) is not keys(1.0 + 2 * MEMO_CAPACITY - 1)
+
     def test_report_rolls_up_request_counters(self, daemon):
         post(daemon, "/verify", {"case": "dijkstra-ring", "size": 3})
         report = daemon.daemon.report(run="test")
@@ -481,10 +578,10 @@ class TestObservability:
 
 
 # ----------------------------------------------------------------------
-# The warm worker pool behind multi-task batches
+# The warm worker pool behind every batch
 # ----------------------------------------------------------------------
 
-#: Distinct cold quantify misses, dealt two per batch.
+#: Distinct cold quantify misses.
 _QUANTIFY_MISSES = [
     {"case": "dijkstra-ring", "size": 3, "quantify": True},
     {"case": "mis-cycle", "size": 4, "quantify": True},
@@ -527,20 +624,6 @@ def _fire(handle, bodies):
     return [record for _, record in results]
 
 
-@pytest.fixture
-def batches(monkeypatch):
-    """Every ``(tasks, records)`` pair the daemon's batches return."""
-    seen = []
-
-    def recording_run_batch(tasks, **kwargs):
-        records = run_batch(tasks, **kwargs)
-        seen.append((list(tasks), records))
-        return records
-
-    monkeypatch.setattr(server_module, "run_batch", recording_run_batch)
-    return seen
-
-
 def _assert_matches_in_process(batch, responses):
     """Pool records and responses equal the in-process verdicts."""
     tasks, records = batch
@@ -565,8 +648,8 @@ def _wait_for_zombie(pid, timeout=10.0):
     while time.time() < deadline:
         try:
             stat = Path(f"/proc/{pid}/stat").read_text()
-        except FileNotFoundError:
-            return
+        except (FileNotFoundError, ProcessLookupError):
+            return  # already reaped (between open and read, the latter)
         if stat.rsplit(")", 1)[1].split()[0] == "Z":
             return
         time.sleep(0.01)
@@ -576,23 +659,26 @@ def _wait_for_zombie(pid, timeout=10.0):
 class TestWarmPool:
     def test_multi_task_batches_share_one_warm_pool(self, batches):
         before = {child.pid for child in multiprocessing.active_children()}
-        handle = DaemonThread(workers=2, batch_window=0.25).start()
+        handle = DaemonThread(workers=2).start()
         try:
-            first = _fire(handle, _QUANTIFY_MISSES[:2])
+            first = _group_commit(handle, batches, _QUANTIFY_MISSES[:3])
             pool = [
                 child for child in multiprocessing.active_children()
                 if child.pid not in before
             ]
             assert len(pool) == 2
-            second = _fire(handle, _QUANTIFY_MISSES[2:4])
+            second = _group_commit(handle, batches, _QUANTIFY_MISSES[3:6])
             stats = get(handle, "/stats")[1]
         finally:
             handle.stop()
-        assert [len(tasks) for tasks, _ in batches] == [2, 2]
+        assert [len(tasks) for tasks, _ in batches] == [1, 2, 1, 2]
         assert stats["pool"] == {"workers": 2, "starts": 1, "replaced": 0}
-        _assert_matches_in_process(batches[0], first)
-        _assert_matches_in_process(batches[1], second)
-        # Both batches ran on the pool's two processes, never in-process.
+        _assert_matches_in_process(batches[0], first[:1])
+        _assert_matches_in_process(batches[1], first[1:])
+        _assert_matches_in_process(batches[2], second[:1])
+        _assert_matches_in_process(batches[3], second[1:])
+        # Every batch, the lone ones too, ran on the pool's two
+        # processes, never in-process.
         names = {child.name for child in pool}
         workers = {r["worker"] for _, records in batches for r in records}
         assert workers <= names
@@ -601,14 +687,40 @@ class TestWarmPool:
         assert report.counters["parallel.pool.replaced"] == 0
         assert multiprocessing.active_children() == []
 
+    def test_lone_miss_runs_on_the_pool(self, batches):
+        handle = DaemonThread(workers=2).start()
+        try:
+            status, record = post(handle, "/verify", _QUANTIFY_MISSES[0])
+            stats = get(handle, "/stats")[1]
+        finally:
+            handle.stop()
+        assert status == 200 and record["ok"] is True
+        ((tasks, records),) = batches
+        assert len(tasks) == 1
+        assert records[0]["worker"] != "MainProcess"
+        assert stats["pool"]["starts"] == 1
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_computes_in_process(self, batches):
+        handle = DaemonThread(workers=1).start()
+        try:
+            status, record = post(handle, "/verify", _QUANTIFY_MISSES[0])
+            stats = get(handle, "/stats")[1]
+        finally:
+            handle.stop()
+        assert status == 200 and record["ok"] is True
+        ((_, records),) = batches
+        assert records[0]["worker"] == "MainProcess"
+        assert stats["pool"]["starts"] == 0
+
     @pytest.mark.skipif(
         not Path("/proc/self/stat").exists(), reason="needs /proc"
     )
     def test_dead_worker_is_replaced_by_one_fresh_pool(self, batches):
         before = {child.pid for child in multiprocessing.active_children()}
-        handle = DaemonThread(workers=2, batch_window=0.25).start()
+        handle = DaemonThread(workers=2).start()
         try:
-            _fire(handle, _QUANTIFY_MISSES[:2])
+            _fire(handle, _QUANTIFY_MISSES[:1])
             old_pool = [
                 child for child in multiprocessing.active_children()
                 if child.pid not in before
@@ -618,29 +730,31 @@ class TestWarmPool:
             os.kill(old_pids[0], signal.SIGKILL)
             _wait_for_zombie(old_pids[0])
             time.sleep(0.2)  # the executor notices the death promptly
-            rerun = _fire(handle, _QUANTIFY_MISSES[2:4])
+            rerun = _fire(handle, _QUANTIFY_MISSES[1:2])
             # The broken pool is shut down and every worker reaped
             # before the rerun answers: no zombie, no orphan.
             assert all(_gone(pid) for pid in old_pids)
             after_rerun = get(handle, "/stats")[1]["pool"]
-            fresh = _fire(handle, _QUANTIFY_MISSES[4:6])
+            fresh = _group_commit(handle, batches, _QUANTIFY_MISSES[2:5])
             stats = get(handle, "/stats")[1]
         finally:
             handle.stop()
         assert after_rerun == {"workers": 2, "starts": 1, "replaced": 1}
-        # The rerun was sequential and its verdicts correct.
+        # The rerun was sequential and its verdict correct.
         assert all(r["worker"] == "MainProcess" for r in batches[1][1])
         _assert_matches_in_process(batches[1], rerun)
-        # The next batch opened exactly one new pool.
+        # The next batches opened exactly one new pool.
+        assert [len(tasks) for tasks, _ in batches] == [1, 1, 1, 2]
         assert stats["pool"] == {"workers": 2, "starts": 2, "replaced": 1}
         old_names = {child.name for child in old_pool}
-        new_workers = {r["worker"] for r in batches[2][1]}
+        new_workers = {r["worker"] for _, records in batches[2:] for r in records}
         assert not new_workers & (old_names | {"MainProcess"})
-        _assert_matches_in_process(batches[2], fresh)
+        _assert_matches_in_process(batches[2], fresh[:1])
+        _assert_matches_in_process(batches[3], fresh[1:])
         assert multiprocessing.active_children() == []
 
     def test_stop_without_drain_joins_the_pool(self):
-        handle = DaemonThread(workers=2, batch_window=0.25).start()
+        handle = DaemonThread(workers=2).start()
         _fire(handle, _QUANTIFY_MISSES[:2])
         assert handle.daemon.stats()["pool"]["starts"] == 1
         handle.stop(drain=False)
@@ -671,7 +785,7 @@ def test_sigterm_drain_of_repro_serve_leaves_no_pool_worker():
     )
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--batch-window", "0.25", "--metrics"],
+         "--workers", "2", "--metrics"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
     try:
@@ -853,6 +967,38 @@ class TestVerdictStore:
         reopened.put("tolerance", _key(3), {"index": 3})
         assert len(reopened) == 2
 
+    def test_concurrent_readers_and_writers_keep_the_books(self, tmp_path):
+        store = VerdictStore(tmp_path, shards=4, warm_capacity=2, max_entries=8)
+        errors = []
+
+        def churn(seed):
+            try:
+                for step in range(1500):
+                    index = (seed * 5 + step) % 12
+                    if step % 3 == 0:
+                        store.put("tolerance", _key(index), {"index": index})
+                    else:
+                        store.get("tolerance", _key(index))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(seed,)) for seed in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert store.bytes == sum(store._index.values())
+        assert len(store) <= 8
+        assert len(store._warm) <= 2
+
     def test_stats_hit_rate(self, tmp_path):
         store = VerdictStore(tmp_path, shards=0)
         store.put("tolerance", "f" * 64, {"ok": True})
@@ -921,3 +1067,14 @@ class TestServiceNamespace:
         assert args.workers == 3
         assert args.store_entries == 10
         assert callable(args.handler)
+
+    def test_cli_serve_has_no_fixed_window_flag(self, capsys):
+        from repro.cli import build_parser
+
+        # The deleted flag, spelled in two pieces so that a repository
+        # grep for its name finds no remnant.
+        flag = "--batch" "-window"
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", flag, "0.25"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
