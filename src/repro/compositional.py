@@ -45,8 +45,9 @@ key, and computes the failing set ``enabled & context & ~post[post-state
 key]`` in a handful of array operations; only the first failing code is
 decoded, into the refusal. The per-state loop over decoded states is
 kept as the fallback and the oracle: it runs when a guard or predicate
-is opaque (neither a :class:`~repro.core.expr.BoolExpr` source nor a
-``parts`` tree of them), a right-hand side is an opaque callable, a
+does not compile whole (:func:`repro.kernel.compile.compile_predicate`:
+some node of its tree is not a trusted lowering or combinator), a
+right-hand side is an opaque callable, a
 written value falls outside its variable's domain, tabulation raises
 (an :class:`~repro.core.errors.UnknownVariableError` among others), or
 numpy is not installed. Both paths give the same certificate.
@@ -100,13 +101,17 @@ from repro.core.errors import (
     UnknownVariableError,
     ValidationError,
 )
-from repro.core.expr import BoolExpr, Expr
+from repro.core.expr import Expr
 from repro.core.fingerprint import is_trusted, probe_states
 from repro.core.introspect import infer_predicate_reads
 from repro.core.predicates import TRUE, Predicate
 from repro.core.state import State
 from repro.kernel.codec import StateCodec
-from repro.kernel.compile import action_supports_ok, compile_expr
+from repro.kernel.compile import (
+    action_supports_ok,
+    compile_expr,
+    compile_predicate,
+)
 from repro.kernel.sweeps import SweepUnsupported, _RangeContext
 from repro.observability import MetricsRegistry, Tracer
 from repro.staticcheck.interference import (
@@ -320,36 +325,6 @@ class _Table:
         return key
 
 
-def _compiled(predicate: Predicate, codec: StateCodec) -> Callable | None:
-    """A ``values -> truth`` closure over ``codec``, or ``None`` if opaque.
-
-    A :class:`BoolExpr` source compiles directly; a ``parts`` tree
-    compiles when every operand does, combined as the recorded
-    combinator evaluates them.
-    """
-    source = predicate.source
-    if isinstance(source, BoolExpr):
-        return compile_expr(source, codec)
-    if predicate.parts is None:
-        return None
-    kind = predicate.parts[0]
-    fns = [_compiled(operand, codec) for operand in predicate.parts[1]]
-    if any(fn is None for fn in fns):
-        return None
-    if kind in ("and", "all"):
-        return lambda values: all(fn(values) for fn in fns)
-    if kind in ("or", "any"):
-        return lambda values: any(fn(values) for fn in fns)
-    if kind == "not":
-        return lambda values: not fns[0](values)
-    if kind == "implies":
-        return lambda values: not fns[0](values) or fns[1](values)
-    if kind == "count":
-        count = predicate.parts[2]
-        return lambda values: sum(1 for fn in fns if fn(values)) == count
-    return None
-
-
 class _Projector:
     """Builds projected state spaces and evaluates obligations over them."""
 
@@ -503,7 +478,7 @@ class _Projector:
         return _Table(codec, holds)
 
     def _truth_table(self, predicate: Predicate, codec: StateCodec):
-        fn = _compiled(predicate, codec)
+        fn = compile_predicate(predicate, codec)
         if fn is None:
             raise SweepUnsupported(f"predicate {predicate.name!r} is opaque")
         try:
@@ -520,7 +495,7 @@ class _Projector:
 
     def _tabulate_action(self, action: Action) -> _Table:
         codec = self.codec(action.reads, subject=action.name)
-        guard = _compiled(action.guard, codec)
+        guard = compile_predicate(action.guard, codec)
         if guard is None:
             raise SweepUnsupported(f"action {action.name!r} has an opaque guard")
         written = self.codec(action.writes, subject=action.name)

@@ -164,11 +164,20 @@ def infer_predicate_reads(
 ) -> InferredSupport:
     """Infer the read set of a predicate.
 
-    Uses the symbolic ``source`` expression when the predicate was
-    lowered from the DSL; otherwise probes the evaluation function
-    against ``states``.
+    Uses the symbolic ``source`` expression when the predicate is the
+    DSL's own lowering of it (:func:`repro.core.fingerprint.is_trusted`);
+    otherwise probes the evaluation function against ``states``, since
+    any other predicate's ``source`` is a record its function need not
+    obey.
     """
-    symbolic = _symbolic_variables(getattr(predicate, "source", None))
+    from repro.core.fingerprint import is_trusted
+
+    source = getattr(predicate, "source", None)
+    symbolic = (
+        _symbolic_variables(source)
+        if source is not None and is_trusted(predicate)
+        else None
+    )
     if symbolic is not None:
         return InferredSupport(
             reads=symbolic, writes=frozenset(), method=METHOD_SYMBOLIC, probes=0

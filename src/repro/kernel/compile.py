@@ -5,11 +5,18 @@ Three tiers, fastest first:
 1. **Symbolic closures** — guards and right-hand sides lowered from the
    expression DSL (:mod:`repro.core.expr`) are walked once and compiled
    into closures over a flat per-state value list, so evaluating them on
-   the BFS frontier touches no dict and builds no :class:`State`.
-2. **View evaluation** — opaque callables are evaluated against a
-   :class:`DigitStateView`, a ``Mapping`` facade over the same value
-   list. No ``State`` or dict is built, but the callable itself still
-   pays its usual per-access cost.
+   the BFS frontier touches no dict and builds no :class:`State`. A
+   predicate tree compiles node by node: a DSL lowering through
+   :func:`compile_expr`, and an ``and``/``or``/``not``/``implies``/
+   ``all``/``any``/``count`` combinator over its compiled operands, in
+   the combinator's own evaluation (and short-circuit) order. Only a
+   node :func:`~repro.core.fingerprint.is_trusted` accepts compiles: an
+   untrusted node's ``source`` or ``parts`` is a record its function
+   need not obey, so it is never compiled from them.
+2. **View evaluation** — opaque callables, and untrusted predicate
+   nodes, are evaluated against a :class:`DigitStateView`, a
+   ``Mapping`` facade over the same value list. No ``State`` or dict is
+   built, but the callable itself still pays its usual per-access cost.
 3. **Successor tables** — an action whose *declared* read/write sets are
    trustworthy (see :func:`action_supports_ok`) has a successor function
    that factors through its read-support projection: the packed engine
@@ -33,7 +40,7 @@ from typing import Any
 from repro.core.actions import Action
 from repro.core.errors import UnknownVariableError
 from repro.core.expr import BoolExpr, Expr, _Binary, _Const, _Fold, _Ite, _Not, _Var
-from repro.core.fingerprint import probe_states
+from repro.core.fingerprint import is_trusted, probe_states
 from repro.core.introspect import infer_action_support
 from repro.core.predicates import Predicate
 from repro.core.program import Program
@@ -46,6 +53,7 @@ __all__ = [
     "action_supports_ok",
     "compile_action",
     "compile_expr",
+    "compile_predicate",
     "compile_predicate_fn",
 ]
 
@@ -141,22 +149,106 @@ def compile_predicate_fn(
 ) -> Callable[[list], bool]:
     """A ``values -> bool`` evaluator for ``predicate``.
 
-    Symbolic predicates (lowered from :class:`BoolExpr`) compile to a
-    direct closure; opaque ones evaluate through ``view`` (the caller's
-    shared :class:`DigitStateView`, whose ``values`` the kernel rebinds
-    per state).
+    Every trusted node compiles to a closure (tier 1); any other node is
+    a leaf evaluated through ``view`` (the caller's shared
+    :class:`DigitStateView`, whose ``values`` the kernel rebinds per
+    state). The evaluator returns what ``predicate(state)`` returns, and
+    raises where it raises.
     """
-    source = getattr(predicate, "source", None)
-    if isinstance(source, BoolExpr):
-        compiled = compile_expr(source, codec)
-        if compiled is not None:
-            return lambda values: bool(compiled(values))
+    return _compile_node(predicate, codec, view)
 
-    def evaluate(values: list, _predicate=predicate, _view=view) -> bool:
+
+def compile_predicate(
+    predicate: Predicate, codec: StateCodec
+) -> Callable[[list], bool] | None:
+    """:func:`compile_predicate_fn` with no view: ``None`` on an opaque node.
+
+    For callers that need the whole tree in tier 1 (the compositional
+    certifier tabulates a projected codec and falls back to its own
+    per-state loop otherwise).
+    """
+    return _compile_node(predicate, codec, None)
+
+
+def _compile_node(
+    predicate: Predicate, codec: StateCodec, view: DigitStateView | None
+) -> Callable[[list], bool] | None:
+    if is_trusted(predicate):
+        parts = predicate.parts
+        if parts is None:
+            compiled = _compile_truth(predicate.source, codec)
+        else:
+            operands = [
+                _compile_node(operand, codec, view) for operand in parts[1]
+            ]
+            compiled = (
+                None
+                if None in operands
+                else _combine(parts[0], operands, parts[2:])
+            )
+        if compiled is not None:
+            return compiled
+    if view is None:
+        return None
+
+    def evaluate(values: list, _fn=predicate._fn, _view=view) -> bool:
         _view.values = values
-        return bool(_predicate._fn(_view))
+        return bool(_fn(_view))
 
     return evaluate
+
+
+def _compile_truth(expr: BoolExpr, codec: StateCodec) -> Callable[[list], bool] | None:
+    """The lowering's ``bool(expr(state))``; the top node is inlined."""
+    if type(expr) is BoolExpr:
+        left = compile_expr(expr.left, codec)
+        right = compile_expr(expr.right, codec)
+        if left is None or right is None:
+            return None
+        operator = expr.op
+        return lambda values: bool(operator(left(values), right(values)))
+    compiled = compile_expr(expr, codec)
+    if compiled is None:
+        return None
+    return lambda values: bool(compiled(values))
+
+
+def _combine(kind: str, fns: list, rest: tuple) -> Callable[[list], bool]:
+    """A combinator over compiled operands, evaluated as the combinator
+    evaluates its operands (:mod:`repro.core.predicates`): same order,
+    same short circuits."""
+    if kind == "not":
+        (inner,) = fns
+        return lambda values: not inner(values)
+    if kind in ("and", "or", "implies"):
+        first, second = fns
+        if kind == "and":
+            return lambda values: first(values) and second(values)
+        if kind == "or":
+            return lambda values: first(values) or second(values)
+        return lambda values: (not first(values)) or second(values)
+    if kind == "count":
+        (count,) = rest
+        return lambda values: sum(1 for fn in fns if fn(values)) == count
+    if len(fns) == 1:  # all/any of one operand is that operand's truth
+        return fns[0]
+    if kind == "all":
+
+        def all_hold(values: list) -> bool:
+            for fn in fns:
+                if not fn(values):
+                    return False
+            return True
+
+        return all_hold
+
+    def any_holds(values: list) -> bool:  # kind == "any"
+        for fn in fns:
+            if fn(values):
+                return True
+        return False
+
+    return any_holds
 
 
 def action_supports_ok(action: Action, battery: list[State]) -> bool:

@@ -36,14 +36,18 @@ module rewrites the sweeps as numpy array operations:
   adversarial game value (level ``+ 1``) and order its exact solve.
   Per shard and across shard boundaries on the streaming path it
   decides acyclicity alone (:func:`peel_shard_edges`,
-  :func:`edge_list_acyclic`).
+  :func:`edge_list_acyclic`). The scalar sweep runs its pure-Python
+  twin (:func:`scalar_peel`), which needs no numpy.
 - **Frontier BFS**: reachability over ``offsets``/``targets`` as array
   gather/scatter (:func:`frontier_reach`).
 
 Everything here is soundness-gated exactly like the scalar kernel's
 table tier: a leaf predicate is only projected onto its support after
 the same probe-based read inference that gates action tables (RW001),
-and symbolic leaves use their exact read set. Whenever a construct falls
+and symbolic leaves use their exact read set. A predicate's ``parts``
+and ``source`` are only followed on nodes
+:func:`~repro.core.fingerprint.is_trusted` accepts; any other node is an
+opaque leaf, however it describes itself. Whenever a construct falls
 outside the vectorized fragment — an opaque monolithic predicate, a raw
 (out-of-domain) successor, a missing numpy — :class:`SweepUnsupported`
 is raised and the caller falls back to the pure-Python scalar sweep,
@@ -53,8 +57,9 @@ whose results the differential suite pins bit-identical.
 from __future__ import annotations
 
 import itertools
+from array import array
 
-from repro.core.expr import BoolExpr
+from repro.core.fingerprint import is_trusted
 from repro.core.predicates import Predicate
 from repro.kernel.compile import _MISSING, compile_predicate_fn
 from repro.kernel.engine import PackedKernel
@@ -80,6 +85,7 @@ __all__ = [
     "kahn_peel",
     "merge_fragments",
     "peel_shard_edges",
+    "scalar_peel",
 ]
 
 #: Whether numpy was importable; without it the scalar sweep is used.
@@ -246,22 +252,24 @@ class _MaskNode:
         if kind == "leaf":
             return self.leaf.mask(ctx)
         masks = [operand.mask(ctx) for operand in self.operands]
-        if kind == "all":
-            out = masks[0].copy()
-            for mask in masks[1:]:
-                out &= mask
-            return out
-        if kind == "any":
-            out = masks[0].copy()
-            for mask in masks[1:]:
-                out |= mask
-            return out
         if kind == "not":
             return ~masks[0]
         if kind == "implies":
             return ~masks[0] | masks[1]
+        # all/any/count may have no operands at all
+        size = ctx.hi - ctx.lo
+        if kind == "all":
+            out = _np.ones(size, dtype=bool)
+            for mask in masks:
+                out &= mask
+            return out
+        if kind == "any":
+            out = _np.zeros(size, dtype=bool)
+            for mask in masks:
+                out |= mask
+            return out
         # count: exactly ``self.count`` of the operands hold
-        total = _np.zeros(masks[0].size, dtype=_np.int16)
+        total = _np.zeros(size, dtype=_np.int16)
         for mask in masks:
             total += mask
         return total == self.count
@@ -272,11 +280,17 @@ def _compile_mask(
 ) -> _MaskNode:
     """Recursively compile ``predicate`` into a :class:`_MaskNode`.
 
+    Only a node :func:`~repro.core.fingerprint.is_trusted` accepts is
+    decomposed along its ``parts`` or projected onto its ``source``'s
+    variables; any other node is an opaque leaf, whose function is
+    tabulated over its declared support once the probe check passes.
+
     Raises:
         SweepUnsupported: when some leaf cannot be soundly tabulated.
     """
-    parts = getattr(predicate, "parts", None)
-    if parts is not None:
+    trusted = is_trusted(predicate)
+    parts = predicate.parts
+    if trusted and parts is not None:
         kind = parts[0]
         operands = tuple(
             _compile_mask(operand, codec, battery_of) for operand in parts[1]
@@ -287,16 +301,13 @@ def _compile_mask(
             return _MaskNode("any", operands)
         if kind in ("not", "implies"):
             return _MaskNode(kind, operands)
-        if kind == "count":
-            return _MaskNode("count", operands, count=parts[2])
-        raise SweepUnsupported(f"unknown predicate combinator {kind!r}")
+        return _MaskNode("count", operands, count=parts[2])
 
-    # Leaf: find a sound support to project onto. Symbolic leaves carry
-    # their exact read set; opaque leaves must pass the same probe-based
-    # read inference that gates action tables (RW001).
-    source = getattr(predicate, "source", None)
-    if isinstance(source, BoolExpr):
-        names = source.variables()
+    # Leaf: find a sound support to project onto. A trusted lowering
+    # carries its exact read set; an opaque leaf must pass the same
+    # probe-based read inference that gates action tables (RW001).
+    if trusted:
+        names = predicate.source.variables()
     else:
         if predicate.support is None:
             raise SweepUnsupported(
@@ -860,6 +871,53 @@ def bad_region_acyclic(bad_mask, offsets, targets, metrics=None):
         kahn_peel(bad_mask & (degrees > 0), sources, sinks, metrics=metrics)
     ):
         levels[frontier] = level
+    return levels
+
+
+def scalar_peel(bad, offsets, targets):
+    """:func:`bad_region_acyclic` in pure Python, over ``array`` buffers.
+
+    ``bad`` holds one truth value per row (a ``bytearray`` on the scalar
+    sweep) and ``offsets``/``targets`` are the CSR. Returns the same
+    levels — ``-1`` for a good state, a bad deadlock, and every bad
+    state that never peels — as an ``array`` of the same width
+    :func:`_level_dtype` picks, so ``numpy.asarray`` of it equals the
+    numpy peel's result. The numpy-free sweep decides convergence with
+    it, as the vectorized sweep does with :func:`bad_region_acyclic`.
+    """
+    n = len(bad)
+    typecode = "h" if n <= 0x7FFF else "i" if n <= 0x7FFFFFFF else "q"
+    levels = array(typecode, [-1]) * n
+    # Per bad row: its bad→bad edges not yet peeled, and the bad rows
+    # with an edge into it.
+    left = [0] * n
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    frontier = []
+    for row in itertools.compress(range(n), bad):
+        lo, hi = offsets[row], offsets[row + 1]
+        if lo == hi:
+            continue  # a deadlock never peels
+        count = 0
+        for target in targets[lo:hi]:
+            if bad[target]:
+                count += 1
+                predecessors[target].append(row)
+        if count:
+            left[row] = count
+        else:
+            frontier.append(row)
+    level = 0
+    while frontier:
+        peeled = []
+        for row in frontier:
+            levels[row] = level
+            for source in predecessors[row]:
+                remaining = left[source] - 1
+                left[source] = remaining
+                if not remaining:
+                    peeled.append(source)
+        frontier = peeled
+        level += 1
     return levels
 
 

@@ -11,8 +11,11 @@ verdicts, same closure witnesses in the same order, same error messages
   space four times (implication, two closures, span construction) and
   re-executes every action per walk.
 - Both closure checks then run over the cached graph without calling a
-  single guard again, and the ``T``-span transition system handed to the
-  convergence checker is carved out of the same arrays.
+  single guard again, and the ``T``-span transition system is carved out
+  of the same arrays. Convergence is decided by a Kahn peel of the bad
+  span states (:func:`~repro.kernel.sweeps.scalar_peel` on the scalar
+  loop); only the bad states that never peel reach the exact SCC
+  analysis (:func:`check_convergence`), for its counterexample.
 - :func:`check_tolerance_swept` also returns that full-space graph as a
   :class:`FullSpaceCSR`, so a caller that needs more than the verdict
   (``quantify=True``) reuses the sweep instead of repeating it.
@@ -34,12 +37,14 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Any
 
 from repro.core.errors import StateSpaceTooLargeError
 from repro.core.predicates import TRUE, Predicate
 from repro.core.program import Program
 from repro.core.state import DEFAULT_MAX_STATES, State
+from repro.kernel import sweeps
 from repro.kernel.engine import PackedKernel, compile_program
 from repro.verification.checker import ToleranceReport
 from repro.verification.closure import ClosureResult, ClosureWitness
@@ -60,6 +65,10 @@ __all__ = [
 #: Mirrors ``check_closure``'s default ``max_witnesses``.
 _MAX_WITNESSES = 5
 
+#: ``bytes.translate`` table turning a 0/1 membership mask into its
+#: complement.
+_NEGATE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
 
 @dataclass(frozen=True)
 class FullSpaceCSR:
@@ -73,11 +82,12 @@ class FullSpaceCSR:
     never put it on a cached report, in a record, or in a pickle.
 
     ``levels`` are the verdict's Kahn peel levels
-    (:func:`~repro.kernel.sweeps.bad_region_acyclic`), indexed by code:
-    the round each bad ``T``-state peels in, ``-1`` for a bad state that
-    never peels and for every good or non-span state. They are set
-    whenever the vectorized verdict ran the peel, and ``None`` otherwise
-    (the scalar sweep, a bad deadlock, or ``T`` not closed), so a
+    (:func:`~repro.kernel.sweeps.bad_region_acyclic`, or its numpy-free
+    twin :func:`~repro.kernel.sweeps.scalar_peel` on the scalar sweep),
+    indexed by code: the round each bad ``T``-state peels in, ``-1`` for
+    a bad state that never peels and for every good or non-span state.
+    Both sweeps set them whenever the verdict ran the peel, and leave
+    them ``None`` on a bad deadlock or when ``T`` is not closed, so a
     quantify request over this CSR reads them instead of peeling again.
     """
 
@@ -412,13 +422,15 @@ def check_tolerance_swept(
                 )
             span_offsets.append(len(span_targets))
 
-    # The invariant was already evaluated on every span state: its span
-    # positions come straight from the mask.
-    good = [
-        new_position
-        for new_position, position in enumerate(span_positions)
-        if s_mask[position]
-    ]
+    # The invariant was already evaluated on every span state: the bad
+    # span positions come straight from the mask.
+    if span_count == count:
+        bad = s_mask.translate(_NEGATE)
+    else:
+        bad = bytearray(not s_mask[position] for position in span_positions)
+    bad_count = bad.count(1)
+    levels = None  # per span position, once the peel has run
+    handed = 0
     if span_escapes:
         if t_closure.ok:
             # T-states stepping outside the supplied set even though T is
@@ -433,17 +445,54 @@ def check_tolerance_swept(
             ok=False,
             fairness=fairness,
             span_states=span_count,
-            bad_states=span_count - len(good),
+            bad_states=bad_count,
         )
     else:
-        convergence = check_convergence(
-            TransitionSystem(
-                span_states, span_offsets, span_targets, span_action_ids,
-                names, codec=codec, codes=span_codes,
-            ),
-            good,
-            fairness,
-        )
+        # The vectorized verdict's prefilter, without numpy: when every
+        # bad state peels, convergence holds under any fairness and no
+        # SCC analysis runs; otherwise only the bad states that never
+        # peeled (deadlocks among them) are candidates.
+        levels = sweeps.scalar_peel(bad, span_offsets, span_targets)
+        stuck = [
+            position
+            for position in compress(range(span_count), bad)
+            if levels[position] < 0
+        ]
+        if not stuck:
+            convergence = ConvergenceResult(
+                ok=True,
+                fairness=fairness,
+                span_states=span_count,
+                bad_states=bad_count,
+            )
+        else:
+            handed = len(stuck)
+            convergence = check_convergence(
+                TransitionSystem(
+                    span_states, span_offsets, span_targets, span_action_ids,
+                    names, codec=codec, codes=span_codes,
+                ),
+                fairness,
+                stuck,
+                bad_count,
+            )
+    _note_tarjan(metrics, handed)
+    # The levels a quantify request over this CSR reads, indexed by code:
+    # only where the vectorized path keeps them (a full space with no raw
+    # successor, T closed, no bad deadlock).
+    csr_levels = None
+    if (
+        states is None
+        and not raws
+        and levels is not None
+        and not _deadlocked(convergence)
+    ):
+        if span_count == count:
+            csr_levels = levels
+        else:
+            csr_levels = array(levels.typecode, [-1]) * count
+            for position, level in zip(span_positions, levels):
+                csr_levels[position] = level
 
     masking = s_mask == t_mask
     stabilizing = span_count == count
@@ -462,6 +511,13 @@ def check_tolerance_swept(
             else _buffer_bytes(span_offsets)
             + _buffer_bytes(span_targets)
             + _buffer_bytes(span_action_ids)
+        )
+        + len(bad)
+        + (0 if levels is None else _buffer_bytes(levels))
+        + (
+            0
+            if csr_levels is None or csr_levels is levels
+            else _buffer_bytes(csr_levels)
         )
     )
     _note_memory_metrics(
@@ -485,33 +541,40 @@ def check_tolerance_swept(
         return report, None
     return report, FullSpaceCSR(
         s_mask, None if t_always else t_mask, offsets, entries, action_ids,
-        names,
+        names, levels=csr_levels,
     )
 
 
 def check_convergence(
     span: TransitionSystem,
-    good_positions: Sequence[int],
     fairness: str,
-    *,
-    candidates: list[int] | None = None,
-    bad_count: int | None = None,
+    candidates: list[int],
+    bad_count: int,
 ) -> ConvergenceResult:
     """The exact convergence verdict over a span the kernel carved.
 
     The scalar engines' SCC analysis
     (:func:`repro.verification.convergence.check_convergence`), with the
-    invariant's positions read from the sweep's mask instead of
-    re-evaluated, or with the vectorized verdict's unpeeled bad states
-    as the only ``candidates`` (see
-    :func:`~repro.verification.convergence._converge`). A module-level
-    name, so the kernel's convergence phase can be timed on its own
-    (``perfbench``'s ``kernel.converge`` span).
+    bad states the verdict's Kahn peel left behind as the only
+    ``candidates`` (see :func:`~repro.verification.convergence._converge`).
+    A module-level name, so the kernel's convergence phase can be timed
+    on its own (``perfbench``'s ``kernel.converge`` span).
     """
     return _converge(
-        span, good_positions, fairness,
-        candidates=candidates, bad_count=bad_count,
+        span, (), fairness, candidates=candidates, bad_count=bad_count
     )
+
+
+def _deadlocked(convergence: ConvergenceResult) -> bool:
+    counterexample = convergence.counterexample
+    return counterexample is not None and counterexample.kind == "deadlock"
+
+
+def _note_tarjan(metrics, handed: int) -> None:
+    """Count the bad states one packed verdict handed to the exact SCC
+    analysis (``kernel.converge.tarjan``): 0 whenever the peel decided."""
+    if metrics is not None:
+        metrics.counter("kernel.converge.tarjan").add(handed)
 
 
 def _note_sweep_metrics(
@@ -656,7 +719,6 @@ def vectorized_csr(
     returned in the CSR's place (the verify's streaming verdict).
     """
     from repro.kernel import shard as sharding
-    from repro.kernel import sweeps
 
     size = kernel.codec.size
     if not sweeps.HAVE_NUMPY:
@@ -729,8 +791,6 @@ def _vectorized_full_space(
         return csr, None  # streamed: no CSR to hand on
     import numpy as np
 
-    from repro.kernel import sweeps
-
     s_mask, t_mask = csr.s_mask, csr.t_mask
     offsets, targets, action_ids = csr.offsets, csr.targets, csr.action_ids
     codec = kernel.codec
@@ -783,6 +843,7 @@ def _vectorized_full_space(
     # Convergence over the T-span.
     # ------------------------------------------------------------------
     levels = None  # per span position, once the peel has run
+    handed = 0
     if t_mask is None:
         span_rows = None
         span_count = count
@@ -863,16 +924,18 @@ def _vectorized_full_space(
                     if span_rows is None
                     else span_rows
                 )
+                candidates = np.flatnonzero(stuck).tolist()
+                handed = len(candidates)
                 convergence = check_convergence(
                     TransitionSystem(
                         None, span_offsets, span_targets, span_ids, names,
                         codec=codec, codes=span_codes,
                     ),
-                    (),
                     fairness,
-                    candidates=np.flatnonzero(stuck).tolist(),
-                    bad_count=bad_count,
+                    candidates,
+                    bad_count,
                 )
+    _note_tarjan(metrics, handed)
 
     if levels is not None:
         if span_rows is not None:
@@ -928,8 +991,6 @@ def _streaming_full_space(
     zero-degree code — the same state the materialized scan reports.
     """
     import numpy as np
-
-    from repro.kernel import sweeps
 
     codec = kernel.codec
     count = codec.size
@@ -1058,6 +1119,7 @@ def _streaming_full_space(
             bad_states=bad_count,
         )
 
+    _note_tarjan(metrics, 0)
     _emit_sweep(tracer, program, count, len(ranges), total_edges)
     if metrics is not None:
         metrics.counter("kernel.sweep.vectorized").add(len(ranges))

@@ -372,7 +372,7 @@ def _graph_from_csr(
         in_span=None if csr.t_mask is None else np.asarray(csr.t_mask, dtype=bool),
         fault_edge=_fault_edges(csr.action_names, csr.action_ids, fault_actions),
         engine="packed",
-        levels=csr.levels,
+        levels=None if csr.levels is None else np.asarray(csr.levels),
     )
     if csr.vectorized:
         # Everything the solve needs resident at once: a budget below it

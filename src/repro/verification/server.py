@@ -206,12 +206,11 @@ class VerificationDaemon:
         self._drained: asyncio.Event | None = None
         self._started_monotonic = time.monotonic()
         #: (case, size, fairness, with_design, quantify, fault_rate)
-        #: -> fingerprint dict, least recently used evicted first: every
-        #: fresh fault rate is a new entry. Key builds run on several
-        #: executor threads, hence the lock.
-        self._key_cache: OrderedDict[
-            tuple[str, int, str, bool, bool, float], dict[str, str]
-        ] = OrderedDict()
+        #: -> fingerprint dict, and ("lint", case, size) -> program key;
+        #: least recently used evicted first: every fresh fault rate is a
+        #: new entry. Key builds run on several executor threads, hence
+        #: the lock.
+        self._key_cache: OrderedDict[tuple, Any] = OrderedDict()
         self._key_lock = threading.Lock()
         self._wait_timer = self.metrics.timer("service.batch.wait")
         self._compute_timer = self.metrics.timer("service.batch.compute")
@@ -586,11 +585,9 @@ class VerificationDaemon:
             params["case"], params["size"], params["fairness"], with_design,
             quantify, fault_rate,
         )
-        with self._key_lock:
-            keys = self._key_cache.get(memo_key)
-            if keys is not None:
-                self._key_cache.move_to_end(memo_key)
-                return keys
+        keys = self._recall_key(memo_key)
+        if keys is not None:
+            return keys
         if with_design:
             design = entry.build_design(params["size"])
             program, invariant = design.program, design.candidate.invariant
@@ -609,12 +606,34 @@ class VerificationDaemon:
                 fairness=params["fairness"], method="compositional",
                 design=design, local=local,
             )
+        self._remember_key(memo_key, keys)
+        return keys
+
+    def _lint_key(self, case: str, size: int) -> str:
+        """The program key of a ``/lint`` case, memoized like verify keys."""
+        from repro.protocols.library import build_case
+
+        memo_key = ("lint", case, size)
+        key = self._recall_key(memo_key)
+        if key is None:
+            program, _ = build_case(case, size)
+            key = fingerprint_program(program, local=self.service.local_keys)
+            self._remember_key(memo_key, key)
+        return key
+
+    def _recall_key(self, memo_key: tuple) -> Any:
         with self._key_lock:
-            self._key_cache[memo_key] = keys
+            value = self._key_cache.get(memo_key)
+            if value is not None:
+                self._key_cache.move_to_end(memo_key)
+            return value
+
+    def _remember_key(self, memo_key: tuple, value: Any) -> None:
+        with self._key_lock:
+            self._key_cache[memo_key] = value
             self._key_cache.move_to_end(memo_key)
             while len(self._key_cache) > MEMO_CAPACITY:
                 self._key_cache.popitem(last=False)
-        return keys
 
     @staticmethod
     def _probe_order(method: str, keys: dict[str, str]) -> list[str]:
@@ -816,7 +835,6 @@ class VerificationDaemon:
     # ------------------------------------------------------------------
 
     async def _handle_lint(self, body: dict[str, Any]) -> dict[str, Any]:
-        from repro.protocols.library import build_case
         from repro.staticcheck import lint_case
 
         allowed = {"case", "size", "probes", "semantic"}
@@ -838,9 +856,8 @@ class VerificationDaemon:
         loop = asyncio.get_event_loop()
 
         def compute() -> tuple[dict[str, Any], str]:
-            program, _ = build_case(case, size)
             key = (
-                f"{fingerprint_program(program, local=self.service.local_keys)}"
+                f"{self._lint_key(case, size)}"
                 f":probes={probes}"
                 f":semantic={semantic}"
             )

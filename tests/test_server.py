@@ -447,6 +447,24 @@ class TestDedupAndBatching:
         finally:
             handle.stop()
 
+    def test_warm_lint_is_a_memo_lookup(self, daemon, monkeypatch):
+        # The program key of a lint case is memoized like verify keys:
+        # a repeated /lint neither rebuilds nor re-fingerprints it.
+        calls = []
+        fingerprint_program = server_module.fingerprint_program
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fingerprint_program(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "fingerprint_program", counting)
+        body = {"case": "coloring-chain", "size": 3}
+        status, first = post(daemon, "/lint", body)
+        assert status == 200 and not first["cached"]
+        status, second = post(daemon, "/lint", body)
+        assert status == 200 and second["cached"]
+        assert len(calls) == 1
+
 
 class TestSaturationAndShutdown:
     def test_healthz_answers_while_pool_is_saturated(self):
