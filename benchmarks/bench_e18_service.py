@@ -13,6 +13,11 @@ round-robin across client threads — so the hit-rate is a property of
 the daemon (first touch of each distinct instance misses, every later
 touch hits some layer), not of a random seed.
 
+After the timed replay the roster is replayed once more on the same
+daemon. Every request of that pass is warm, so the daemon must answer
+all of it on its event loop: the pass fails if it moved the
+``requests.executor`` counter (hand-offs to an executor thread).
+
 Run standalone as a CI smoke (seconds, asserts a nonzero hit-rate)::
 
     PYTHONPATH=src python benchmarks/bench_e18_service.py --quick
@@ -186,8 +191,18 @@ def _run_load(total, clients, workers):
             latencies, wall, failures = _replay(handle, total, clients)
             assert not failures, f"failed requests: {failures[:5]}"
             stats = handle.daemon.stats()
+            _warm, _wall, failures = _replay(handle, total, clients)
+            assert not failures, f"failed warm requests: {failures[:5]}"
+            warm_executor = (
+                handle.daemon.requests["executor"]
+                - stats["requests"]["executor"]
+            )
         finally:
             handle.stop()
+    assert warm_executor == 0, (
+        f"the all-warm replay handed {warm_executor} requests to an "
+        "executor thread; warm requests must be answered on the event loop"
+    )
     hit_rate = stats["cache_hit_rate"]
     assert hit_rate > 0, "replay of a cycled roster must produce cache hits"
     return {
@@ -210,8 +225,10 @@ def _run_load(total, clients, workers):
         },
         "requests_by_kind": {
             key: stats["requests"][key]
-            for key in ("verify", "lint", "deduped", "computed", "batches")
+            for key in ("verify", "lint", "deduped", "computed", "batches",
+                        "executor")
         },
+        "warm_pass_executor": warm_executor,
     }
 
 
@@ -228,6 +245,11 @@ def test_e18_service_load(report, bench_timings):
         ["p99 latency", f"{run['p99_seconds'] * 1000:.2f} ms"],
         ["cache hit-rate", f"{run['hit_rate']:.3f}"],
         ["distinct verifications", str(run["requests_by_kind"]["computed"])],
+        [
+            "executor hand-offs",
+            f"{run['requests_by_kind']['executor']} "
+            f"(all-warm replay: {run['warm_pass_executor']})",
+        ],
         [
             "dedup burst",
             f"{dedup['burst']} identical -> {dedup['computed']} computation",
@@ -270,7 +292,9 @@ def run_quick() -> int:
         f"{run['throughput_rps']:.0f} req/s, "
         f"p50 {run['p50_seconds'] * 1000:.1f} ms, "
         f"p99 {run['p99_seconds'] * 1000:.1f} ms, "
-        f"hit-rate {run['hit_rate']:.3f}"
+        f"hit-rate {run['hit_rate']:.3f}, "
+        f"executor hand-offs {run['requests_by_kind']['executor']} "
+        f"(all-warm replay: {run['warm_pass_executor']})"
     )
     if run["hit_rate"] <= 0:
         print("  FAILED: zero cache hit-rate")

@@ -23,6 +23,10 @@ Every key is one of two kinds:
   A local key is valid only inside the process (and the registry) that
   made it: it is never persisted or ingested across processes.
 
+:func:`derive_key` qualifies a key with further tokens (a fault rate,
+say) without walking the program again; the derived key keeps the kind
+of the key it came from.
+
 What the stream contains, by object:
 
 - **DSL trees** (:mod:`repro.core.expr`): the exact-type token walk
@@ -79,6 +83,7 @@ from repro.core.variables import Variable
 
 __all__ = [
     "LocalKeys",
+    "derive_key",
     "fingerprint_program",
     "fingerprint_predicate",
     "fingerprint_instance",
@@ -170,6 +175,19 @@ class LocalKeys:
 def key_kind(key: str) -> str:
     """``"local"`` for a process-local key, else ``"exact"``."""
     return "local" if key.startswith(_LOCAL_PREFIX) else "exact"
+
+
+def derive_key(key: str, *tokens: str) -> str:
+    """A key for ``key``'s instance qualified by ``tokens``.
+
+    SHA-256 over ``key`` and the tokens, in constant time whatever the
+    size of the program behind ``key``. The derived key is local exactly
+    when ``key`` is: it names the same objects.
+    """
+    digest = hashlib.sha256(
+        "\x00".join(("derive", key, *tokens)).encode()
+    ).hexdigest()
+    return _LOCAL_PREFIX + digest if key_kind(key) == "local" else digest
 
 
 # ----------------------------------------------------------------------

@@ -413,9 +413,10 @@ def _solve_bytes(graph: _Graph) -> int:
     n, e = graph.n, int(graph.offsets[-1])
     t, o = graph.targets.itemsize, graph.offsets.itemsize
     chains = 1 if graph.fault_edge is None else 2
-    # The level-order solve: int64 edge indices and sources, the sinks
-    # and one level's gathers, plus each fault chain's weight gathers.
-    phases = [(24 + t + 16 * (chains - 1)) * e + (32 + 2 * o + 16 * chains) * n]
+    # The level-order solve: the sinks, int32 sources and one level's
+    # gathers (or the int64 edge indices while they are gathered), plus
+    # each fault chain's weight gathers.
+    phases = [(20 + t + 16 * (chains - 1)) * e + (32 + 2 * o + 16 * chains) * n]
     if graph.levels is None:  # the peel: bad-edge lists, reverse CSR
         phases.append((12 + 4 * t) * e + 32 * n)
     region = ~graph.is_target
@@ -587,26 +588,30 @@ def _solve(graph: _Graph, levels, live, chains, tol: float, max_sweeps: int):
     np = _np
     xs = [np.zeros(graph.n, dtype=np.float64) for _ in chains]
 
-    def block(rows):
-        """``rows``' out-edges, each edge's position in ``rows``, and
-        per chain its edge weights and each row's total weight."""
+    def block(rows, position):
+        """``rows``' out-edges, each edge's position in ``rows`` (of
+        dtype ``position``, int64 when ``rows`` outgrows it), and per
+        chain its edge weights and each row's total weight."""
         counts, edges, sinks = _row_edges(graph, rows)
-        src = np.repeat(np.arange(rows.size), counts)
-        weighted = []
-        for weights in chains:
-            if weights is None:
-                weighted.append((None, counts.astype(np.float64)))
-            else:
-                w = weights[edges]
-                weighted.append(
-                    (w, np.bincount(src, weights=w, minlength=rows.size))
-                )
+        # The edge indices serve only the fault chain's weight gather.
+        gathered = [None if weights is None else weights[edges]
+                    for weights in chains]
+        del edges
+        if rows.size > np.iinfo(position).max:
+            position = np.int64
+        src = np.repeat(np.arange(rows.size, dtype=position), counts)
+        weighted = [
+            (None, counts.astype(np.float64)) if w is None
+            else (w, np.bincount(src, weights=w, minlength=rows.size))
+            for w in gathered
+        ]
         return counts, sinks, src, weighted
 
     peeled = np.flatnonzero(levels >= 0)
     depth = np.bincount(levels[peeled])  # states per level
     rows = peeled[_group_order(levels[peeled], depth.size)]
-    counts, sinks, src, weighted = block(rows)
+    # int32 positions: the level loop reads them a slice at a time.
+    counts, sinks, src, weighted = block(rows, np.int32)
     row_bounds = np.zeros(depth.size + 1, dtype=np.int64)
     np.cumsum(depth, out=row_bounds[1:])
     edge_bounds = np.zeros(rows.size + 1, dtype=np.int64)
@@ -627,7 +632,8 @@ def _solve(graph: _Graph, levels, live, chains, tol: float, max_sweeps: int):
     index = np.flatnonzero(live)
     if not index.size:
         return [(x, 0, True) for x in xs]
-    _counts, sinks, src, weighted = block(index)
+    # bincount reads intp: narrower positions would be widened per sweep.
+    _counts, sinks, src, weighted = block(index, np.intp)
     solved = []
     for x, (w, totals) in zip(xs, weighted):
         sweeps_done = 0

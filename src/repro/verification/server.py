@@ -41,6 +41,15 @@ Three scaling mechanisms sit between the socket and the checkers:
    eviction (``store_entries``/``store_bytes``), so a restarted daemon
    keeps its corpus warm within budget.
 
+The event loop does every request's O(1) bookkeeping itself: it keys a
+request from the memoized keys of its instance (a ``quantify`` key is
+derived from the plain one, whatever the fault rate), probes the cache
+layers and answers or enqueues. Only O(program) or verification work
+goes to an executor thread: the first key build of an instance or
+program, a cold ``/lint`` or ``/simulate`` compute, and each batch
+dispatch. ``requests.executor`` in ``GET /stats`` counts those
+hand-offs; a warm request is one loop turn and adds none.
+
 Observability: ``service.request.*`` and ``store.*`` events/counters,
 and the ``service.batch.wait`` (enqueue to dispatch, per miss) and
 ``service.batch.compute`` (dispatch to records back, per batch) timers,
@@ -56,6 +65,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,6 +87,7 @@ from repro.verification.parallel import VerificationTask, WorkerPool, run_batch
 from repro.verification.service import (
     MEMO_CAPACITY,
     VerificationService,
+    quantify_fingerprint,
     tolerance_fingerprint,
     validate_method,
 )
@@ -205,13 +216,12 @@ class VerificationDaemon:
         self._open_requests = 0
         self._drained: asyncio.Event | None = None
         self._started_monotonic = time.monotonic()
-        #: (case, size, fairness, with_design, quantify, fault_rate)
-        #: -> fingerprint dict, and ("lint", case, size) -> program key;
-        #: least recently used evicted first: every fresh fault rate is a
-        #: new entry. Key builds run on several executor threads, hence
-        #: the lock.
+        #: (case, size, fairness, with_design) -> plain keys by method,
+        #: and ("program", case, size) -> program key; least recently
+        #: used evicted first. One entry per instance, whatever the fault
+        #: rates asked of it. Touched by the event loop only: an executor
+        #: thread builds a missing entry and the loop stores it.
         self._key_cache: OrderedDict[tuple, Any] = OrderedDict()
-        self._key_lock = threading.Lock()
         self._wait_timer = self.metrics.timer("service.batch.wait")
         self._compute_timer = self.metrics.timer("service.batch.compute")
         self.requests = {
@@ -227,6 +237,8 @@ class VerificationDaemon:
             "batches": 0,
             "batched_tasks": 0,
             "computed": 0,
+            # Hand-offs of request work to an executor thread.
+            "executor": 0,
         }
 
     # ------------------------------------------------------------------
@@ -560,80 +572,101 @@ class VerificationDaemon:
             "fault_rate": float(fault_rate),
         }
 
-    def _verify_keys(self, params: dict[str, Any]) -> dict[str, str]:
+    async def _verify_keys(self, params: dict[str, Any]) -> dict[str, str]:
         """Cache fingerprints for a verify request, by resolved method.
 
-        Builds the instance once per distinct ``(case, size, fairness,
-        design?, quantify, fault_rate)`` and memoizes the
-        :data:`~repro.verification.service.MEMO_CAPACITY` most recently
-        used — library builders are deterministic, so the fingerprints
-        are too.
+        The plain keys of each distinct ``(case, size, fairness,
+        design?)`` instance are built once, on an executor thread, and
+        the :data:`~repro.verification.service.MEMO_CAPACITY` most
+        recently used stay memoized (library builders are deterministic,
+        so the fingerprints are too). A request for a memoized instance
+        is keyed on the loop: a ``quantify`` key is derived from the
+        plain full key (:func:`quantify_fingerprint`), one SHA-256
+        whatever the fault rate.
         """
-        from repro.protocols.library import CASES, build_case
+        from repro.protocols.library import CASES
 
-        entry = CASES[params["case"]]
         quantify = params["quantify"]
-        fault_rate = params["fault_rate"]
         # Quantification composes with full exploration only, so a
         # quantify request never probes (or certifies) compositionally.
         with_design = (
             not quantify
             and params["method"] != "full"
-            and entry.build_design is not None
+            and CASES[params["case"]].build_design is not None
         )
         memo_key = (
             params["case"], params["size"], params["fairness"], with_design,
-            quantify, fault_rate,
         )
         keys = self._recall_key(memo_key)
-        if keys is not None:
-            return keys
+        if keys is None:
+            keys = await self._off_loop(self._instance_keys, *memo_key)
+            self._remember_key(memo_key, keys)
+        if quantify:
+            return {
+                "full": quantify_fingerprint(keys["full"], params["fault_rate"])
+            }
+        return keys
+
+    def _instance_keys(
+        self, case: str, size: int, fairness: str, with_design: bool
+    ) -> dict[str, str]:
+        """Build one instance and fingerprint it (executor thread)."""
+        from repro.protocols.library import CASES, build_case
+
         if with_design:
-            design = entry.build_design(params["size"])
+            design = CASES[case].build_design(size)
             program, invariant = design.program, design.candidate.invariant
         else:
-            program, invariant = build_case(params["case"], params["size"])
+            program, invariant = build_case(case, size)
         local = self.service.local_keys
         keys = {
             "full": tolerance_fingerprint(
-                program, invariant, fairness=params["fairness"], method="full",
-                quantify=quantify, fault_rate=fault_rate, local=local,
+                program, invariant, fairness=fairness, method="full",
+                local=local,
             )
         }
         if with_design:
             keys["compositional"] = tolerance_fingerprint(
-                program, invariant,
-                fairness=params["fairness"], method="compositional",
+                program, invariant, fairness=fairness, method="compositional",
                 design=design, local=local,
             )
-        self._remember_key(memo_key, keys)
         return keys
 
-    def _lint_key(self, case: str, size: int) -> str:
-        """The program key of a ``/lint`` case, memoized like verify keys."""
-        from repro.protocols.library import build_case
-
-        memo_key = ("lint", case, size)
+    async def _program_key(self, case: str, size: int) -> str:
+        """The program key of a ``/lint`` or ``/simulate`` case, memoized
+        like instance keys."""
+        memo_key = ("program", case, size)
         key = self._recall_key(memo_key)
         if key is None:
-            program, _ = build_case(case, size)
-            key = fingerprint_program(program, local=self.service.local_keys)
+            key = await self._off_loop(self._build_program_key, case, size)
             self._remember_key(memo_key, key)
         return key
 
+    def _build_program_key(self, case: str, size: int) -> str:
+        from repro.protocols.library import build_case
+
+        program, _ = build_case(case, size)
+        return fingerprint_program(program, local=self.service.local_keys)
+
     def _recall_key(self, memo_key: tuple) -> Any:
-        with self._key_lock:
-            value = self._key_cache.get(memo_key)
-            if value is not None:
-                self._key_cache.move_to_end(memo_key)
-            return value
+        value = self._key_cache.get(memo_key)
+        if value is not None:
+            self._key_cache.move_to_end(memo_key)
+        return value
 
     def _remember_key(self, memo_key: tuple, value: Any) -> None:
-        with self._key_lock:
-            self._key_cache[memo_key] = value
-            self._key_cache.move_to_end(memo_key)
-            while len(self._key_cache) > MEMO_CAPACITY:
-                self._key_cache.popitem(last=False)
+        self._key_cache[memo_key] = value
+        self._key_cache.move_to_end(memo_key)
+        while len(self._key_cache) > MEMO_CAPACITY:
+            self._key_cache.popitem(last=False)
+
+    def _off_loop(self, function, *args) -> asyncio.Future:
+        """Run ``function(*args)`` on an executor thread, counted in
+        ``requests.executor``."""
+        self.requests["executor"] += 1
+        return asyncio.get_event_loop().run_in_executor(
+            self._executor, function, *args
+        )
 
     @staticmethod
     def _probe_order(method: str, keys: dict[str, str]) -> list[str]:
@@ -663,10 +696,7 @@ class VerificationDaemon:
                     'method "compositional" needs the constraint-graph '
                     "decomposition"
                 )
-        loop = asyncio.get_event_loop()
-        keys = await loop.run_in_executor(
-            self._executor, self._verify_keys, params
-        )
+        keys = await self._verify_keys(params)
 
         # 1. Answer warm requests inline from the cache layers.
         probes = self._probe_order(params["method"], keys)
@@ -702,7 +732,7 @@ class VerificationDaemon:
             )
             if params["quantify"] and self.metrics is not None:
                 self.metrics.counter("quantitative.computed").add()
-            future: asyncio.Future = loop.create_future()
+            future = asyncio.get_event_loop().create_future()
             self._pending.append(_Pending(task=task, keys=keys, future=future))
             self._batch_wakeup.set()
             return await asyncio.shield(future), ""
@@ -745,7 +775,6 @@ class VerificationDaemon:
         burst is dispatched in as few batches as the dispatcher's pace
         allows.
         """
-        loop = asyncio.get_event_loop()
         while True:
             await self._batch_wakeup.wait()
             self._batch_wakeup.clear()
@@ -771,9 +800,7 @@ class VerificationDaemon:
                     cases=tuple(pending.task.case for pending in batch),
                 )
             try:
-                records = await loop.run_in_executor(
-                    self._executor, self._run_batch, batch
-                )
+                records = await self._off_loop(self._run_batch, batch)
             except Exception as error:
                 for pending in batch:
                     if not pending.future.done():
@@ -853,34 +880,18 @@ class VerificationDaemon:
             raise RequestError(f'"semantic" must be a boolean, got {semantic!r}')
 
         started = time.perf_counter()
-        loop = asyncio.get_event_loop()
-
-        def compute() -> tuple[dict[str, Any], str]:
-            key = (
-                f"{self._lint_key(case, size)}"
-                f":probes={probes}"
-                f":semantic={semantic}"
-            )
-            return self.service.memo(
-                "lint", key,
-                lambda: dict(
-                    lint_case(
-                        case, size, probes=probes, semantic=semantic
-                    ).as_dict()
-                ),
-            )
-
-        request_key = f"lint:{case}:{size}:{probes}:{semantic}"
-        record, layer, deduped = await self._coalesce(
-            request_key, lambda: loop.run_in_executor(self._executor, compute)
+        key = (
+            f"{await self._program_key(case, size)}"
+            f":probes={probes}"
+            f":semantic={semantic}"
         )
-        return {
-            **record,
-            "cached": bool(layer),
-            "cache_layer": layer,
-            "call_seconds": time.perf_counter() - started,
-            "deduped": deduped,
-        }
+        return await self._memoized(
+            "lint", key, f"lint:{case}:{size}:{probes}:{semantic}",
+            lambda: dict(
+                lint_case(case, size, probes=probes, semantic=semantic).as_dict()
+            ),
+            started,
+        )
 
     async def _handle_simulate(self, body: dict[str, Any]) -> dict[str, Any]:
         from repro.protocols.library import build_case
@@ -907,52 +918,71 @@ class VerificationDaemon:
             raise RequestError(f'"seed" must be an integer, got {seed!r}')
 
         started = time.perf_counter()
-        loop = asyncio.get_event_loop()
-
-        def compute() -> tuple[dict[str, Any], str]:
-            program, invariant = build_case(case, size)
-            key = (
-                f"{fingerprint_program(program, local=self.service.local_keys)}"
-                f":trials={trials}"
-                f":max_steps={max_steps}:seed={seed}"
-            )
-
-            def simulate() -> dict[str, Any]:
-                stats = stabilization_trials(
-                    program,
-                    invariant,
-                    lambda s: RandomScheduler(s),
-                    trials=trials,
-                    max_steps=max_steps,
-                    base_seed=seed,
-                )
-                steps = None
-                if stats.steps is not None:
-                    steps = {
-                        "count": stats.steps.count,
-                        "mean": stats.steps.mean,
-                        "median": stats.steps.median,
-                        "p95": stats.steps.p95,
-                        "min": stats.steps.minimum,
-                        "max": stats.steps.maximum,
-                    }
-                return {
-                    "case": f"{case} (n={size})",
-                    "trials": trials,
-                    "stabilized": stats.stabilized_count,
-                    "all_stabilized": stats.all_stabilized,
-                    "stabilization_rate": stats.stabilization_rate,
-                    "steps": steps,
-                    "max_steps": max_steps,
-                    "seed": seed,
-                }
-
-            return self.service.memo("simulate", key, simulate)
-
-        request_key = f"simulate:{case}:{size}:{trials}:{max_steps}:{seed}"
-        record, layer, deduped = await self._coalesce(
-            request_key, lambda: loop.run_in_executor(self._executor, compute)
+        key = (
+            f"{await self._program_key(case, size)}"
+            f":trials={trials}"
+            f":max_steps={max_steps}:seed={seed}"
         )
+
+        def simulate() -> dict[str, Any]:
+            program, invariant = build_case(case, size)
+            stats = stabilization_trials(
+                program,
+                invariant,
+                lambda s: RandomScheduler(s),
+                trials=trials,
+                max_steps=max_steps,
+                base_seed=seed,
+            )
+            steps = None
+            if stats.steps is not None:
+                steps = {
+                    "count": stats.steps.count,
+                    "mean": stats.steps.mean,
+                    "median": stats.steps.median,
+                    "p95": stats.steps.p95,
+                    "min": stats.steps.minimum,
+                    "max": stats.steps.maximum,
+                }
+            return {
+                "case": f"{case} (n={size})",
+                "trials": trials,
+                "stabilized": stats.stabilized_count,
+                "all_stabilized": stats.all_stabilized,
+                "stabilization_rate": stats.stabilization_rate,
+                "steps": steps,
+                "max_steps": max_steps,
+                "seed": seed,
+            }
+
+        return await self._memoized(
+            "simulate", key,
+            f"simulate:{case}:{size}:{trials}:{max_steps}:{seed}",
+            simulate, started,
+        )
+
+    async def _memoized(
+        self,
+        kind: str,
+        key: str,
+        request_key: str,
+        compute: Callable[[], dict[str, Any]],
+        started: float,
+    ) -> dict[str, Any]:
+        """The ``/lint`` or ``/simulate`` answer for ``(kind, key)``.
+
+        A warm record is answered from the cache layers on the loop; a
+        cold one is computed once per concurrent ``request_key`` cohort,
+        on an executor thread.
+        """
+        cached = self.service.cached_record(kind, key)
+        if cached is not None:
+            (record, layer), deduped = cached, False
+        else:
+            record, layer, deduped = await self._coalesce(
+                request_key,
+                lambda: self._off_loop(self.service.memo, kind, key, compute),
+            )
         return {
             **record,
             "cached": bool(layer),

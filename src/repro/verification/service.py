@@ -37,6 +37,7 @@ from repro.core.design import NonmaskingDesign
 from repro.core.errors import ValidationError
 from repro.core.fingerprint import (
     LocalKeys,
+    derive_key,
     fingerprint_instance,
     fingerprint_predicate,
     fingerprint_program,
@@ -62,6 +63,7 @@ __all__ = [
     "METHODS",
     "ServiceVerdict",
     "VerificationService",
+    "quantify_fingerprint",
     "tolerance_fingerprint",
     "validate_method",
 ]
@@ -103,18 +105,26 @@ def tolerance_fingerprint(
     bindings and graph), so pass that as ``design``. ``local`` is the
     registry for objects without an exact serialization (pass the
     service's :attr:`VerificationService.local_keys`).
+
+    A quantify key is derived from the plain one
+    (:func:`quantify_fingerprint`), so a caller that holds the plain key
+    of an instance keys any fault rate without rebuilding it.
     """
-    extra = states_extra + (f"method={method}",)
-    if quantify:
-        extra = extra + (f"quantify=rate{fault_rate!r}",)
-    return fingerprint_instance(
+    key = fingerprint_instance(
         program, invariant,
         fault_span if fault_span is not None else TRUE,
         fairness=fairness,
-        extra=extra,
+        extra=states_extra + (f"method={method}",),
         context=(design,) if design is not None else (),
         local=local,
     )
+    return quantify_fingerprint(key, fault_rate) if quantify else key
+
+
+def quantify_fingerprint(key: str, fault_rate: float) -> str:
+    """The key of a ``quantify`` verdict at ``fault_rate``, derived from
+    the plain verdict's ``key``: one SHA-256, no program walk."""
+    return derive_key(key, f"quantify=rate{fault_rate!r}")
 
 
 def validate_method(method: str) -> None:

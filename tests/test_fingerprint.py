@@ -24,7 +24,7 @@ from repro.core import (
     probe_states,
 )
 from repro.core.expr import C, V, _Binary, walk_tokens
-from repro.core.fingerprint import LocalKeys, is_trusted, key_kind
+from repro.core.fingerprint import LocalKeys, derive_key, is_trusted, key_kind
 from repro.core.predicates import all_of, any_of, count_of
 from repro.protocols.library import CASES, build_case
 from repro.verification.checker import _check_tolerance
@@ -284,6 +284,57 @@ class TestInstanceFingerprint:
         assert keyed != tolerance_fingerprint(
             program, invariant, method="compositional", design=other
         )
+
+
+class TestDerivedKeys:
+    """Quantify keys are derived from the plain key, not rebuilt."""
+
+    def test_quantify_key_is_derived_from_the_plain_key(self):
+        program, invariant = build_case("coloring-chain", 3)
+        plain = tolerance_fingerprint(program, invariant, method="full")
+        for rate in (0.5, 1.0, 2.5):
+            assert tolerance_fingerprint(
+                program, invariant, method="full", quantify=True,
+                fault_rate=rate,
+            ) == derive_key(plain, f"quantify=rate{rate!r}")
+
+    def test_distinct_rates_and_plain_keys_never_collide(self):
+        program, invariant = build_case("dijkstra-ring", 3)
+        plain = tolerance_fingerprint(program, invariant, method="full")
+        rates = (0.1, 0.25, 0.5, 1.0, 1.5, 3.0)
+        derived = {
+            tolerance_fingerprint(
+                program, invariant, method="full", quantify=True,
+                fault_rate=rate,
+            )
+            for rate in rates
+        }
+        assert len(derived) == len(rates)
+        assert plain not in derived
+        assert all(key_kind(key) == "exact" for key in derived)
+
+    def test_tokens_discriminate_and_are_stable(self):
+        key = "a" * 64
+        assert derive_key(key, "x") == derive_key(key, "x")
+        assert len({derive_key(key, "x"), derive_key(key, "y"),
+                    derive_key(key, "x", "y"), derive_key("b" * 64, "x"),
+                    derive_key(key)}) == 5
+        assert derive_key(key, "x") != key
+
+    def test_a_local_base_key_yields_a_local_key(self):
+        predicate = Predicate(
+            lambda s, token=_Unhashable(): s["n"] == 0, name="p", support=("n",)
+        )
+        registry = LocalKeys()
+        plain = tolerance_fingerprint(make_counter(), predicate, local=registry)
+        assert key_kind(plain) == "local"
+        derived = tolerance_fingerprint(
+            make_counter(), predicate, quantify=True, fault_rate=0.5,
+            local=registry,
+        )
+        assert key_kind(derived) == "local"
+        assert derived == derive_key(plain, "quantify=rate0.5")
+        assert key_kind(derive_key("0" * 64, "t")) == "exact"
 
 
 class TestCompositionalKeys:

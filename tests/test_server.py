@@ -12,6 +12,9 @@ with :mod:`http.client` — no mocked transport — pinning:
   and misses queued behind a running batch form the next one (a patched
   ``run_batch`` holds a batch so the queue is deterministic);
 - ``/healthz`` responsiveness while every executor thread is blocked;
+- the warm path: warm ``/verify``, ``/lint`` and ``/simulate`` requests
+  and quantify misses of a seen instance are keyed and answered on the
+  event loop, with no executor hand-off (``requests.executor``);
 - graceful shutdown draining accepted requests;
 - the warm worker pool: every batch, a lone miss too, runs on one pool
   (``workers=1`` computes in-process), a dead worker ends in correct
@@ -23,6 +26,7 @@ readers and writers, and the truncated-entry-is-a-miss contract behind
 the atomic-write fix.
 """
 
+import asyncio
 import json
 import http.client
 import multiprocessing
@@ -567,22 +571,48 @@ class TestObservability:
         assert report.timers["service.batch.compute"]["count"] == 2
 
     def test_key_cache_is_a_bounded_lru(self):
+        # One entry per instance, whatever the fault rates asked of it,
+        # so the cache is filled with distinct instances.
         daemon = VerificationDaemon(workers=1)
+        loop = asyncio.new_event_loop()
+        cases = ["dijkstra-ring", "spanning-tree-path", "graph-coloring-cycle",
+                 "mis-cycle", "coloring-chain", "four-state-line",
+                 "mp-token-ring", "leader-election-star"]
+        instances = [
+            (case, size, fairness)
+            for size in range(3, 3 + 2 * MEMO_CAPACITY // (2 * len(cases)))
+            for case in cases
+            for fairness in ("weak", "none")
+        ]
+        assert len(instances) == 2 * MEMO_CAPACITY
 
-        def keys(rate):
-            return daemon._verify_keys(daemon._normalize_verify(
-                {"case": "dijkstra-ring", "size": 3, "quantify": True,
-                 "fault_rate": rate}
+        def keys(case, size, fairness, **extra):
+            return loop.run_until_complete(daemon._verify_keys(
+                daemon._normalize_verify(
+                    {"case": case, "size": size, "fairness": fairness,
+                     "method": "full", **extra}
+                )
             ))
 
-        warm = keys(0.5)
-        for index in range(2 * MEMO_CAPACITY):
-            keys(1.0 + index)
-            if index % 64 == 0:
-                assert keys(0.5) is warm  # a hit refreshes its recency
-        assert len(daemon._key_cache) == MEMO_CAPACITY
-        assert keys(0.5) is warm
-        assert keys(1.0) is not keys(1.0 + 2 * MEMO_CAPACITY - 1)
+        try:
+            warm = keys("matching-cycle", 3, "weak")
+            first = keys(*instances[0])
+            for index, instance in enumerate(instances):
+                keys(*instance)
+                if index % 64 == 0:
+                    assert keys("matching-cycle", 3, "weak") is warm  # recency
+            assert len(daemon._key_cache) == MEMO_CAPACITY
+            assert keys("matching-cycle", 3, "weak") is warm
+            again = keys(*instances[0])  # evicted: rebuilt, same keys
+            assert again is not first and again == first
+            # Fault rates derive from the instance's entry: none is added.
+            for rate in (0.25, 0.5, 2.0):
+                keys("matching-cycle", 3, "weak", quantify=True, fault_rate=rate)
+            assert len(daemon._key_cache) == MEMO_CAPACITY
+            assert keys("matching-cycle", 3, "weak") is warm
+        finally:
+            loop.close()
+            daemon._executor.shutdown()
 
     def test_report_rolls_up_request_counters(self, daemon):
         post(daemon, "/verify", {"case": "dijkstra-ring", "size": 3})
@@ -593,6 +623,103 @@ class TestObservability:
         assert report.counters["parallel.pool.workers"] == 1
         assert report.counters["parallel.pool.starts"] == 0
         assert report.counters["parallel.pool.replaced"] == 0
+
+
+class TestWarmPath:
+    """Warm requests are answered on the event loop, with no thread hop."""
+
+    _WARM = [
+        ("/verify", {"case": "diffusing-chain", "size": 3}),
+        ("/verify", {"case": "diffusing-chain", "size": 3, "method": "full"}),
+        ("/verify", {"case": "diffusing-chain", "size": 3,
+                     "method": "compositional"}),
+        ("/verify", {"case": "dijkstra-ring", "size": 3, "quantify": True,
+                     "fault_rate": 0.5}),
+        ("/lint", {"case": "coloring-chain", "size": 3}),
+        ("/simulate", {"case": "dijkstra-ring", "size": 3, "trials": 2,
+                       "max_steps": 2000, "seed": 1}),
+    ]
+
+    def test_warm_requests_make_no_executor_hand_off(self, daemon):
+        for path, body in self._WARM:
+            assert post(daemon, path, body)[0] == 200, (path, body)
+        before = get(daemon, "/stats")[1]["requests"]["executor"]
+        assert before > 0  # key builds, computes and batch dispatches
+        for path, body in self._WARM:
+            status, record = post(daemon, path, body)
+            assert status == 200 and record["cached"], (path, body)
+        assert get(daemon, "/stats")[1]["requests"]["executor"] == before
+        # A fresh fault rate of a seen instance misses the cache, but its
+        # key is derived on the loop: the batch dispatch is its one hop.
+        status, record = post(daemon, "/verify", {
+            "case": "dijkstra-ring", "size": 3, "quantify": True,
+            "fault_rate": 0.75,
+        })
+        assert status == 200 and not record["cached"]
+        assert record["quantitative"]["ok"] is True
+        stats = get(daemon, "/stats")[1]
+        assert stats["requests"]["executor"] == before + 1
+        assert stats["requests"]["batches"] == 4  # verify misses only
+
+    def test_first_sight_key_build_is_one_hand_off(self, daemon):
+        post(daemon, "/lint", {"case": "coloring-chain", "size": 3})
+        # Key build, then the cold lint compute.
+        assert daemon.daemon.requests["executor"] == 2
+        post(daemon, "/simulate", {"case": "coloring-chain", "size": 3,
+                                   "trials": 2, "max_steps": 2000})
+        # The program key is shared with /lint: only the simulation.
+        assert daemon.daemon.requests["executor"] == 3
+
+    def test_daemon_quantify_key_is_the_service_key(self):
+        from repro.protocols.library import build_case
+        from repro.verification.service import tolerance_fingerprint
+
+        handle = DaemonThread(workers=2).start()
+        try:
+            body = {"case": "mis-cycle", "size": 4, "quantify": True,
+                    "fault_rate": 0.375}
+            status, record = post(handle, "/verify", body)
+            assert status == 200 and not record["cached"]
+            program, invariant = build_case("mis-cycle", 4)
+            expected = tolerance_fingerprint(
+                program, invariant, method="full", quantify=True,
+                fault_rate=0.375,
+            )
+            daemon = handle.daemon
+            loop = asyncio.new_event_loop()
+            try:
+                keys = loop.run_until_complete(
+                    daemon._verify_keys(daemon._normalize_verify(body))
+                )
+            finally:
+                loop.close()
+            assert keys == {"full": expected}
+            # The pool worker's record was ingested under that key.
+            hit = daemon.service.cached_record("tolerance", expected)
+            assert hit is not None and hit[0]["quantitative"] == (
+                record["quantitative"]
+            )
+            assert get(handle, "/stats")[1]["pool"]["starts"] == 1
+        finally:
+            handle.stop()
+
+    def test_warm_simulate_is_a_memo_lookup(self, daemon, monkeypatch):
+        calls = []
+        fingerprint_program = server_module.fingerprint_program
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fingerprint_program(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "fingerprint_program", counting)
+        body = {"case": "mis-cycle", "size": 4, "trials": 3,
+                "max_steps": 2000, "seed": 5}
+        status, first = post(daemon, "/simulate", body)
+        assert status == 200 and not first["cached"]
+        status, second = post(daemon, "/simulate", body)
+        assert status == 200 and second["cached"]
+        assert second["cache_layer"] == "memory"
+        assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
