@@ -35,6 +35,7 @@ import time
 from repro.analysis import render_table
 from repro.core.predicates import TRUE
 from repro.kernel import sweeps
+from repro.kernel.verify import check_tolerance_packed
 from repro.protocols.diffusing import build_diffusing_design
 from repro.protocols.library import build_case, case_names
 from repro.topology import balanced_tree, star_tree
@@ -178,8 +179,8 @@ def _scalar_vs_vectorized(program, invariant, *, shards=None):
         scalar_seconds = time.perf_counter() - started
         sweeps.VECTOR_MIN_STATES = 0  # force the vectorized sweep
         started = time.perf_counter()
-        vector_report = check_tolerance(
-            program, invariant, TRUE, engine="packed", shards=shards
+        vector_report = check_tolerance_packed(
+            program, invariant, TRUE, shards=shards
         )
         vector_seconds = time.perf_counter() - started
     finally:
@@ -280,13 +281,8 @@ def run_demo_1e8(shards: int | None = None) -> int:
     print(f"kernel v2 demo: dijkstra-ring({DEMO_RING_NODES}, K={DEMO_RING_K})")
     print(f"  state space: {size:,} states")
     started = time.perf_counter()
-    report = check_tolerance(
-        program,
-        invariant,
-        TRUE,
-        engine="packed",
-        max_states=10**9,
-        shards=shards,
+    report = check_tolerance_packed(
+        program, invariant, TRUE, max_states=10**9, shards=shards
     )
     seconds = time.perf_counter() - started
     peak_mb = _peak_rss_mb()
@@ -360,8 +356,8 @@ def run_quick(shards: int | None = None) -> int:
                 break
         if shards and not failures:
             program, invariant = build_case(name)
-            sharded_report = check_tolerance(
-                program, invariant, TRUE, engine="packed", shards=shards
+            sharded_report = check_tolerance_packed(
+                program, invariant, TRUE, shards=shards
             )
             if sharded_report != dict_report:
                 failures.append(

@@ -57,15 +57,28 @@ LINT_BODIES = [
     {"case": "mis-cycle"},
 ]
 
-#: One request in four is a lint; the rest verify.
 def _request_plan(total):
+    """One request in four is a lint; the rest verify.
+
+    Each roster is cycled on its own counter, so any replay of at least
+    16 requests touches every verify and every lint target.
+    """
     plan = []
+    counts = {"/verify": 0, "/lint": 0}
     for index in range(total):
-        if index % 4 == 3:
-            plan.append(("/lint", LINT_BODIES[index % len(LINT_BODIES)]))
-        else:
-            plan.append(("/verify", VERIFY_BODIES[index % len(VERIFY_BODIES)]))
+        path = "/lint" if index % 4 == 3 else "/verify"
+        roster = LINT_BODIES if path == "/lint" else VERIFY_BODIES
+        plan.append((path, roster[counts[path] % len(roster)]))
+        counts[path] += 1
     return plan
+
+
+def _plan_targets(total):
+    """Distinct ``/verify`` and ``/lint`` bodies a replay of ``total`` sends."""
+    targets = {"/verify": set(), "/lint": set()}
+    for path, body in _request_plan(total):
+        targets[path].add(json.dumps(body, sort_keys=True))
+    return {path[1:]: len(bodies) for path, bodies in targets.items()}
 
 
 def _percentile(sorted_values, fraction):
@@ -229,6 +242,7 @@ def _run_load(total, clients, workers):
                         "executor")
         },
         "warm_pass_executor": warm_executor,
+        "targets": _plan_targets(total),
     }
 
 
@@ -298,6 +312,14 @@ def run_quick() -> int:
     )
     if run["hit_rate"] <= 0:
         print("  FAILED: zero cache hit-rate")
+        return 1
+    roster = {"verify": len(VERIFY_BODIES), "lint": len(LINT_BODIES)}
+    computed = run["requests_by_kind"]["computed"]
+    if run["targets"] != roster or computed != len(VERIFY_BODIES):
+        print(
+            f"  FAILED: the replay touched {run['targets']} targets and "
+            f"computed {computed} verdicts; the roster holds {roster}"
+        )
         return 1
     print("service perf smoke: OK")
     return 0

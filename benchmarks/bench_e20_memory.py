@@ -32,6 +32,7 @@ import time
 from repro.analysis import render_table
 from repro.core.predicates import TRUE
 from repro.kernel import sweeps
+from repro.kernel.verify import check_tolerance_packed
 from repro.observability.metrics import MetricsRegistry
 from repro.protocols.diffusing import build_diffusing_design
 from repro.topology import balanced_tree, star_tree
@@ -99,11 +100,10 @@ def _measure(
     try:
         sweeps.FORCE_CODE_DTYPE = dtype
         started = time.perf_counter()
-        report = check_tolerance(
+        report = check_tolerance_packed(
             program,
             invariant,
             TRUE,
-            engine="packed",
             memory_budget=memory_budget,
             shards=shards,
             max_states=max_states,

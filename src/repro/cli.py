@@ -685,9 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="shard the packed engine's vectorized full-space sweep over N "
-        "contiguous code ranges (default: auto; results are bit-identical "
-        "for any shard count)",
+        help="sweep the packed engine's vectorized full-space pass over N "
+        "contiguous in-process code ranges (default: auto; with "
+        "--memory-budget, the streaming chunk count; results are "
+        "bit-identical for any count)",
     )
     verify.add_argument(
         "--memory-budget", type=_byte_size, default=None, metavar="BYTES",

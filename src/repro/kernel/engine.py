@@ -140,8 +140,8 @@ class PackedKernel:
     def iter_range(self, lo: int, hi: int):
         """Yield ``(code, digits, values)`` over ``lo .. hi-1`` in code order.
 
-        The contiguous-range counterpart of :meth:`iter_space` for shard
-        workers: one decode seeds the odometer at ``lo``, then digits and
+        The contiguous-range counterpart of :meth:`iter_space` for one
+        code range: one decode seeds the odometer at ``lo``, then digits and
         values advance in place (the yielded lists are shared and mutated
         between yields, exactly like the compiled actions expect).
         """

@@ -523,7 +523,7 @@ class SweepPlan:
     """Vectorized evaluators for one ``(program, S, T)`` instance.
 
     Built once — leaf and action projection tables are enumerated here,
-    in the parent process, so forked shard workers inherit them — then
+    so every code range of one sweep shares them — then
     :meth:`sweep_range` turns any contiguous code range into a
     :class:`Fragment` with pure array operations (plus one per-state
     walk when the program has direct-mode actions).

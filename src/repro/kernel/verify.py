@@ -21,8 +21,8 @@ verdicts, same closure witnesses in the same order, same error messages
   (``quantify=True``) reuses the sweep instead of repeating it.
 
 With numpy available, full-space sweeps of large instances dispatch to
-the vectorized kernel (:mod:`repro.kernel.sweeps`, optionally sharded
-over a process pool via :mod:`repro.kernel.shard`) through
+the vectorized kernel (:mod:`repro.kernel.sweeps`, over one or more
+in-process code ranges planned by :mod:`repro.kernel.shard`) through
 :func:`vectorized_csr`, the one gate of that path; instances outside
 the vectorized fragment — and every run without numpy — take the scalar
 loop below, whose results the vectorized path reproduces bit-for-bit.
@@ -97,10 +97,8 @@ class FullSpaceCSR:
     targets: Any
     action_ids: Any
     action_names: tuple[str, ...]
-    #: Shards the vectorized sweep ran over; 0 for the scalar sweep.
+    #: Code ranges the vectorized sweep ran over; 0 for the scalar sweep.
     shards: int = 0
-    #: How shard fragments reached the merge ("pickle" or "inline").
-    transfer: str | None = None
     levels: Any = None
 
     @property
@@ -149,10 +147,11 @@ def check_tolerance_swept(
             comparison and message as
             :func:`~repro.core.state.enumerate_states`, so both engines
             agree — verdict or identical error — at the boundary.
-        shards: Shard count for the vectorized full-space sweep
-            (``None`` = auto heuristic, see
-            :func:`~repro.kernel.shard.plan_shards`). Sharding never
-            changes results; it is ignored on the scalar fallback paths.
+        shards: How many in-process code ranges the vectorized
+            full-space sweep runs over (``None`` = auto heuristic, see
+            :func:`~repro.kernel.shard.plan_shards`). The range count
+            never changes results; it is ignored on the scalar fallback
+            paths.
         memory_budget: Peak-bytes target for the vectorized full-space
             sweep. When the materialized CSR estimate exceeds it, the
             streaming count-only verdict path runs instead (peak memory
@@ -613,7 +612,6 @@ def _note_memory_metrics(
     peak_bytes: int,
     code_bytes: int,
     streaming: bool = False,
-    transfer: str | None = None,
 ) -> None:
     """Fold one sweep's memory profile into ``kernel.mem.*``.
 
@@ -638,7 +636,6 @@ def _note_memory_metrics(
             peak_bytes=int(peak_bytes),
             code_bytes=int(code_bytes),
             streaming=streaming,
-            transfer=transfer,
         )
 
 
@@ -705,14 +702,16 @@ def vectorized_csr(
     metrics=None,
     streamed=None,
 ):
-    """The full space as a vectorized (optionally sharded) CSR, or ``None``.
+    """The full space as a vectorized CSR, or ``None``.
 
     The one gate of the vectorized sweep. It returns ``None``, and the
     caller stays on its scalar route, when numpy is missing, when the
     space is too small to pay numpy's fixed overhead (unless ``shards``
     was requested explicitly), or when any construct falls outside the
     vectorized fragment (:class:`~repro.kernel.sweeps.SweepUnsupported`,
-    raised while planning or while sweeping).
+    raised while planning or while sweeping). ``shards`` is the number
+    of in-process code ranges swept and merged
+    (:func:`~repro.kernel.shard.plan_shards`).
 
     ``streamed(plan, ranges)``, when given, runs inside the same gate
     before the CSR is materialized; a result other than ``None`` is
@@ -736,12 +735,10 @@ def vectorized_csr(
             result = streamed(plan, ranges)
             if result is not None:
                 return result
-        merged, transfer = sharding.sweep_merged(plan, ranges, metrics=metrics)
+        merged = sharding.sweep_merged(plan, ranges, metrics=metrics)
     except sweeps.SweepUnsupported:
         return None
-    return FullSpaceCSR(
-        *merged, kernel.action_names, shards=len(ranges), transfer=transfer
-    )
+    return FullSpaceCSR(*merged, kernel.action_names, shards=len(ranges))
 
 
 def _vectorized_full_space(
@@ -756,7 +753,7 @@ def _vectorized_full_space(
     tracer=None,
     metrics=None,
 ) -> tuple[ToleranceReport, FullSpaceCSR | None] | None:
-    """The vectorized (optionally sharded) full-space verdict.
+    """The vectorized full-space verdict, over one or more code ranges.
 
     Returns ``None`` when :func:`vectorized_csr` keeps the instance on
     the scalar sweep. The produced report is bit-identical to the scalar
@@ -950,7 +947,6 @@ def _vectorized_full_space(
         path="vectorized",
         peak_bytes=mem_bytes,
         code_bytes=targets.dtype.itemsize,
-        transfer=csr.transfer,
     )
     return _mask_report(
         s_mask, t_mask, s_closure, t_closure, convergence, span_count

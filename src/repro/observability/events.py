@@ -132,13 +132,14 @@ INTERFERENCE_DISCHARGED = "staticcheck.interference.discharged"
 INTERFERENCE_FINISH = "staticcheck.interference.finish"
 #: The packed kernel compiled a program (codec size, action modes, time).
 KERNEL_BUILD = "kernel.build"
-#: A vectorized full-space sweep ran (states, shard count, edge count).
+#: A vectorized full-space sweep ran (states, code-range count, edge
+#: count).
 KERNEL_SWEEP = "kernel.sweep.vectorized"
-#: Per-shard CSR fragments were merged into one system (shard count).
+#: The CSR fragments of several in-process code ranges were merged into
+#: one system (range count).
 KERNEL_SHARD_MERGED = "kernel.shard.merged"
 #: A full-space sweep accounted its memory (path, peak bytes, code dtype
-#: width, streaming flag, transfer mode: "pickle" through the pool or
-#: "inline").
+#: width, streaming flag).
 KERNEL_MEM = "kernel.mem.sweep"
 #: The quantitative analyzer solved one instance (case, states, span
 #: and doomed counts, value-iteration sweeps, execution path, engine,

@@ -888,7 +888,8 @@ def quantify(
             them by the ``"fault"`` name prefix.
         tol: Relative convergence threshold of the value iteration.
         max_sweeps: Sweep cap; past it ``converged`` is ``False``.
-        shards: Shard count for the vectorized full-space sweep.
+        shards: In-process code-range count for the vectorized
+            full-space sweep.
         memory_budget: Resident-bytes ceiling for the vectorized solve;
             exceeding it raises :class:`QuantitativeUnsupported` (there
             is no streaming value iteration).

@@ -86,7 +86,6 @@ def _check_tolerance(
     fairness: str = "weak",
     engine: str = "auto",
     max_states: int | None = None,
-    shards: int | None = None,
     memory_budget: int | None = None,
     tracer=None,
     metrics=None,
@@ -108,8 +107,6 @@ def _check_tolerance(
             :data:`~repro.core.state.DEFAULT_MAX_STATES`). Threaded to
             both engines with identical comparisons and messages, so
             dict and packed agree — verdict or error — at the boundary.
-        shards: Shard count for the packed engine's vectorized full-space
-            sweep (``None`` = auto). Never changes results.
         memory_budget: Peak-bytes target for the packed engine's
             full-space sweep; above it the streaming count-only path
             runs (see :func:`~repro.kernel.verify.check_tolerance_packed`).
@@ -141,7 +138,6 @@ def _check_tolerance(
                 states,
                 fairness=fairness,
                 max_states=max_states,
-                shards=shards,
                 memory_budget=memory_budget,
                 tracer=tracer,
                 metrics=metrics,

@@ -25,9 +25,9 @@ signal — the pool reports :class:`BrokenProcessPool`) all fall back to
 in-process sequential execution with identical results. A broken pool
 is shut down on the spot; the next batch opens a fresh one.
 
-:func:`run_on_pool` is the separate fresh-pool-per-call map used by the
-kernel's sharded sweeps, whose workers inherit the compiled plan through
-fork and so need a new fork per sweep.
+Only whole verification tasks cross a process boundary. The packed
+kernel sweeps a task's state space inside the one process that runs it,
+over in-process code ranges (:mod:`repro.kernel.shard`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -61,7 +61,6 @@ __all__ = [
     "pack_states",
     "resolve_builder",
     "run_batch",
-    "run_on_pool",
     "verdicts_ok",
 ]
 
@@ -111,8 +110,6 @@ class VerificationTask:
     packed_states: bytes | None = field(default=None)
     #: Full-space size guard, forwarded as ``max_states`` (None = default).
     max_states: int | None = field(default=None)
-    #: Shard count for the packed engine's vectorized full-space sweep.
-    shards: int | None = field(default=None)
     #: Verification method (``"auto"``, ``"full"`` or ``"compositional"``).
     method: str = "auto"
     #: Dotted reference to a NonmaskingDesign builder (enables the
@@ -204,7 +201,6 @@ def _execute(
         case=task.case,
         states_key=task.states_key,
         max_states=task.max_states,
-        shards=task.shards,
         memory_budget=task.memory_budget,
         quantify=task.quantify,
         fault_rate=task.fault_rate,
@@ -328,43 +324,6 @@ class WorkerPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def run_on_pool(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    *,
-    workers: int,
-) -> list[Any]:
-    """Map ``fn`` over ``items`` on a process pool, **in item order**.
-
-    The generic degradation contract shared by batch verification and
-    the kernel's sharded sweeps: ``workers <= 1``, an executor that
-    cannot start, a worker killed mid-run
-    (:class:`~concurrent.futures.process.BrokenProcessPool`) or an
-    argument that will not pickle all fall back to calling ``fn``
-    sequentially in-process, so results are identical either way. A
-    worker raising an ordinary exception is not masked — it propagates
-    (and would propagate identically from the sequential path).
-    """
-    items = list(items)
-    if not items:
-        return []
-    if workers <= 1 or len(items) == 1:
-        return [fn(item) for item in items]
-    try:
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(items)))
-    except (OSError, ValueError):
-        return [fn(item) for item in items]
-    try:
-        with executor:
-            futures = [executor.submit(fn, item) for item in items]
-            return [future.result() for future in futures]
-    except (BrokenProcessPool, pickle.PicklingError, TypeError, AttributeError):
-        # Pool infrastructure failure (a worker died, or transport could
-        # not serialize): rerun everything in-process. Deterministic
-        # worker errors re-raise here identically.
-        return [fn(item) for item in items]
 
 
 def run_batch(

@@ -29,7 +29,7 @@ Three scaling mechanisms sit between the socket and the checkers:
    flight it goes out at once, alone; misses that arrive while a batch
    runs form the next one (up to ``max_batch``). Each batch is one
    :func:`~repro.verification.parallel.run_batch` call, honouring each
-   request's ``engine=``/``method=``/``shards=``, on one
+   request's ``engine=``/``method=``, on one
    :class:`~repro.verification.parallel.WorkerPool` that forks when the
    daemon starts and stays warm for its lifetime (replaced when a
    worker dies, shut down after the drain), so no verification holds
@@ -46,9 +46,10 @@ request from the memoized keys of its instance (a ``quantify`` key is
 derived from the plain one, whatever the fault rate), probes the cache
 layers and answers or enqueues. Only O(program) or verification work
 goes to an executor thread: the first key build of an instance or
-program, a cold ``/lint`` or ``/simulate`` compute, and each batch
-dispatch. ``requests.executor`` in ``GET /stats`` counts those
-hand-offs; a warm request is one loop turn and adds none.
+program (concurrent first sights share it), a cold ``/lint`` or
+``/simulate`` compute, and each batch dispatch. ``requests.executor``
+in ``GET /stats`` counts those hand-offs; a warm request is one loop
+turn and adds none.
 
 Observability: ``service.request.*`` and ``store.*`` events/counters,
 and the ``service.batch.wait`` (enqueue to dispatch, per miss) and
@@ -217,11 +218,11 @@ class VerificationDaemon:
         self._drained: asyncio.Event | None = None
         self._started_monotonic = time.monotonic()
         #: (case, size, fairness, with_design) -> plain keys by method,
-        #: and ("program", case, size) -> program key; least recently
-        #: used evicted first. One entry per instance, whatever the fault
-        #: rates asked of it. Touched by the event loop only: an executor
-        #: thread builds a missing entry and the loop stores it.
-        self._key_cache: OrderedDict[tuple, Any] = OrderedDict()
+        #: and ("program", case, size) -> program key, each held as the
+        #: future of its executor-thread build; least recently used
+        #: evicted first. One entry per instance, whatever the fault
+        #: rates asked of it. Touched by the event loop only.
+        self._key_cache: OrderedDict[tuple, asyncio.Future] = OrderedDict()
         self._wait_timer = self.metrics.timer("service.batch.wait")
         self._compute_timer = self.metrics.timer("service.batch.compute")
         self.requests = {
@@ -516,7 +517,7 @@ class VerificationDaemon:
         return case, size
 
     def _normalize_verify(self, body: dict[str, Any]) -> dict[str, Any]:
-        allowed = {"case", "size", "fairness", "engine", "method", "shards",
+        allowed = {"case", "size", "fairness", "engine", "method",
                    "quantify", "fault_rate"}
         unknown = set(body) - allowed
         if unknown:
@@ -532,14 +533,11 @@ class VerificationDaemon:
             )
         engine = body.get("engine", "auto")
         method = body.get("method", "auto")
-        shards = body.get("shards")
         try:
             validate_engine(engine)
             validate_method(method)
         except ValidationError as error:
             raise RequestError(str(error)) from None
-        if shards is not None and (not isinstance(shards, int) or shards < 1):
-            raise RequestError(f'"shards" must be a positive integer, got {shards!r}')
         quantify = body.get("quantify", False)
         if not isinstance(quantify, bool):
             raise RequestError(f'"quantify" must be a boolean, got {quantify!r}')
@@ -567,7 +565,6 @@ class VerificationDaemon:
             "fairness": fairness,
             "engine": engine,
             "method": method,
-            "shards": shards,
             "quantify": quantify,
             "fault_rate": float(fault_rate),
         }
@@ -576,9 +573,10 @@ class VerificationDaemon:
         """Cache fingerprints for a verify request, by resolved method.
 
         The plain keys of each distinct ``(case, size, fairness,
-        design?)`` instance are built once, on an executor thread, and
-        the :data:`~repro.verification.service.MEMO_CAPACITY` most
-        recently used stay memoized (library builders are deterministic,
+        design?)`` instance are built once, on an executor thread
+        (:meth:`_memo_key`), and the
+        :data:`~repro.verification.service.MEMO_CAPACITY` most recently
+        used stay memoized (library builders are deterministic,
         so the fingerprints are too). A request for a memoized instance
         is keyed on the loop: a ``quantify`` key is derived from the
         plain full key (:func:`quantify_fingerprint`), one SHA-256
@@ -597,10 +595,7 @@ class VerificationDaemon:
         memo_key = (
             params["case"], params["size"], params["fairness"], with_design,
         )
-        keys = self._recall_key(memo_key)
-        if keys is None:
-            keys = await self._off_loop(self._instance_keys, *memo_key)
-            self._remember_key(memo_key, keys)
+        keys = await self._memo_key(memo_key, self._instance_keys, *memo_key)
         if quantify:
             return {
                 "full": quantify_fingerprint(keys["full"], params["fault_rate"])
@@ -635,12 +630,9 @@ class VerificationDaemon:
     async def _program_key(self, case: str, size: int) -> str:
         """The program key of a ``/lint`` or ``/simulate`` case, memoized
         like instance keys."""
-        memo_key = ("program", case, size)
-        key = self._recall_key(memo_key)
-        if key is None:
-            key = await self._off_loop(self._build_program_key, case, size)
-            self._remember_key(memo_key, key)
-        return key
+        return await self._memo_key(
+            ("program", case, size), self._build_program_key, case, size
+        )
 
     def _build_program_key(self, case: str, size: int) -> str:
         from repro.protocols.library import build_case
@@ -648,17 +640,35 @@ class VerificationDaemon:
         program, _ = build_case(case, size)
         return fingerprint_program(program, local=self.service.local_keys)
 
-    def _recall_key(self, memo_key: tuple) -> Any:
-        value = self._key_cache.get(memo_key)
-        if value is not None:
-            self._key_cache.move_to_end(memo_key)
-        return value
+    async def _memo_key(self, memo_key: tuple, build, *args) -> Any:
+        """The memoized value of ``memo_key``, built by ``build(*args)``.
 
-    def _remember_key(self, memo_key: tuple, value: Any) -> None:
-        self._key_cache[memo_key] = value
-        self._key_cache.move_to_end(memo_key)
-        while len(self._key_cache) > MEMO_CAPACITY:
-            self._key_cache.popitem(last=False)
+        The first sight stores the executor future of the build, so
+        concurrent first sights of one instance share one build; a build
+        that raises is evicted and the next sight retries it. A memoized
+        value is returned without yielding to the loop.
+        """
+        future = self._key_cache.get(memo_key)
+        if future is None:
+            future = self._off_loop(build, *args)
+            future.add_done_callback(
+                lambda done: self._forget_failed(memo_key, done)
+            )
+            self._key_cache[memo_key] = future
+            while len(self._key_cache) > MEMO_CAPACITY:
+                self._key_cache.popitem(last=False)
+        else:
+            self._key_cache.move_to_end(memo_key)
+        if future.done():
+            return future.result()
+        # Shielded: a cancelled request must not cancel a shared build.
+        return await asyncio.shield(future)
+
+    def _forget_failed(self, memo_key: tuple, future: asyncio.Future) -> None:
+        if (future.cancelled() or future.exception() is not None) and (
+            self._key_cache.get(memo_key) is future
+        ):
+            del self._key_cache[memo_key]
 
     def _off_loop(self, function, *args) -> asyncio.Future:
         """Run ``function(*args)`` on an executor thread, counted in
@@ -721,7 +731,6 @@ class VerificationDaemon:
                 args=(params["case"], params["size"]),
                 fairness=params["fairness"],
                 engine=params["engine"],
-                shards=params["shards"],
                 method=params["method"],
                 design_builder=(
                     "repro.protocols.library:build_case_design"

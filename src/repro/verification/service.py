@@ -553,11 +553,11 @@ class VerificationService:
                 (``None`` means the library default). Like the engine, it
                 is not part of the cache key: it never changes a verdict,
                 only whether oversize instances error out before one.
-            shards: Shard count for the packed engine's vectorized
-                full-space sweep; ``None`` picks automatically (one shard
-                until the space is large enough to amortize worker
-                startup). Sharded and unsharded runs are bit-identical,
-                so this is not part of the cache key either.
+            shards: How many in-process code ranges the packed engine's
+                vectorized full-space sweep runs over; ``None`` picks
+                automatically (one range until the space is large). Any
+                range count gives bit-identical results, so this is not
+                part of the cache key either.
             memory_budget: Peak-bytes target for the packed engine's
                 full-space sweep; above it the streaming count-only path
                 runs (see

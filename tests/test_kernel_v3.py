@@ -1,4 +1,4 @@
-"""Kernel v3 tests: narrow dtypes, shard transfer, streaming verdicts.
+"""Kernel v3 tests: narrow dtypes, in-process code ranges, streaming verdicts.
 
 Four layers:
 
@@ -10,12 +10,13 @@ Four layers:
 - differentials pinning narrow-dtype CSR output bit-identical (after
   widening) to the ``FORCE_CODE_DTYPE='int64'`` baseline, the streaming
   count-only path bit-identical to the materialized sweep (including
-  the witness-forced fallbacks), pickle/inline transfer parity, and a
-  shard worker killed mid-sweep ending in the unsharded verdict;
+  the witness-forced fallbacks), and a multi-range sweep that starts no
+  process and merges to the one-range report;
 - plumbing: ``memory_budget`` through service, batch tasks and the CLI,
   and the ``kernel.mem.*`` counters on every sweep path.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -50,11 +51,6 @@ if sweeps.HAVE_NUMPY:
     import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method(allow_none=False) != "fork",
-    reason="sharded pools need fork inheritance",
-)
 
 
 def _codec_of_size(*radices: int) -> StateCodec:
@@ -209,56 +205,132 @@ class TestEdgeListAcyclic:
         assert self._acyclic(2, [True, True], [(0, 1), (0, 1)])
 
 
-@needs_numpy
-@needs_fork
-class TestTransferParity:
-    """pickle and inline transfers produce bit-identical merges; the pool
-    run needs no shared memory and no resource tracker."""
+class _Forbidden:
+    """Stand-in for a process constructor: starting a process fails."""
 
-    def _merged(self, workers):
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a full-space sweep started a process")
+
+
+@needs_numpy
+def test_multi_range_sweep_stays_in_process(monkeypatch):
+    """A multi-range packed verify starts no process and merges to the
+    one-range report, verdict and witnesses alike."""
+    import repro.verification.parallel as parallel
+    from repro.observability.metrics import MetricsRegistry
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _Forbidden)
+    monkeypatch.setattr(multiprocessing, "Process", _Forbidden)
+    program, invariant = build_case("coloring-chain", 6)
+    # recolor.1 moves color.1 off 0: a closure witness, then a deadlock.
+    violated = Predicate(
+        lambda s: s["color.1"] == 0, name="color.1 = 0", support=("color.1",)
+    )
+    for target, ok in ((invariant, True), (violated, False)):
+        single = check_tolerance_packed(program, target, TRUE, shards=1)
+        metrics = MetricsRegistry()
+        merged = check_tolerance_packed(
+            program, target, TRUE, shards=3, metrics=metrics
+        )
+        assert single.ok is ok
+        assert merged == single
+        assert metrics.report().counters["kernel.shard.merged"] == 3
+    assert single.s_closure.witnesses
+    assert single.convergence.counterexample is not None
+
+
+@needs_numpy
+class TestInProcessRanges:
+    """``sweep_merged`` sweeps its ranges one after another in process:
+    the merge is bit-identical to one range, and nothing of the old
+    pool path (workers, transfer provenance, shard forwarding) is left."""
+
+    def _plan(self):
         program, invariant = build_case("coloring-chain", 6)
         kernel = compile_program(program)
-        plan = sweeps.SweepPlan(kernel, invariant, None)
-        ranges = sharding.plan_shards(kernel.codec.size, 3)
-        return sharding.sweep_merged(plan, ranges, workers=workers)
+        return sweeps.SweepPlan(kernel, invariant, None), kernel.codec.size
 
-    def test_pickle_inline_bit_identical(self):
-        merged_inline, transfer_inline = self._merged(workers=1)
-        assert transfer_inline == "inline"
-        merged_pickle, transfer_pickle = self._merged(workers=2)
-        assert transfer_pickle == "pickle"
-        for a, b in zip(merged_inline, merged_pickle):
+    def test_three_ranges_bit_identical_to_one(self):
+        plan, size = self._plan()
+        one = sharding.sweep_merged(plan, sharding.plan_shards(size, 1))
+        three = sharding.sweep_merged(plan, sharding.plan_shards(size, 3))
+        assert len(one) == len(three) == 5
+        for a, b in zip(one, three):
             if a is None:
                 assert b is None
             else:
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 
-    def test_pool_run_counters(self):
+    def test_range_counters(self):
         from repro.observability.metrics import MetricsRegistry
 
-        program, invariant = build_case("coloring-chain", 6)
-        kernel = compile_program(program)
-        plan = sweeps.SweepPlan(kernel, invariant, None)
-        ranges = sharding.plan_shards(kernel.codec.size, 3)
+        plan, size = self._plan()
         metrics = MetricsRegistry()
-        _, transfer = sharding.sweep_merged(
-            plan, ranges, workers=2, metrics=metrics
+        sharding.sweep_merged(
+            plan, sharding.plan_shards(size, 3), metrics=metrics
         )
-        assert transfer == "pickle"
         counters = metrics.report().counters
         assert counters["kernel.sweep.vectorized"] == 3
         assert counters["kernel.shard.merged"] == 3
         assert not [name for name in counters if "shm" in name]
+        single = MetricsRegistry()
+        sharding.sweep_merged(
+            plan, sharding.plan_shards(size, 1), metrics=single
+        )
+        counters = single.report().counters
+        assert counters["kernel.sweep.vectorized"] == 1
+        assert "kernel.shard.merged" not in counters
 
-    def test_pool_run_starts_no_resource_tracker(self):
+    def test_sweep_starts_no_resource_tracker(self):
         # A fresh interpreter: another test may have started the tracker.
         completed = subprocess.run(
             [sys.executable, "-c", _NO_TRACKER_SCRIPT, str(SRC)],
             env=os.environ, capture_output=True, text=True, timeout=300,
         )
         assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.strip() == "pickle"
+        assert completed.stdout.strip() == "3"
+
+    def test_streaming_ranges_stay_in_process(self, monkeypatch):
+        import repro.verification.parallel as parallel
+        from repro.observability.metrics import MetricsRegistry
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _Forbidden)
+        monkeypatch.setattr(multiprocessing, "Process", _Forbidden)
+        program, invariant = build_case("coloring-chain", 6)
+        metrics = MetricsRegistry()
+        streamed = check_tolerance_packed(
+            program, invariant, TRUE, shards=3, memory_budget=1,
+            metrics=metrics,
+        )
+        assert metrics.report().counters["kernel.mem.streaming"] == 1
+        assert streamed == check_tolerance_packed(
+            program, invariant, TRUE, shards=1
+        )
+
+    def test_sweep_merged_takes_no_workers(self):
+        import repro.verification.parallel as parallel
+
+        plan, size = self._plan()
+        with pytest.raises(TypeError):
+            sharding.sweep_merged(
+                plan, sharding.plan_shards(size, 2), workers=2
+            )
+        assert not hasattr(parallel, "run_on_pool")
+        assert not hasattr(sharding, "_sweep_worker")
+
+    def test_no_transfer_or_shard_forwarding_fields(self):
+        from repro.kernel.verify import FullSpaceCSR
+        from repro.verification.checker import _check_tolerance
+        from repro.verification.parallel import VerificationTask
+
+        csr_fields = {f.name for f in dataclasses.fields(FullSpaceCSR)}
+        assert "transfer" not in csr_fields
+        task_fields = {f.name for f in dataclasses.fields(VerificationTask)}
+        assert "shards" not in task_fields
+        program, invariant = build_case("coloring-chain", 3)
+        with pytest.raises(TypeError):
+            _check_tolerance(program, invariant, TRUE, shards=2)
 
 
 _NO_TRACKER_SCRIPT = """
@@ -273,69 +345,13 @@ program, invariant = build_case("coloring-chain", 6)
 kernel = compile_program(program)
 plan = sweeps.SweepPlan(kernel, invariant, None)
 ranges = shard.plan_shards(kernel.codec.size, 3)
-_, transfer = shard.sweep_merged(plan, ranges, workers=2)
+shard.sweep_merged(plan, ranges)
 assert resource_tracker._resource_tracker._pid is None, "tracker started"
 assert "multiprocessing.shared_memory" not in sys.modules
-print(transfer)
+import multiprocessing
+assert multiprocessing.active_children() == []
+print(len(ranges))
 """
-
-
-def _dying_sweep_worker(bounds):
-    """Stand-in for ``shard._sweep_worker``: pool children die on entry.
-
-    Fork-started children inherit the monkeypatch and leave a marker
-    before ``os._exit``; the parent's in-process rerun sweeps for real.
-    """
-    if multiprocessing.parent_process() is not None:
-        with open(_KILL_MARKER, "a") as marker:
-            marker.write(f"{os.getpid()}\n")
-        os._exit(1)
-    return _REAL_SWEEP_WORKER(bounds)
-
-
-_REAL_SWEEP_WORKER = sharding._sweep_worker
-_KILL_MARKER = None
-
-
-@needs_numpy
-@needs_fork
-class TestShardWorkerKilled:
-    """A shard worker dying mid-sweep still ends in the unsharded verdict."""
-
-    @pytest.fixture(autouse=True)
-    def _kill_children(self, monkeypatch, tmp_path):
-        self.marker = tmp_path / "killed"
-        monkeypatch.setattr(sweeps, "VECTOR_MIN_STATES", 0)
-        # Three shards get a pool even on a single-CPU host.
-        monkeypatch.setattr(sharding.os, "cpu_count", lambda: 3)
-        monkeypatch.setitem(globals(), "_KILL_MARKER", str(self.marker))
-        self.monkeypatch = monkeypatch
-
-    def _sharded_and_unsharded(self, program, invariant):
-        unsharded = check_tolerance_packed(program, invariant, TRUE, shards=1)
-        assert not self.marker.exists()
-        self.monkeypatch.setattr(sharding, "_sweep_worker", _dying_sweep_worker)
-        sharded = check_tolerance_packed(program, invariant, TRUE, shards=3)
-        assert self.marker.read_text().strip(), "no pool child was killed"
-        return sharded, unsharded
-
-    def test_positive_verdict(self):
-        program, invariant = build_case("coloring-chain", 6)
-        sharded, unsharded = self._sharded_and_unsharded(program, invariant)
-        assert unsharded.ok
-        assert sharded == unsharded
-
-    def test_negative_verdict_with_witness(self):
-        program, _ = build_case("coloring-chain", 6)
-        # recolor.1 moves color.1 off 0: a closure witness, then a deadlock.
-        invariant = Predicate(
-            lambda s: s["color.1"] == 0, name="color.1 = 0", support=("color.1",)
-        )
-        sharded, unsharded = self._sharded_and_unsharded(program, invariant)
-        assert not unsharded.ok
-        assert unsharded.s_closure.witnesses
-        assert unsharded.convergence.counterexample is not None
-        assert sharded == unsharded
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +369,7 @@ def test_narrow_csr_bit_identical_to_int64_baseline(name, monkeypatch):
         monkeypatch.setattr(sweeps, "FORCE_CODE_DTYPE", force)
         plan = sweeps.SweepPlan(kernel, invariant, None)
         ranges = sharding.plan_shards(kernel.codec.size, 2)
-        merged, _ = sharding.sweep_merged(plan, ranges, workers=1)
-        return merged
+        return sharding.sweep_merged(plan, ranges)
 
     try:
         narrow = _merge(None)
@@ -571,7 +586,7 @@ class TestMemoryAccounting:
         assert report.counters["kernel.mem.code_bytes"] > 0
 
     @needs_numpy
-    def test_vectorized_path_emits_peak_bytes_and_transfer(self, monkeypatch):
+    def test_vectorized_path_emits_peak_bytes(self, monkeypatch):
         from repro.observability.metrics import MetricsRegistry
         from repro.observability.tracer import Tracer
 
@@ -586,7 +601,7 @@ class TestMemoryAccounting:
         mem = [e for e in tracer.events if e.kind == "kernel.mem.sweep"]
         assert len(mem) == 1
         assert mem[0].fields["path"] == "vectorized"
-        assert mem[0].fields["transfer"] in ("pickle", "inline")
+        assert "transfer" not in mem[0].fields
 
     def test_service_threads_memory_budget(self):
         from repro.verification.service import VerificationService

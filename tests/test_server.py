@@ -350,11 +350,13 @@ class TestRequestValidation:
         assert "unknown verification case" in payload["error"]
 
     def test_unknown_field_is_400(self, daemon):
-        status, payload = post(
-            daemon, "/verify", {"case": "dijkstra-ring", "bogus": 1}
-        )
-        assert status == 400
-        assert "bogus" in payload["error"]
+        # "shards" is no request field: the daemon picks the range count.
+        for field in ("bogus", "shards"):
+            status, payload = post(
+                daemon, "/verify", {"case": "dijkstra-ring", field: 1}
+            )
+            assert status == 400
+            assert field in payload["error"]
 
     def test_non_json_body_is_400(self, daemon):
         conn = http.client.HTTPConnection(daemon.host, daemon.port, timeout=30)
@@ -660,6 +662,57 @@ class TestWarmPath:
         stats = get(daemon, "/stats")[1]
         assert stats["requests"]["executor"] == before + 1
         assert stats["requests"]["batches"] == 4  # verify misses only
+
+    def test_concurrent_first_sights_share_one_build(self, daemon, monkeypatch):
+        builds = {"_instance_keys": 0, "_build_program_key": 0}
+
+        def counted(name, endpoint):
+            real = getattr(VerificationDaemon, name)
+
+            def build(self, *args):
+                builds[name] += 1
+                # Hold the build until the second request has looked its
+                # key up: that lookup runs on the loop right after the
+                # endpoint counter moves.
+                _await(lambda: self.requests[endpoint] >= 2)
+                return real(self, *args)
+
+            monkeypatch.setattr(VerificationDaemon, name, build)
+
+        counted("_instance_keys", "verify")
+        counted("_build_program_key", "lint")
+        for path in ("/verify", "/lint"):
+            results = [None, None]
+
+            def fire(index, path=path):
+                results[index] = post(
+                    daemon, path, {"case": "mis-cycle", "size": 5}
+                )
+
+            threads = [threading.Thread(target=fire, args=(i,)) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert [status for status, _ in results] == [200, 200], results
+            assert results[0][1]["ok"] == results[1][1]["ok"]
+        assert builds == {"_instance_keys": 1, "_build_program_key": 1}
+
+    def test_failed_key_build_is_retried(self, daemon, monkeypatch):
+        real = VerificationDaemon._build_program_key
+        failures = []
+
+        def flaky(self, *args):
+            if not failures:
+                failures.append(args)
+                raise RuntimeError("build failed")
+            return real(self, *args)
+
+        monkeypatch.setattr(VerificationDaemon, "_build_program_key", flaky)
+        body = {"case": "coloring-chain", "size": 4}
+        assert post(daemon, "/lint", body)[0] == 500
+        assert post(daemon, "/lint", body)[0] == 200
+        assert failures == [("coloring-chain", 4)]
 
     def test_first_sight_key_build_is_one_hand_off(self, daemon):
         post(daemon, "/lint", {"case": "coloring-chain", "size": 3})

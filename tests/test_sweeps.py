@@ -1,4 +1,4 @@
-"""Kernel v2 tests: vectorized sweeps, sharding, and engine parity.
+"""Kernel v2 tests: vectorized sweeps, code ranges, and engine parity.
 
 Three layers:
 
@@ -9,7 +9,7 @@ Three layers:
   are the longest path to an exit, and every acyclicity check built on
   it agrees with Tarjan's SCCs;
 - differential tests pinning the vectorized full-space path (forced by
-  lowering ``VECTOR_MIN_STATES``) and the sharded path bit-identical to
+  lowering ``VECTOR_MIN_STATES``) and the multi-range path bit-identical to
   the scalar packed sweep across the protocol library and crafted
   failing instances;
 - engine-parity tests at the ``max_states`` boundary and pool-robustness
@@ -807,13 +807,6 @@ class TestMaxStatesParity:
 # ----------------------------------------------------------------------
 
 
-def _die_in_worker(value):
-    """Top-level pool fn: kill the worker process, succeed in-process."""
-    if multiprocessing.current_process().name != "MainProcess":
-        os._exit(1)
-    return value * 2
-
-
 def _build_case_killing_workers(name):
     """Builder that hard-kills any pool worker that runs it."""
     if multiprocessing.current_process().name != "MainProcess":
@@ -827,18 +820,6 @@ def _build_case_ignoring(arg):
 
 
 class TestBrokenPoolFallback:
-    def test_run_on_pool_falls_back_sequentially(self):
-        from repro.verification.parallel import run_on_pool
-
-        assert run_on_pool(_die_in_worker, [1, 2, 3], workers=2) == [2, 4, 6]
-
-    def test_run_on_pool_sequential_modes(self):
-        from repro.verification.parallel import run_on_pool
-
-        assert run_on_pool(_die_in_worker, [], workers=4) == []
-        assert run_on_pool(_die_in_worker, [5], workers=4) == [10]
-        assert run_on_pool(_die_in_worker, [1, 2], workers=1) == [2, 4]
-
     def test_run_batch_falls_back_sequentially(self):
         from repro.verification.parallel import VerificationTask, run_batch
 
