@@ -36,7 +36,7 @@ def certify(service, shape_name, make_tree):
     states = list(design.program.state_space())
     started = time.perf_counter()
     record = service.validate_design(
-        design, states, case=f"diffusing {shape_name}", states_key=shape_name
+        design, states, case=f"diffusing {shape_name}"
     )
     elapsed = time.perf_counter() - started
     return tree, design, states, record, elapsed

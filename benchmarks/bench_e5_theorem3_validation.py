@@ -10,9 +10,11 @@ The certificate is checked exhaustively over finite windows of counter
 values (the obligations are local, so a window exhibiting every ordering
 pattern of adjacent counters suffices; widening the window does not
 change any verdict — also shown in the table). Certification runs
-through the verification service with ``theorem="3"`` forced and a
-window-labelled cache key, and each window is re-requested warm to
-confirm the cache answers the repeat.
+through the verification service with ``theorem="3"`` forced. The
+ring's counters are unbounded, so a window cannot be encoded to packed
+codes: each request is filed under a one-off key, never shared with
+another window, and each window is re-requested to confirm the repeat
+certifies identically.
 """
 
 import time
@@ -31,7 +33,6 @@ def certify(service, n_nodes: int, lo: int, hi: int):
         states,
         theorem="3",
         case=f"token ring n={n_nodes} window[{lo},{hi}]",
-        states_key=f"window[{lo},{hi}]",
     )
     elapsed = time.perf_counter() - started
     return design, states, record, elapsed
@@ -46,8 +47,11 @@ def test_e5_theorem3_conditions(benchmark, report, bench_timings):
     instances = []
     for n_nodes, lo, hi in [(3, 0, 2), (3, 0, 4), (4, 0, 3), (5, 0, 3), (6, 0, 2)]:
         design, states, record, elapsed = certify(service, n_nodes, lo, hi)
-        _, _, warm, warm_elapsed = certify(service, n_nodes, lo, hi)
-        assert warm == record  # cache hit: identical record, no recompute
+        _, _, again, again_elapsed = certify(service, n_nodes, lo, hi)
+        # Recomputed, not a cache hit: the same certificate.
+        assert {k: v for k, v in again.items() if k != "seconds"} == {
+            k: v for k, v in record.items() if k != "seconds"
+        }
         assert record["theorem"].startswith("Theorem 3")
         per_layer = [
             graph.classification()
@@ -66,7 +70,7 @@ def test_e5_theorem3_conditions(benchmark, report, bench_timings):
                 f"{record['conditions_ok']}/{record['conditions']}",
                 record["ok"],
                 f"{elapsed:.2f}s",
-                f"{warm_elapsed * 1000:.1f}ms",
+                f"{again_elapsed * 1000:.1f}ms",
             ]
         )
         instances.append(
@@ -75,13 +79,13 @@ def test_e5_theorem3_conditions(benchmark, report, bench_timings):
                 "states": len(states),
                 "theorem": record["theorem"],
                 "cold_seconds": elapsed,
-                "warm_seconds": warm_elapsed,
+                "repeat_seconds": again_elapsed,
                 "ok": record["ok"],
             }
         )
     table = render_table(
         ["ring size", "window", "states", "layer-0 graph", "layer-1 graph",
-         "conditions ok", "certified", "cold", "warm"],
+         "conditions ok", "certified", "cold", "repeat"],
         rows,
         title="E5: Theorem 3 validation of the paper's token-ring design "
         "(through the verification service)",

@@ -114,9 +114,7 @@ def test_e9_protocol_library(benchmark, report, bench_timings):
 
     # token ring — Theorem 3 (+ Dijkstra instance at scale)
     design = build_token_ring_design(4)
-    cert = service.validate_design(
-        design, ring_window(4, 0, 3), case="token ring", states_key="window[0,3]"
-    )
+    cert = service.validate_design(design, ring_window(4, 0, 3), case="token ring")
     program, spec = build_dijkstra_ring(30, k=31)
     stats = stabilization_trials(
         program, spec, lambda s: RandomScheduler(s),

@@ -25,7 +25,8 @@ Every key is one of two kinds:
 
 :func:`derive_key` qualifies a key with further tokens (a fault rate,
 say) without walking the program again; the derived key keeps the kind
-of the key it came from.
+of the key it came from. :func:`one_off_key` derives a local key that
+no other call returns, for a request no later one may share.
 
 What the stream contains, by object:
 
@@ -89,6 +90,7 @@ __all__ = [
     "fingerprint_instance",
     "is_trusted",
     "key_kind",
+    "one_off_key",
     "probe_states",
 ]
 
@@ -188,6 +190,19 @@ def derive_key(key: str, *tokens: str) -> str:
         "\x00".join(("derive", key, *tokens)).encode()
     ).hexdigest()
     return _LOCAL_PREFIX + digest if key_kind(key) == "local" else digest
+
+
+def one_off_key(key: str) -> str:
+    """A process-local key derived from ``key`` that no other call returns.
+
+    For a request whose input has no exact serialization and is not
+    worth holding for a registry's lifetime (a supplied state list the
+    codec cannot encode): its record is filed under a key no later
+    request computes, and never persisted.
+    """
+    token = f"once#{next(_LOCAL_COUNTER)}"
+    digest = hashlib.sha256("\x00".join((token, key)).encode()).hexdigest()
+    return _LOCAL_PREFIX + digest
 
 
 # ----------------------------------------------------------------------

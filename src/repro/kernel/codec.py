@@ -180,6 +180,17 @@ class StateCodec:
             ) from None
         return code
 
+    def encode_states(self, states: Iterable[Mapping[str, Any]]) -> array:
+        """The packed codes of ``states``, in order, at :attr:`code_typecode`.
+
+        The one state-list encoder: each state is encoded exactly once.
+
+        Raises:
+            PackedUnsupported: as :meth:`encode_state`, for the first
+                state that cannot be encoded.
+        """
+        return array(self.code_typecode, map(self.encode_state, states))
+
     def decode_digits(self, code: int) -> list[int]:
         """The digit list of ``code`` (one digit per variable, in order)."""
         digits = [0] * len(self.radices)
@@ -198,26 +209,6 @@ class StateCodec:
     def decode_state(self, code: int) -> State:
         """The :class:`State` of ``code`` (content-equal to the dict engine's)."""
         return State._adopt(dict(zip(self.names, self.decode_values(code))))
-
-    # ------------------------------------------------------------------
-    # Bulk transport (process-pool workers ship codes, not States)
-    # ------------------------------------------------------------------
-
-    def pack_codes(self, codes: Iterable[int]) -> bytes:
-        """Serialize packed codes as a flat native-int byte buffer.
-
-        The buffer uses :attr:`code_typecode`, so a 10^4-state protocol
-        ships 2 bytes per state instead of 8. Both ends of the pool pipe
-        derive the codec from the same program, so the width always
-        agrees; the buffer is not a cross-machine wire format.
-        """
-        return array(self.code_typecode, codes).tobytes()
-
-    def unpack_codes(self, buffer: bytes) -> array:
-        """The code array serialized by :meth:`pack_codes` (same width)."""
-        codes = array(self.code_typecode)
-        codes.frombytes(buffer)
-        return codes
 
     def __repr__(self) -> str:
         return (

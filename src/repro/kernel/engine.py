@@ -279,7 +279,7 @@ def build_packed_system(
     """
     kernel = kernel if kernel is not None else compile_program(program)
     state_list = list(states)
-    codes = array("q", (kernel.codec.encode_state(state) for state in state_list))
+    codes = kernel.codec.encode_states(state_list)
     # Last occurrence wins, like the dict engine; a raw State successor
     # is never a key, so it escapes.
     index = {code: position for position, code in enumerate(codes)}

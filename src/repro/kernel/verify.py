@@ -5,10 +5,11 @@
 verdicts, same closure witnesses in the same order, same error messages
 — but runs on packed codes:
 
-- With ``states=None`` (the common service path) the full state space is
-  swept **once**: one pass computes the ``S``/``T`` membership masks and
-  the complete successor graph as flat arrays. The dict engine walks the
-  space four times (implication, two closures, span construction) and
+- The state set — the full space, or a supplied list encoded once to
+  codes — is swept **once** by one row loop: one pass computes the
+  ``S``/``T`` membership masks and the complete successor graph as flat
+  arrays, each successor resolved to its row. The dict engine walks the
+  states four times (implication, two closures, span construction) and
   re-executes every action per walk.
 - Both closure checks then run over the cached graph without calling a
   single guard again, and the ``T``-span transition system is carved out
@@ -16,9 +17,10 @@ verdicts, same closure witnesses in the same order, same error messages
   span states (:func:`~repro.kernel.sweeps.scalar_peel` on the scalar
   loop); only the bad states that never peel reach the exact SCC
   analysis (:func:`check_convergence`), for its counterexample.
-- :func:`check_tolerance_swept` also returns that full-space graph as a
-  :class:`FullSpaceCSR`, so a caller that needs more than the verdict
-  (``quantify=True``) reuses the sweep instead of repeating it.
+- :func:`check_tolerance_swept` also returns that graph as a
+  :class:`FullSpaceCSR` when the state set is closed, so a caller that
+  needs more than the verdict (``quantify=True``) reuses the sweep
+  instead of repeating it.
 
 With numpy available, full-space sweeps of large instances dispatch to
 the vectorized kernel (:mod:`repro.kernel.sweeps`, over one or more
@@ -27,9 +29,10 @@ in-process code ranges planned by :mod:`repro.kernel.shard`) through
 the vectorized fragment — and every run without numpy — take the scalar
 loop below, whose results the vectorized path reproduces bit-for-bit.
 
-Successor values that leave their variable's domain are kept as raw
-:class:`State` markers inside the graph so closure witnesses and escape
-lists match the dict engine exactly.
+A successor that is no row — a code missing from a supplied list, or a
+value that leaves its variable's domain — is kept as a :class:`State`
+inside the graph, so closure witnesses and escape lists match the dict
+engine exactly.
 """
 
 from __future__ import annotations
@@ -72,9 +75,10 @@ _NEGATE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 @dataclass(frozen=True)
 class FullSpaceCSR:
-    """The full-space successor graph one packed verify swept.
+    """The successor graph one packed verify swept over a closed state set.
 
-    Row ``i`` is the state with code ``i``; its successor codes are
+    Row ``i`` is the state with code ``i`` on the full space, and the
+    ``i``-th supplied state otherwise; its successor rows are
     ``targets[offsets[i]:offsets[i + 1]]`` in action order, produced by
     ``action_ids``. ``t_mask`` is ``None`` when ``T`` is ``TRUE``. The
     vectorized sweep holds numpy arrays, the scalar sweep (``shards ==
@@ -84,7 +88,7 @@ class FullSpaceCSR:
     ``levels`` are the verdict's Kahn peel levels
     (:func:`~repro.kernel.sweeps.bad_region_acyclic`, or its numpy-free
     twin :func:`~repro.kernel.sweeps.scalar_peel` on the scalar sweep),
-    indexed by code: the round each bad ``T``-state peels in, ``-1`` for
+    indexed by row: the round each bad ``T``-state peels in, ``-1`` for
     a bad state that never peels and for every good or non-span state.
     Both sweeps set them whenever the verdict ran the peel, and leave
     them ``None`` on a bad deadlock or when ``T`` is not closed, so a
@@ -114,9 +118,16 @@ def check_tolerance_packed(
     **options: Any,
 ) -> ToleranceReport:
     """Packed counterpart of :func:`~repro.verification.checker._check_tolerance`:
-    the report of :func:`check_tolerance_swept` (which documents the options)."""
+    the report of :func:`check_tolerance_swept` (which documents the
+    options) over ``states`` encoded once, or over the full space."""
+    codes = None
+    if states is not None:
+        kernel = compile_program(
+            program, tracer=options.get("tracer"), metrics=options.get("metrics")
+        )
+        codes = kernel.codec.encode_states(states)
     return check_tolerance_swept(
-        program, invariant, fault_span, states, **options
+        program, invariant, fault_span, codes, **options
     )[0]
 
 
@@ -124,7 +135,7 @@ def check_tolerance_swept(
     program: Program,
     invariant: Predicate,
     fault_span: Predicate,
-    states: Iterable[State] | None = None,
+    codes: Sequence[int] | None = None,
     *,
     fairness: str = "weak",
     max_states: int | None = None,
@@ -133,15 +144,19 @@ def check_tolerance_swept(
     tracer=None,
     metrics=None,
 ) -> tuple[ToleranceReport, FullSpaceCSR | None]:
-    """The packed verdict, plus the full-space graph it swept.
+    """The packed verdict, plus the graph it swept.
 
-    The graph is ``None`` when there is none to reuse: supplied
-    ``states``, a verdict the streaming path answered, or a successor
-    outside its variable's domain (the space is then not closed).
+    The graph is ``None`` when there is none to reuse: a verdict the
+    streaming path answered, or a successor that is no row (a code
+    missing from ``codes``, or a value outside its variable's domain),
+    so the state set is not closed.
 
     Args:
-        states: The state set, or ``None`` for the program's full state
-            space (the fast path: codes are enumerated, never encoded).
+        codes: The state set as packed codes
+            (:meth:`~repro.kernel.codec.StateCodec.encode_states`), row
+            ``i`` being ``codes[i]``; or ``None`` for the program's full
+            state space (the fast path: row ``i`` is code ``i``, so codes
+            are enumerated, never encoded).
         max_states: Full-space size guard; ``None`` means
             :data:`~repro.core.state.DEFAULT_MAX_STATES`. Uses the same
             comparison and message as
@@ -162,13 +177,13 @@ def check_tolerance_swept(
             scalar paths ignore it.
 
     Raises:
-        PackedUnsupported: if the program or a supplied state cannot be
-            packed; ``engine="auto"`` callers catch this and fall back.
+        PackedUnsupported: if the program cannot be packed;
+            ``engine="auto"`` callers catch this and fall back.
     """
     kernel = compile_program(program, tracer=tracer, metrics=metrics)
     table_entries_before = kernel.table_entries() if metrics is not None else 0
     codec = kernel.codec
-    if states is None:
+    if codes is None:
         # Same guard (comparison and message) as ``enumerate_states`` on
         # the dict path, with the caller's limit threaded through.
         limit = DEFAULT_MAX_STATES if max_states is None else max_states
@@ -193,6 +208,14 @@ def check_tolerance_swept(
                 kernel, metrics, table_entries_before, codec.size
             )
             return swept
+        count = codec.size
+        rows = kernel.iter_space()
+        row_of = None  # row == code
+    else:
+        count = len(codes)
+        rows = ((code, *kernel.analyze_code(code)) for code in codes)
+        # Last occurrence wins, like the dict engine's {state: position}.
+        row_of = {code: row for row, code in enumerate(codes)}
     s_fn = kernel.predicate_fn(invariant)
     # TRUE is the stabilization fault-span; skip 1 call/state for it.
     t_always = fault_span is TRUE
@@ -202,123 +225,74 @@ def check_tolerance_swept(
         for action_id, action in enumerate(kernel.actions)
     )
     names = kernel.action_names
-    # Successor buffers: ``entries[offsets[i]:offsets[i+1]]`` are state
-    # ``i``'s successors in action order; entry ``-(k+1)`` is ``raws[k]``,
-    # a successor carrying an out-of-domain value (kept inline so
-    # escape/witness order is identical to the dict engine). 32-bit
-    # whenever ``size * n_actions`` fits (which bounds codes, edge counts
-    # and raw sentinels alike), else 64-bit; never int16, because
-    # sentinels count edges, not codes.
-    edge_bound = codec.size * max(1, len(kernel.actions))
+    # Rows index the span arrays below; the narrowest width that holds
+    # every row (the codec's own width on the full space).
+    row_typecode = "h" if count <= 1 << 15 else "i" if count <= 1 << 31 else "q"
+    # Successor buffers: ``entries[offsets[i]:offsets[i+1]]`` are row
+    # ``i``'s successors in action order; entry ``-(k+1)`` is
+    # ``outside[k]``, a successor that is no row (a code missing from the
+    # supplied set, or a raw State carrying an out-of-domain value), kept
+    # inline so escape/witness order is identical to the dict engine.
+    # 32-bit whenever ``count * n_actions`` fits (which bounds rows, edge
+    # counts and sentinels alike), else 64-bit; never int16, because
+    # sentinels count edges, not rows.
+    edge_bound = count * max(1, len(kernel.actions))
     typecode = "i" if edge_bound <= 2**31 - 1 else "q"
     offsets = array(typecode, [0])
     entries = array(typecode)
     action_ids = array("h")
-    raws: list[State] = []
+    outside: list[State] = []
     entries_append = entries.append
     ids_append = action_ids.append
     offsets_append = offsets.append
-
-    def sweep_row(code: int, digits, values) -> None:
-        """Append one state's successors and close its CSR row."""
+    s_mask = bytearray(count)
+    t_mask = bytearray(b"\x01") * count if t_always else bytearray(count)
+    for row, (code, digits, values) in enumerate(rows):
+        if s_fn(values):
+            s_mask[row] = 1
+        if not t_always and t_fn(values):
+            t_mask[row] = 1
         for action_id, successor_fn in successor_fns:
             successor = successor_fn(code, digits, values)
             if successor is None:
                 continue
             if type(successor) is int:
-                entries_append(successor)
-            else:
-                entries_append(-len(raws) - 1)
-                raws.append(successor)
+                target = successor if row_of is None else row_of.get(successor)
+                if target is not None:
+                    entries_append(target)
+                    ids_append(action_id)
+                    continue
+                successor = codec.decode_state(successor)
+            entries_append(-len(outside) - 1)
+            outside.append(successor)
             ids_append(action_id)
         offsets_append(len(entries))
 
-    if states is None:
-        # Full space (scalar sweep): position == code, membership masks
-        # are per-code. The size guard already ran above.
-        count = codec.size
-        state_list: list[State] | None = None
-        codes = None
-        s_mask = bytearray(count)
-        t_mask = bytearray(b"\x01") * count if t_always else bytearray(count)
-        for code, digits, values in kernel.iter_space():
-            if s_fn(values):
-                s_mask[code] = 1
-            if not t_always and t_fn(values):
-                t_mask[code] = 1
-            sweep_row(code, digits, values)
-
-        def position_state(position: int) -> State:
-            return codec.decode_state(position)
-
-        def code_of(position: int) -> int:
-            return position
-
-        def code_holds(mask, memo, fn, code: int) -> bool:
-            return bool(mask[code])
-
-        s_memo = t_memo = None
-    else:
-        state_list = list(states)
-        codes = array(
-            codec.code_typecode,
-            (codec.encode_state(state) for state in state_list),
-        )
-        count = len(codes)
-        s_mask = bytearray(count)
-        t_mask = bytearray(count)
-        # Successor codes may fall outside the supplied set; predicate
-        # values of such codes are memoized per code.
-        s_memo: dict[int, bool] = {}
-        t_memo: dict[int, bool] = {}
-        for position, code in enumerate(codes):
-            digits, values = kernel.analyze_code(code)
-            s_value = bool(s_fn(values))
-            t_value = True if t_always else bool(t_fn(values))
-            s_mask[position] = s_value
-            t_mask[position] = t_value
-            s_memo[code] = s_value
-            t_memo[code] = t_value
-            sweep_row(code, digits, values)
-
-        def position_state(position: int) -> State:
-            return state_list[position]
-
-        def code_of(position: int) -> int:
-            return codes[position]
-
-        def code_holds(mask, memo, fn, code: int) -> bool:
-            try:
-                return memo[code]
-            except KeyError:
-                value = bool(fn(codec.decode_values(code)))
-                memo[code] = value
-                return value
+    def state_of(row: int) -> State:
+        return codec.decode_state(row if codes is None else codes[row])
 
     implication_ok = t_always or all(
-        t_mask[position] for position in range(count) if s_mask[position]
+        t_mask[row] for row in compress(range(count), s_mask)
     )
 
-    def closure(mask, memo, fn, predicate: Predicate) -> ClosureResult:
+    def closure(mask, predicate: Predicate) -> ClosureResult:
         checked = 0
         witnesses: list[ClosureWitness] = []
-        for position in range(count):
-            if not mask[position]:
-                continue
+        for row in compress(range(count), mask):
             checked += 1
-            for k in range(offsets[position], offsets[position + 1]):
+            for k in range(offsets[row], offsets[row + 1]):
                 entry = entries[k]
                 if entry >= 0:
-                    if code_holds(mask, memo, fn, entry):
+                    if mask[entry]:
                         continue
-                    after = codec.decode_state(entry)
+                    after = state_of(entry)
                 else:
-                    after = raws[-entry - 1]
+                    after = outside[-entry - 1]
                     if predicate(after):
                         continue
                 witnesses.append(
                     ClosureWitness(
-                        before=position_state(position),
+                        before=state_of(row),
                         action_name=names[action_ids[k]],
                         after=after,
                     )
@@ -337,7 +311,7 @@ def check_tolerance_swept(
             witnesses=tuple(witnesses),
         )
 
-    s_closure = closure(s_mask, s_memo, s_fn, invariant)
+    s_closure = closure(s_mask, invariant)
     if t_always:
         # TRUE holds on every successor (raw or not): the walk cannot
         # produce a witness, and ``checked`` is the full state count.
@@ -345,90 +319,62 @@ def check_tolerance_swept(
             predicate_name=fault_span.name, ok=True, checked=count, witnesses=()
         )
     else:
-        t_closure = closure(t_mask, t_memo, t_fn, fault_span)
+        t_closure = closure(t_mask, fault_span)
 
     # ------------------------------------------------------------------
     # Carve the T-span transition system out of the cached graph.
     # ------------------------------------------------------------------
-    if t_always:
-        span_positions: Sequence[int] = range(count)
+    span_rows: Sequence[int] = (
+        range(count) if t_always else list(compress(range(count), t_mask))
+    )
+    span_count = len(span_rows)
+    if span_count == count and not outside:
+        # Every row is a span state and every successor a row: reuse
+        # the arrays wholesale.
+        span_codes = (
+            array(codec.code_typecode, range(count)) if codes is None else codes
+        )
+        span_offsets, span_targets, span_action_ids = offsets, entries, action_ids
+        span_escapes: list[tuple[int, str, State]] = []
     else:
-        span_positions = [
-            position for position in range(count) if t_mask[position]
-        ]
-    span_count = len(span_positions)
-
-    if states is None:
-        # Full space: a successor code *is* a position, membership is a
-        # mask lookup.
         if span_count == count:
             span_of = None  # identity
         else:
-            span_of = array(codec.code_typecode, [-1]) * count
-            for new_position, position in enumerate(span_positions):
-                span_of[position] = new_position
-
-        def span_target(entry_code: int) -> int | None:
-            if not t_mask[entry_code]:
-                return None
-            return entry_code if span_of is None else span_of[entry_code]
-
-    else:
-        # Subset: membership is "equals one of the supplied T-states",
-        # resolved through a last-occurrence-wins code index exactly
-        # like the dict engine's ``{state: position}`` map.
-        span_index = {}
-        for new_position, position in enumerate(span_positions):
-            span_index[codes[position]] = new_position
-
-        def span_target(entry_code: int) -> int | None:
-            return span_index.get(entry_code)
-
-    if states is None and span_count == count and not raws:
-        # Stabilizing full-space case: reuse the arrays wholesale.
-        span_codes = array(codec.code_typecode, range(count))
-        span_offsets, span_targets, span_action_ids = offsets, entries, action_ids
-        span_escapes: list[tuple[int, str, State]] = []
-        span_states = None
-    else:
+            span_of = array(row_typecode, [-1]) * count
+            for span_row, row in enumerate(span_rows):
+                span_of[row] = span_row
         span_codes = array(
             codec.code_typecode,
-            (code_of(position) for position in span_positions),
+            span_rows if codes is None else (codes[row] for row in span_rows),
         )
         span_offsets = array(offsets.typecode, [0])
-        span_targets = array(codec.code_typecode)
+        span_targets = array(row_typecode)
         span_action_ids = array("h")
         span_escapes = []
-        span_states = (
-            None
-            if state_list is None
-            else [state_list[position] for position in span_positions]
-        )
-        for new_position, position in enumerate(span_positions):
-            for k in range(offsets[position], offsets[position + 1]):
+        for span_row, row in enumerate(span_rows):
+            for k in range(offsets[row], offsets[row + 1]):
                 entry = entries[k]
-                if entry >= 0:
-                    target = span_target(entry)
-                    if target is not None:
-                        span_targets.append(target)
-                        span_action_ids.append(action_ids[k])
-                        continue
-                    escape_state = codec.decode_state(entry)
-                else:
-                    escape_state = raws[-entry - 1]
+                if entry >= 0 and t_mask[entry]:
+                    span_targets.append(entry if span_of is None else span_of[entry])
+                    span_action_ids.append(action_ids[k])
+                    continue
                 span_escapes.append(
-                    (new_position, names[action_ids[k]], escape_state)
+                    (
+                        span_row,
+                        names[action_ids[k]],
+                        state_of(entry) if entry >= 0 else outside[-entry - 1],
+                    )
                 )
             span_offsets.append(len(span_targets))
 
     # The invariant was already evaluated on every span state: the bad
-    # span positions come straight from the mask.
+    # span rows come straight from the mask.
     if span_count == count:
         bad = s_mask.translate(_NEGATE)
     else:
-        bad = bytearray(not s_mask[position] for position in span_positions)
+        bad = bytearray(not s_mask[row] for row in span_rows)
     bad_count = bad.count(1)
-    levels = None  # per span position, once the peel has run
+    levels = None  # per span row, once the peel has run
     handed = 0
     if span_escapes:
         if t_closure.ok:
@@ -453,9 +399,9 @@ def check_tolerance_swept(
         # peeled (deadlocks among them) are candidates.
         levels = sweeps.scalar_peel(bad, span_offsets, span_targets)
         stuck = [
-            position
-            for position in compress(range(span_count), bad)
-            if levels[position] < 0
+            span_row
+            for span_row in compress(range(span_count), bad)
+            if levels[span_row] < 0
         ]
         if not stuck:
             convergence = ConvergenceResult(
@@ -468,7 +414,7 @@ def check_tolerance_swept(
             handed = len(stuck)
             convergence = check_convergence(
                 TransitionSystem(
-                    span_states, span_offsets, span_targets, span_action_ids,
+                    None, span_offsets, span_targets, span_action_ids,
                     names, codec=codec, codes=span_codes,
                 ),
                 fairness,
@@ -476,22 +422,17 @@ def check_tolerance_swept(
                 bad_count,
             )
     _note_tarjan(metrics, handed)
-    # The levels a quantify request over this CSR reads, indexed by code:
-    # only where the vectorized path keeps them (a full space with no raw
-    # successor, T closed, no bad deadlock).
+    # The levels a quantify request over this CSR reads, indexed by row:
+    # only where the vectorized path keeps them (every successor a row,
+    # T closed, no bad deadlock).
     csr_levels = None
-    if (
-        states is None
-        and not raws
-        and levels is not None
-        and not _deadlocked(convergence)
-    ):
+    if not outside and levels is not None and not _deadlocked(convergence):
         if span_count == count:
             csr_levels = levels
         else:
             csr_levels = array(levels.typecode, [-1]) * count
-            for position, level in zip(span_positions, levels):
-                csr_levels[position] = level
+            for row, level in zip(span_rows, levels):
+                csr_levels[row] = level
 
     masking = s_mask == t_mask
     stabilizing = span_count == count
@@ -536,7 +477,7 @@ def check_tolerance_swept(
         stabilizing=stabilizing,
         total_states=count,
     )
-    if states is not None or raws:
+    if outside:
         return report, None
     return report, FullSpaceCSR(
         s_mask, None if t_always else t_mask, offsets, entries, action_ids,

@@ -55,10 +55,10 @@ Surfaced through the facade as ``repro.verify(case, quantify=True)``
 (the attached :class:`QuantitativeReport` satisfies the
 :class:`repro.Verdict` protocol), the CLI (``repro verify --quantify``)
 and the daemon (``POST /verify`` with ``"quantify": true``). There the
-analysis runs over the very CSR the packed full-space verdict swept
-(:class:`repro.kernel.verify.FullSpaceCSR`), so one request sweeps the
-space once, and reads the verdict's peel levels instead of peeling
-again.
+analysis runs over the very CSR the packed verdict swept
+(:class:`repro.kernel.verify.FullSpaceCSR`, of the full space or of a
+closed supplied list), so one request sweeps its states once, and
+reads the verdict's peel levels instead of peeling again.
 """
 
 from __future__ import annotations
@@ -359,9 +359,10 @@ def _graph_from_csr(
     """The quantitative view of a packed full-space sweep's CSR.
 
     ``csr`` is a :class:`~repro.kernel.verify.FullSpaceCSR`: the one the
-    request's own verify swept, or one :func:`quantify` swept itself.
-    Row ``i`` is code ``i``, so the masks index states directly. The
-    vectorized sweep's resident-bytes check applies here.
+    request's own verify swept (over the full space or a closed supplied
+    list), or one :func:`quantify` swept itself. The masks index its
+    rows directly. The vectorized sweep's resident-bytes check applies
+    here.
     """
     np = _np
     graph = _Graph(
@@ -895,8 +896,8 @@ def quantify(
             is no streaming value iteration).
         system: Optional prebuilt transition system to share work, or
             the :class:`~repro.kernel.verify.FullSpaceCSR` a packed
-            full-space verify of the same instance swept (the service
-            hands its verdict's over, so a request sweeps once).
+            verify of the same instance and state set swept (the
+            service hands its verdict's over, so a request sweeps once).
         case: Display name recorded in the report.
         tracer: Optional tracer (emits ``quantitative.solve``).
         metrics: Optional metrics registry (``quantitative.*``).

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.core.errors import ValidationError
 from repro.core.predicates import Predicate
@@ -380,28 +381,19 @@ def worst_case_convergence_steps(
     on which an unfair daemon can postpone convergence forever, or a
     ``¬target`` state is deadlocked, where every computation ends.
     """
+    from repro.kernel.sweeps import scalar_peel
+
     ts = system if system is not None else build_transition_system(program, span_states)
-    good = set(ts.satisfying(target))
-    bad = [position for position in range(len(ts)) if position not in good]
-    offsets = ts.offsets
-    if any(offsets[position] == offsets[position + 1] for position in bad):
-        return None
-    bad_set = set(bad)
-    internal = _internal_successors(ts, bad, bad_set)
-    components = _strongly_connected_components(bad, internal)
-    for component in components:
-        if _component_has_internal_edge(component, internal):
+    bad = bytearray(b"\x01") * len(ts)
+    for position in ts.satisfying(target):
+        bad[position] = 0
+    # The Kahn peel of the ¬target rows: a row's level is the longest
+    # path through ¬target rows after it, and -1 marks a deadlock or a
+    # row on (or leading only into) a cycle.
+    levels = scalar_peel(bad, ts.offsets, ts.targets)
+    worst = 0
+    for position in compress(range(len(ts)), bad):
+        if levels[position] < 0:
             return None
-    # Longest path over the DAG of bad states; length counts the steps to
-    # first leave the bad region (each bad state contributes one step).
-    depth: dict[int, int] = {}
-    order = [node for component in components for node in component]
-    # Tarjan emits components in reverse topological order of the
-    # condensation, so iterating the flattened list computes children
-    # before parents.
-    for node in order:
-        best = 0
-        for child in internal[node]:
-            best = max(best, depth[child])
-        depth[node] = 1 + best
-    return max(depth.values(), default=0)
+        worst = max(worst, levels[position] + 1)
+    return worst

@@ -44,9 +44,6 @@ from multiprocessing import current_process
 from typing import Any
 
 from repro.core.errors import ValidationError
-from repro.core.program import Program
-from repro.core.state import State
-from repro.kernel import StateCodec
 from repro.observability import events as ev
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.report import RunReport
@@ -58,7 +55,6 @@ __all__ = [
     "VerificationTask",
     "WorkerPool",
     "batch_report",
-    "pack_states",
     "resolve_builder",
     "run_batch",
     "verdicts_ok",
@@ -90,13 +86,6 @@ class VerificationTask:
             replaces ``builder`` — the worker verifies
             ``design.program`` against ``design.candidate.invariant``
             and the service may certify compositionally.
-        packed_states: Optional explicit state subset as packed codes
-            (the bytes from :func:`pack_states`). The mixed-radix codec
-            is a pure function of the program's variable declarations, so
-            the worker rebuilds it from the builder's program and decodes
-            the same states — shipping ~8 bytes/state across the process
-            boundary instead of pickled ``State`` dicts. Pass a
-            ``states_key`` alongside, as for any explicit subset.
     """
 
     case: str
@@ -104,10 +93,7 @@ class VerificationTask:
     args: tuple[Any, ...] = ()
     kwargs: tuple[tuple[str, Any], ...] = ()
     fairness: str = "weak"
-    #: Extra cache discriminator, forwarded as ``states_key``.
-    states_key: str | None = field(default=None)
     engine: str = "auto"
-    packed_states: bytes | None = field(default=None)
     #: Full-space size guard, forwarded as ``max_states`` (None = default).
     max_states: int | None = field(default=None)
     #: Verification method (``"auto"``, ``"full"`` or ``"compositional"``).
@@ -123,17 +109,6 @@ class VerificationTask:
     quantify: bool = field(default=False)
     #: Fault-action weight for the quantify weighted expectation.
     fault_rate: float = field(default=DEFAULT_FAULT_RATE)
-
-
-def pack_states(program: Program, states: Sequence[State]) -> bytes:
-    """Encode a state list as packed codes for ``VerificationTask``.
-
-    Raises:
-        PackedUnsupported: if the program has an infinite domain or a
-            state carries a value outside its variable's domain.
-    """
-    codec = StateCodec.for_program(program)
-    return codec.pack_codes(codec.encode_state(state) for state in states)
 
 
 def resolve_builder(reference: str):
@@ -182,24 +157,15 @@ def _execute(
         else:
             program, invariant, fault_span = built
     service = VerificationService(cache_dir=cache_dir, tracer=tracer)
-    states = None
-    if task.packed_states is not None:
-        codec = StateCodec.for_program(program)
-        states = [
-            codec.decode_state(code)
-            for code in codec.unpack_codes(task.packed_states)
-        ]
     verdict = service.verify_tolerance(
         program,
         invariant,
         fault_span,
-        states,
         fairness=task.fairness,
         engine=task.engine,
         method=task.method,
         design=design,
         case=task.case,
-        states_key=task.states_key,
         max_states=task.max_states,
         memory_budget=task.memory_budget,
         quantify=task.quantify,

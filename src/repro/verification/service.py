@@ -25,8 +25,11 @@ from the cache instead of recomputed:
 
 from __future__ import annotations
 
+import hashlib
+import sys
 import threading
 import time
+from array import array
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -42,6 +45,7 @@ from repro.core.fingerprint import (
     fingerprint_predicate,
     fingerprint_program,
     key_kind,
+    one_off_key,
 )
 from repro.core.predicates import TRUE, Predicate
 from repro.core.program import Program
@@ -498,7 +502,6 @@ class VerificationService:
         method: str = "auto",
         design: NonmaskingDesign | None = None,
         case: str | None = None,
-        states_key: str | None = None,
         lint: bool = False,
         max_states: int | None = None,
         shards: int | None = None,
@@ -513,9 +516,11 @@ class VerificationService:
             invariant: ``S``.
             fault_span: ``T``; defaults to ``TRUE`` (stabilization).
             states: The instance's state set; defaults to the full state
-                space. **Pass ``states_key`` whenever this is a proper
-                subset** — the default discriminator is only the set's
-                size, which cannot tell two different windows apart.
+                space. A supplied list is encoded once with the program's
+                codec, and the cache key covers its codes in order, so
+                two different lists never share a verdict; a list the
+                codec cannot encode is never answered from another
+                request's record.
             fairness: Computation model for convergence.
             engine: ``"packed"``, ``"dict"`` or ``"auto"`` (see
                 :func:`~repro.verification.checker.check_tolerance`). The
@@ -542,7 +547,6 @@ class VerificationService:
                 ``design-mismatch`` refusal and ``"auto"`` explores the
                 full space.
             case: Display name recorded in the verdict.
-            states_key: Cache discriminator for the state set.
             lint: Run the :mod:`repro.staticcheck` passes first and, on
                 any error-severity finding, short-circuit with a failed
                 verdict carrying the lint report under ``record["lint"]``
@@ -628,13 +632,11 @@ class VerificationService:
                     cache_layer="",
                     seconds=elapsed,
                 )
-        if states is None:
-            state_list: list[State] | None = None
-            extra = ("states=full",)
-        else:
-            state_list = list(states)
-            extra = (
-                states_key if states_key is not None else f"states=n{len(state_list)}",
+        state_list = codes = unencodable = None
+        extra = ("states=full",)
+        if states is not None:
+            state_list, codes, unencodable, extra = self._encode_states(
+                program, states
             )
         name = case if case is not None else program.name
 
@@ -661,6 +663,8 @@ class VerificationService:
             quantify=quantify, fault_rate=fault_rate,
             local=self.local_keys,
         )
+        if unencodable is not None:
+            key = one_off_key(key)
 
         def compute() -> dict[str, Any]:
             from repro.kernel import PackedUnsupported, kernel_supported
@@ -670,16 +674,19 @@ class VerificationService:
             resolved = engine
             if resolved == "auto":
                 resolved = "packed" if kernel_supported(program) else "dict"
-            # The packed full-space sweep's CSR, kept for this request
-            # only: quantify reuses it instead of sweeping again.
+            # The packed sweep's CSR (full space or a closed supplied
+            # set), kept for this request only: quantify reuses it
+            # instead of sweeping again.
             swept = None
             if resolved == "packed":
                 try:
+                    if unencodable is not None:
+                        raise unencodable
                     report, swept = check_tolerance_swept(
                         program,
                         invariant,
                         span,
-                        state_list,
+                        codes,
                         fairness=fairness,
                         max_states=max_states,
                         shards=shards,
@@ -739,6 +746,35 @@ class VerificationService:
             cache_layer=layer,
             seconds=elapsed,
         )
+
+    def _encode_states(self, program: Program, states: Iterable[State]):
+        """``(state_list, codes, unencodable, extra)`` of a supplied list.
+
+        The request's own copy of the list, encoded once with the
+        program's codec (the only encode a request makes), and the key
+        token of those codes: a SHA-256 over them in order as
+        little-endian bytes, the same on every host and hash seed, so
+        permutations and duplicates get their own verdicts. When the
+        codec cannot encode the list, ``codes`` is ``None``,
+        ``unencodable`` is the codec's error and the caller files the
+        verdict under a :func:`~repro.core.fingerprint.one_off_key`.
+        """
+        from repro.kernel import PackedUnsupported, compile_program
+
+        state_list = list(states)
+        try:
+            codec = compile_program(
+                program, tracer=self.tracer, metrics=self.metrics
+            ).codec
+            codes = codec.encode_states(state_list)
+        except PackedUnsupported as error:
+            return state_list, None, error, ("states=unencodable",)
+        canonical = codes
+        if sys.byteorder != "little":
+            canonical = array(codes.typecode, codes)
+            canonical.byteswap()
+        digest = hashlib.sha256(canonical.tobytes()).hexdigest()
+        return state_list, codes, None, (f"states=sha256:{digest}",)
 
     def _verify_compositional(
         self,
@@ -898,28 +934,29 @@ class VerificationService:
         *,
         theorem: str = "auto",
         case: str | None = None,
-        states_key: str | None = None,
     ) -> dict[str, Any]:
         """Cached theorem-certificate validation of a nonmasking design.
 
         Returns a JSON-able record summarizing the certificate; the full
         :class:`~repro.core.design.DesignReport` is recomputed only on a
-        cache miss.
+        cache miss. ``states`` is keyed by its codes, as in
+        :meth:`verify_tolerance`.
         """
         started = time.perf_counter()
-        state_list = list(states)
+        state_list, _codes, unencodable, extra = self._encode_states(
+            design.program, states
+        )
         name = case if case is not None else design.name
         key = fingerprint_instance(
             design.program,
             design.candidate.invariant,
             design.candidate.fault_span,
-            extra=(
-                f"theorem={theorem}",
-                states_key if states_key is not None else f"states=n{len(state_list)}",
-            ),
+            extra=(f"theorem={theorem}", *extra),
             context=(design,),
             local=self.local_keys,
         )
+        if unencodable is not None:
+            key = one_off_key(key)
 
         def compute() -> dict[str, Any]:
             compute_started = time.perf_counter()

@@ -3,6 +3,7 @@
 import json
 import operator
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,20 @@ def _library_keys() -> dict[str, str]:
                 design.program, design.candidate.invariant,
                 method="compositional", design=design,
             )
+    return keys
+
+
+def _supplied_keys() -> dict[str, str]:
+    """The verdict keys of supplied lists: shuffled, with duplicates."""
+    keys = {}
+    for name in ("dijkstra-ring", "diffusing-chain"):
+        program, invariant = build_case(name, 3)
+        states = list(program.state_space())
+        random.Random(5).shuffle(states)
+        service = VerificationService()
+        service.verify_tolerance(program, invariant, states=states + states[:4])
+        ((_kind, key),) = service._records
+        keys[f"{name}/supplied"] = key
     return keys
 
 
@@ -521,8 +536,8 @@ if sys.argv[3] == "without-numpy":
     sys.modules["numpy"] = None  # any ``import numpy`` now fails
 sys.path.insert(0, sys.argv[1])
 sys.path.insert(0, sys.argv[2])
-from test_fingerprint import _library_keys
-print(json.dumps(_library_keys(), sort_keys=True))
+from test_fingerprint import _library_keys, _supplied_keys
+print(json.dumps({**_library_keys(), **_supplied_keys()}, sort_keys=True))
 """
 
 
@@ -543,7 +558,8 @@ class TestCrossProcessStability:
             )
             results.append(json.loads(completed.stdout))
         assert results[0] == results[1] == results[2]
-        assert len(results[0]) == len(CASES) + sum(
+        assert len(results[0]) == len(CASES) + 2 + sum(
             1 for case in CASES.values() if case.build_design is not None
         )
-        assert results[0] == _library_keys()
+        assert results[0] == {**_library_keys(), **_supplied_keys()}
+        assert all(key_kind(key) == "exact" for key in results[0].values())

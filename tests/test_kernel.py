@@ -93,11 +93,6 @@ class TestStateCodec:
         with pytest.raises(PackedUnsupported):
             codec.encode_state(State({"a": 0}))
 
-    def test_pack_codes_round_trip(self):
-        codec = StateCodec.for_program(_two_var_program())
-        codes = [0, 5, 11, 3]
-        assert list(codec.unpack_codes(codec.pack_codes(codes))) == codes
-
 
 class TestCompileExpr:
     def test_expr_matches_state_evaluation(self):

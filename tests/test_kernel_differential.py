@@ -232,28 +232,3 @@ class TestServiceAndBatch:
             k: v for k, v in plain.record.items() if k not in ignore
         }
         assert packed.report == plain.report
-
-    def test_batch_task_ships_packed_states(self):
-        from repro.verification.parallel import (
-            VerificationTask,
-            pack_states,
-            run_batch,
-        )
-
-        program, invariant = build_case("coloring-chain")
-        task = VerificationTask(
-            case="coloring-chain (packed states)",
-            builder="repro.protocols.library:build_case",
-            args=("coloring-chain",),
-            states_key="full-explicit",
-            packed_states=pack_states(program, list(program.state_space())),
-        )
-        baseline = VerificationTask(
-            case="coloring-chain (packed states)",
-            builder="repro.protocols.library:build_case",
-            args=("coloring-chain",),
-        )
-        shipped, direct = run_batch([task, baseline], workers=1)
-        assert shipped["ok"] and direct["ok"]
-        for field in ("total_states", "span_states", "bad_states", "ok"):
-            assert shipped[field] == direct[field]

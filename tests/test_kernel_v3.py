@@ -99,21 +99,20 @@ class TestCodecWidth:
     @pytest.mark.parametrize(
         "radices", [(2, 3), (3, 10923), ((1 << 16), (1 << 15))]
     )
-    def test_pack_codes_round_trip_at_each_width(self, radices):
+    def test_encode_states_at_each_width(self, radices):
         codec = _codec_of_size(*radices)
         codes = [0, 1, codec.size // 2, codec.size - 1]
-        buffer = codec.pack_codes(codes)
-        assert len(buffer) == codec.code_bytes * len(codes)
-        assert list(codec.unpack_codes(buffer)) == codes
+        encoded = codec.encode_states(codec.decode_state(code) for code in codes)
+        assert encoded.typecode == codec.code_typecode
+        assert len(encoded.tobytes()) == codec.code_bytes * len(codes)
+        assert list(encoded) == codes
 
-    def test_batch_pack_states_uses_narrow_codes(self):
-        from repro.verification.parallel import pack_states
-
+    def test_encode_states_uses_narrow_codes(self):
         program, _ = build_case("coloring-chain", 6)
         states = list(program.state_space())[:5]
-        codec = StateCodec.for_program(program)
-        assert codec.code_typecode == "h"
-        assert len(pack_states(program, states)) == 2 * len(states)
+        codes = StateCodec.for_program(program).encode_states(states)
+        assert codes.typecode == "h"
+        assert len(codes.tobytes()) == 2 * len(states)
 
 
 # ----------------------------------------------------------------------

@@ -424,12 +424,13 @@ _SPANS = {
 def test_reports_match_dict(build, fairness, span, supplied, scalar):
     program = build()
     fault_span = _SPANS[span]
-    states = None
+    states = codes = None
     if supplied:
         states = list(program.state_space())
         random.Random(7).shuffle(states)
+        codes = compile_program(program).codec.encode_states(states)
     packed, _csr = check_tolerance_swept(
-        program, _X0, fault_span, states, fairness=fairness
+        program, _X0, fault_span, codes, fairness=fairness
     )
     oracle = _check_tolerance(
         program, _X0, fault_span, states, fairness=fairness, engine="dict"
@@ -451,9 +452,12 @@ def test_supplied_ring_matches_dict(scalar):
     program, invariant = build_case("dijkstra-ring", 4)
     states = list(program.state_space())
     random.Random(3).shuffle(states)
-    packed, csr = check_tolerance_swept(program, invariant, TRUE, states)
-    assert csr is None
+    codes = compile_program(program).codec.encode_states(states)
+    packed, csr = check_tolerance_swept(program, invariant, TRUE, codes)
     assert packed == _check_tolerance(program, invariant, TRUE, states, engine="dict")
+    # A closed supplied set hands on its CSR, row i being states[i].
+    assert csr is not None and not csr.vectorized
+    assert list(csr.s_mask) == [int(bool(invariant(state))) for state in states]
 
 
 # ----------------------------------------------------------------------

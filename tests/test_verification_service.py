@@ -5,10 +5,27 @@ verdicts identical to the plain sequential checkers on every protocol,
 including when answered from the in-memory or on-disk cache.
 """
 
+import random
+
 import pytest
 
-from repro.core import TRUE, ValidationError, fingerprint_instance
-from repro.protocols.library import build_case, case_names, library_tasks
+import repro
+from repro.core import (
+    TRUE,
+    Action,
+    Assignment,
+    IntegerRangeDomain,
+    Predicate,
+    Program,
+    State,
+    ValidationError,
+    Variable,
+    fingerprint_instance,
+)
+from repro.kernel import PackedUnsupported, StateCodec, sweeps
+from repro.protocols.library import CASES, build_case, case_names, library_tasks
+from repro.protocols.three_constraint import build_oscillating_design, window_states
+from repro.protocols.token_ring import build_dijkstra_ring
 from repro.verification import (
     VerificationService,
     VerificationTask,
@@ -166,6 +183,171 @@ class TestDiskCache:
         a = fingerprint_instance(program, invariant, TRUE, extra=("w[0,2]",))
         b = fingerprint_instance(program, invariant, TRUE, extra=("w[0,4]",))
         assert a != b
+
+
+def _counter(hi: int = 3) -> Program:
+    """``n`` counts up to ``hi`` and resets to 0."""
+    inc = Action(
+        "inc",
+        Predicate(lambda s: s["n"] < hi, name=f"n < {hi}", support=("n",)),
+        Assignment({"n": lambda s: s["n"] + 1}),
+        reads=("n",),
+    )
+    reset = Action(
+        "reset",
+        Predicate(lambda s: s["n"] == hi, name=f"n = {hi}", support=("n",)),
+        Assignment({"n": 0}),
+        reads=("n",),
+    )
+    return Program("counter", [Variable("n", IntegerRangeDomain(0, hi))], [inc, reset])
+
+
+_ZERO = Predicate(lambda s: s["n"] == 0, name="n = 0", support=("n",))
+
+
+def _shuffled_with_duplicates(program, seed: int = 5) -> list:
+    states = list(program.state_space())
+    random.Random(seed).shuffle(states)
+    return states + states[: len(states) // 3]
+
+
+class TestSuppliedStates:
+    """A supplied list is encoded once and its verdict keyed by its codes."""
+
+    @staticmethod
+    def _ring():
+        # The whole space, and its S-states repeated to the same length.
+        program, invariant = build_dijkstra_ring(4, 2)
+        space = list(program.state_space())
+        legit = [state for state in space if invariant(state)]
+        return program, invariant, space, (legit * len(space))[: len(space)]
+
+    def test_equal_length_lists_do_not_share_a_verdict(self):
+        program, invariant, space, legit = self._ring()
+        service = VerificationService()
+        whole = repro.verify(program, s=invariant, states=space, service=service)
+        closed = repro.verify(program, s=invariant, states=legit, service=service)
+        assert not whole.ok
+        assert closed.ok and not closed.cached
+        fresh = VerificationService().verify_tolerance(
+            program, invariant, states=legit
+        )
+        assert fresh.ok
+        assert closed.record["key"] == "exact"
+
+    def test_validate_design_equal_length_lists_do_not_share_a_record(self):
+        design = build_oscillating_design()
+        window = window_states(3)
+        invariant = design.candidate.invariant
+        legit = [state for state in window if invariant(state)]
+        legit = (legit * len(window))[: len(window)]
+        service = VerificationService()
+        assert not service.validate_design(design, window)["ok"]
+        record = service.validate_design(design, legit)
+        assert record["ok"] and record["key"] == "local"
+        assert service.misses == 2
+
+    def test_permutations_and_duplicates_get_distinct_keys(self):
+        program, invariant = build_case("dijkstra-ring", 3)
+        states = list(program.state_space())
+        service = VerificationService()
+        for variant in (states, states[::-1], states + states[:1]):
+            verdict = service.verify_tolerance(program, invariant, states=variant)
+            assert not verdict.cached and verdict.record["key"] == "exact"
+        again = service.verify_tolerance(program, invariant, states=list(states))
+        assert again.cached
+        assert service.misses == 3 and service.hits == 1
+
+    def test_design_keys_follow_the_codes(self):
+        design = CASES["coloring-chain"].build_design(3)
+        states = list(design.program.state_space())
+        service = VerificationService()
+        first = service.validate_design(design, states)
+        service.validate_design(design, states[::-1])
+        assert service.validate_design(design, list(states)) == first
+        assert service.misses == 2 and service.hits == 1
+        assert first["key"] == "exact"
+
+    def test_each_state_is_encoded_once(self, monkeypatch):
+        program, invariant = build_case("dijkstra-ring", 3)
+        states = _shuffled_with_duplicates(program)
+        encode = StateCodec.encode_state
+        encoded = []
+
+        def counting(codec, state):
+            encoded.append(state)
+            return encode(codec, state)
+
+        monkeypatch.setattr(StateCodec, "encode_state", counting)
+        verdict = VerificationService().verify_tolerance(
+            program, invariant, states=states, quantify=sweeps.HAVE_NUMPY
+        )
+        assert verdict.record["engine"] == "packed"
+        assert len(encoded) == len(states)
+
+    @pytest.mark.skipif(not sweeps.HAVE_NUMPY, reason="quantify needs numpy")
+    def test_supplied_quantify_sweeps_once(self, monkeypatch):
+        from repro.quantitative import quantify
+        from repro.verification import explorer
+
+        build = explorer.build_transition_system
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        for name in ("dijkstra-ring", "diffusing-chain", "reset-chain"):
+            program, invariant = build_case(name, 3)
+            states = _shuffled_with_duplicates(program)
+            standalone = quantify(program, invariant, None, states).to_json()
+            monkeypatch.setattr(explorer, "build_transition_system", counting)
+            verdict = VerificationService().verify_tolerance(
+                program, invariant, states=states, quantify=True
+            )
+            monkeypatch.setattr(explorer, "build_transition_system", build)
+            record = dict(verdict.record["quantitative"])
+            record.pop("seconds")
+            standalone.pop("seconds")
+            assert record == standalone, name
+        assert builds == []
+
+    def test_non_closed_list_keeps_dict_witnesses(self):
+        program = _counter()
+        span = Predicate(lambda s: s["n"] <= 1, name="n <= 1", support=("n",))
+        subset = [State({"n": 1}), State({"n": 0}), State({"n": 1})]
+        packed = VerificationService().verify_tolerance(
+            program, _ZERO, span, subset, engine="packed"
+        )
+        oracle = check_tolerance(program, _ZERO, span, subset, engine="dict")
+        assert packed.report == oracle
+        assert packed.report.t_closure.witnesses[0].after == State({"n": 2})
+
+    def test_missing_successor_raises_on_both_engines(self):
+        program = _counter()
+        subset = [State({"n": 0}), State({"n": 1})]
+        messages = set()
+        for engine in ("packed", "dict"):
+            with pytest.raises(ValueError) as error:
+                VerificationService().verify_tolerance(
+                    program, _ZERO, states=subset, engine=engine
+                )
+            messages.add(str(error.value))
+        assert len(messages) == 1
+
+    def test_out_of_domain_list_falls_back_to_dict_uncached(self):
+        program = _counter()
+        states = [*program.state_space(), State({"n": 7})]
+        service = VerificationService()
+        first = service.verify_tolerance(program, _ZERO, states=states)
+        assert first.record["engine"] == "dict"
+        assert first.record["key"] == "local"
+        assert first.report == check_tolerance(
+            program, _ZERO, TRUE, states, engine="dict"
+        )
+        assert not service.verify_tolerance(program, _ZERO, states=states).cached
+        with pytest.raises(PackedUnsupported):
+            service.verify_tolerance(program, _ZERO, states=states, engine="packed")
 
 
 class TestRunBatch:
