@@ -18,26 +18,23 @@ module rewrites the sweeps as numpy array operations:
 - **CSR assembly**: the per-action columns are interleaved into the
   exact row-major ``offsets``/``targets``/``action_ids`` order the
   scalar sweep produces, so everything downstream is bit-identical.
-- **Closure checks**: one boolean reduction per predicate —
-  ``mask[sources] & ~mask[targets]`` — with the first five failing edges
-  decoded into the same witnesses the scalar walk reports.
-- **Deadlock/bad-state partitioning**: the convergence prefilter finds
-  the first bad deadlock by mask arithmetic and proves the bad-state
-  subgraph acyclic with a vectorized Kahn peel; only when a cycle
-  actually exists does the exact SCC analysis
-  (:func:`~repro.verification.convergence.check_convergence`) run, and
-  only over the bad states the peel left behind.
+- **The verdict's steps**, each a numpy primitive with a numpy-free
+  ``scalar_`` twin beside it over ``array``/``bytearray`` buffers:
+  row counts, the closure scan (``mask[sources] & ~mask[targets]``, the
+  first five failing edges being the witnesses), the ``T``-span carve,
+  the first bad deadlock, the Kahn peel and the rows it leaves behind
+  (the only ones the exact SCC analysis ever sees), and the levels put
+  back onto rows.
 - **One Kahn peel** (:func:`kahn_peel`): a round-synchronous peel of a
   region over an edge list, yielding each round's frontier, so a state
   that peels in round ``r`` has the longest path ``r`` to an exit. Over
   a materialized CSR it returns each bad state's level
-  (:func:`bad_region_acyclic`): the verdict is acyclic iff every bad
-  state peels, and the same levels answer the quantitative layer's
-  adversarial game value (level ``+ 1``) and order its exact solve.
-  Per shard and across shard boundaries on the streaming path it
-  decides acyclicity alone (:func:`peel_shard_edges`,
-  :func:`edge_list_acyclic`). The scalar sweep runs its pure-Python
-  twin (:func:`scalar_peel`), which needs no numpy.
+  (:func:`bad_region_acyclic`, or :func:`scalar_peel` without numpy):
+  the verdict is acyclic iff every bad state peels, and the same levels
+  answer the quantitative layer's adversarial game value (level
+  ``+ 1``) and order its exact solve. Per shard and across shard
+  boundaries on the streaming path it decides acyclicity alone
+  (:func:`peel_shard_edges`, :func:`edge_list_acyclic`).
 - **Frontier BFS**: reachability over ``offsets``/``targets`` as array
   gather/scatter (:func:`frontier_reach`).
 
@@ -57,6 +54,7 @@ whose results the differential suite pins bit-identical.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 
 from repro.core.fingerprint import is_trusted
@@ -78,14 +76,24 @@ __all__ = [
     "SweepPlan",
     "VECTOR_MIN_STATES",
     "bad_region_acyclic",
+    "carve_span",
     "closure_scan",
+    "count_rows",
     "edge_list_acyclic",
     "first_bad_deadlock",
     "frontier_reach",
     "kahn_peel",
+    "levels_by_row",
     "merge_fragments",
     "peel_shard_edges",
+    "scalar_carve_span",
+    "scalar_closure_scan",
+    "scalar_count_rows",
+    "scalar_first_bad_deadlock",
+    "scalar_levels_by_row",
     "scalar_peel",
+    "scalar_unpeeled_rows",
+    "unpeeled_rows",
 ]
 
 #: Whether numpy was importable; without it the scalar sweep is used.
@@ -102,6 +110,10 @@ MAX_LEAF_PROJECTION = 1 << 16
 #: An action whose read projection exceeds this is not laid out as flat
 #: arrays (enumerating it would cost as much as the scalar sweep).
 MAX_ACTION_PROJECTION = 1 << 20
+
+#: ``bytes.translate`` table turning a 0/1 membership mask into its
+#: complement.
+_NEGATE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 #: Override the per-instance code dtype (``"int16"``/``"int32"``/
 #: ``"int64"`` or ``None`` for the codec's own width). The differential
@@ -680,6 +692,19 @@ def merge_fragments(fragments: list[Fragment]):
 # ----------------------------------------------------------------------
 
 
+def count_rows(mask, without=None) -> int:
+    """How many rows ``mask`` holds that ``without`` (if given) does not."""
+    _require_numpy()
+    return int(_np.count_nonzero(mask if without is None else mask & ~without))
+
+
+def scalar_count_rows(mask, without=None) -> int:
+    """:func:`count_rows` over 0/1 ``bytearray`` masks."""
+    if without is None:
+        return mask.count(1)
+    return sum(map(operator.gt, mask, without))
+
+
 def closure_scan(mask, offsets, targets, *, max_witnesses: int = 5):
     """Closure check of the state set ``mask`` over the CSR arrays.
 
@@ -707,6 +732,84 @@ def closure_scan(mask, offsets, targets, *, max_witnesses: int = 5):
     return False, checked, [int(k) for k in witnesses]
 
 
+def scalar_closure_scan(
+    mask, offsets, targets, *, max_witnesses: int = 5, outside=None
+):
+    """:func:`closure_scan` as a walk over ``array``/``bytearray`` buffers.
+
+    The walk stops at the ``max_witnesses``-th failing edge. A negative
+    target ``-(k + 1)`` is a successor that is no row (the scalar
+    sweep's ``outside`` list): it fails iff ``outside(k)`` is false,
+    asked only when the walk reaches it.
+    """
+    checked = 0
+    witnesses: list[int] = []
+    for row in itertools.compress(range(len(mask)), mask):
+        checked += 1
+        for k in range(offsets[row], offsets[row + 1]):
+            target = targets[k]
+            if target >= 0:
+                if mask[target]:
+                    continue
+            elif outside(-target - 1):
+                continue
+            witnesses.append(k)
+            if len(witnesses) >= max_witnesses:
+                return False, checked, witnesses
+    return not witnesses, checked, witnesses
+
+
+def carve_span(s_mask, t_mask, offsets, targets, action_ids):
+    """The ``T``-span's own CSR, and its bad (not ``S``) states.
+
+    Returns ``(span_rows, bad, offsets, targets, action_ids)``: span row
+    ``i`` is row ``span_rows[i]``, successors are renumbered to span
+    rows, and ``bad`` marks the span rows outside ``s_mask``. When every
+    row is a span row (``t_mask`` is ``None`` for ``T = TRUE``),
+    ``span_rows`` is ``None`` and the graph is the input's. ``T`` must
+    be closed: every successor of a span row is a span row.
+    """
+    _require_numpy()
+    if t_mask is None or t_mask.all():
+        return None, ~s_mask, offsets, targets, action_ids
+    span_rows = _np.flatnonzero(t_mask)
+    span_of = _np.cumsum(t_mask, dtype=_np.int64) - 1
+    degrees = _np.diff(offsets)
+    keep = _np.repeat(t_mask, degrees)
+    span_offsets = _np.empty(span_rows.size + 1, dtype=_np.int64)
+    span_offsets[0] = 0
+    _np.cumsum(degrees[span_rows], out=span_offsets[1:])
+    return (
+        span_rows,
+        ~s_mask[span_rows],
+        span_offsets,
+        span_of[targets[keep]],
+        action_ids[keep],
+    )
+
+
+def scalar_carve_span(s_mask, t_mask, offsets, targets, action_ids):
+    """:func:`carve_span` over ``array``/``bytearray`` buffers."""
+    n = len(s_mask)
+    if t_mask is None or t_mask.count(1) == n:
+        return None, s_mask.translate(_NEGATE), offsets, targets, action_ids
+    typecode = "h" if n <= 1 << 15 else "i" if n <= 1 << 31 else "q"
+    span_rows = array(typecode, itertools.compress(range(n), t_mask))
+    span_of = array(typecode, [-1]) * n
+    for span_row, row in enumerate(span_rows):
+        span_of[row] = span_row
+    span_offsets = array(offsets.typecode, [0])
+    span_targets = array(typecode)
+    span_ids = array("h")
+    for row in span_rows:
+        lo, hi = offsets[row], offsets[row + 1]
+        span_targets.extend([span_of[target] for target in targets[lo:hi]])
+        span_ids.extend(action_ids[lo:hi])
+        span_offsets.append(len(span_targets))
+    bad = bytearray(not s_mask[row] for row in span_rows)
+    return span_rows, bad, span_offsets, span_targets, span_ids
+
+
 def first_bad_deadlock(bad_mask, offsets):
     """The first (lowest-position) bad state with no outgoing edge.
 
@@ -718,6 +821,14 @@ def first_bad_deadlock(bad_mask, offsets):
     if deadlocks.size == 0:
         return None
     return int(deadlocks[0])
+
+
+def scalar_first_bad_deadlock(bad, offsets):
+    """:func:`first_bad_deadlock` over ``array``/``bytearray`` buffers."""
+    for row in itertools.compress(range(len(bad)), bad):
+        if offsets[row] == offsets[row + 1]:
+            return row
+    return None
 
 
 def _gather_ranges(starts, counts):
@@ -919,6 +1030,37 @@ def scalar_peel(bad, offsets, targets):
         frontier = peeled
         level += 1
     return levels
+
+
+def unpeeled_rows(bad, levels) -> list[int]:
+    """The bad rows a peel left at level ``-1``, in ascending order."""
+    _require_numpy()
+    return _np.flatnonzero(bad & (levels < 0)).tolist()
+
+
+def scalar_unpeeled_rows(bad, levels) -> list[int]:
+    """:func:`unpeeled_rows` over ``array``/``bytearray`` buffers."""
+    n = len(bad)
+    if levels.count(-1) == n - bad.count(1):
+        return []  # only the good rows are at -1: every bad row peeled
+    return [row for row in itertools.compress(range(n), bad) if levels[row] < 0]
+
+
+def levels_by_row(levels, rows, n: int):
+    """Span ``levels`` put back onto ``n`` rows: ``levels[i]`` at row
+    ``rows[i]``, ``-1`` on every other row, at the levels' width."""
+    _require_numpy()
+    spread = _np.full(n, -1, dtype=levels.dtype)
+    spread[rows] = levels
+    return spread
+
+
+def scalar_levels_by_row(levels, rows, n: int):
+    """:func:`levels_by_row` over ``array`` buffers."""
+    spread = array(levels.typecode, [-1]) * n
+    for row, level in zip(rows, levels):
+        spread[row] = level
+    return spread
 
 
 def peel_shard_edges(lo, hi, bad_slice, sources, sinks, metrics=None):

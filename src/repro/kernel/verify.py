@@ -3,44 +3,46 @@
 ``check_tolerance_packed`` reproduces the dict engine of
 :func:`repro.verification.checker._check_tolerance` bit-for-bit — same
 verdicts, same closure witnesses in the same order, same error messages
-— but runs on packed codes:
+— but runs on packed codes, as one sweep and one decision:
 
-- The state set — the full space, or a supplied list encoded once to
-  codes — is swept **once** by one row loop: one pass computes the
-  ``S``/``T`` membership masks and the complete successor graph as flat
-  arrays, each successor resolved to its row. The dict engine walks the
-  states four times (implication, two closures, span construction) and
-  re-executes every action per walk.
-- Both closure checks then run over the cached graph without calling a
-  single guard again, and the ``T``-span transition system is carved out
-  of the same arrays. Convergence is decided by a Kahn peel of the bad
-  span states (:func:`~repro.kernel.sweeps.scalar_peel` on the scalar
-  loop); only the bad states that never peel reach the exact SCC
-  analysis (:func:`check_convergence`), for its counterexample.
-- :func:`check_tolerance_swept` also returns that graph as a
-  :class:`FullSpaceCSR` when the state set is closed, so a caller that
-  needs more than the verdict (``quantify=True``) reuses the sweep
-  instead of repeating it.
+- **The sweep.** The state set — the full space, or a supplied list
+  encoded once to codes — is swept **once** into a :class:`FullSpaceCSR`:
+  the ``S``/``T`` membership masks and the complete successor graph as
+  flat arrays, each successor resolved to its row. The dict engine walks
+  the states four times (implication, two closures, span construction)
+  and re-executes every action per walk. With numpy, full-space sweeps
+  of large instances run vectorized (:mod:`repro.kernel.sweeps`, over
+  one or more in-process code ranges planned by :mod:`repro.kernel.shard`)
+  through :func:`vectorized_csr`, the one gate of that path, into numpy
+  arrays. Every other state set — and every run without numpy — takes
+  the pure-Python row loop, into ``array``/``bytearray`` buffers.
+- **The decision.** One sequence reads either CSR: implication, both
+  closure scans, the escape check, the ``T``-span carve, the first bad
+  deadlock, the Kahn peel of the bad span states, and the exact SCC
+  analysis (:func:`check_convergence`) of only the bad states that never
+  peel, for its counterexample. Each step is an array primitive of
+  :mod:`repro.kernel.sweeps` with a numpy and a numpy-free form side by
+  side; the CSR's array type picks the form, and nothing else differs
+  between the two backends.
 
-With numpy available, full-space sweeps of large instances dispatch to
-the vectorized kernel (:mod:`repro.kernel.sweeps`, over one or more
-in-process code ranges planned by :mod:`repro.kernel.shard`) through
-:func:`vectorized_csr`, the one gate of that path; instances outside
-the vectorized fragment — and every run without numpy — take the scalar
-loop below, whose results the vectorized path reproduces bit-for-bit.
+:func:`check_tolerance_swept` also returns the CSR, with the peel's
+levels, when the state set is closed, so a caller that needs more than
+the verdict (``quantify=True``) reuses the sweep instead of repeating
+it. Under a ``memory_budget`` the vectorized path may answer with a
+streaming count-only verdict instead, which never holds the CSR.
 
-A successor that is no row — a code missing from a supplied list, or a
-value that leaves its variable's domain — is kept as a :class:`State`
-inside the graph, so closure witnesses and escape lists match the dict
-engine exactly.
+Only the row loop meets a successor that is no row — a code missing
+from a supplied list, or a value that leaves its variable's domain. It
+keeps that successor as a :class:`State` in an ``outside`` list, so
+closure witnesses and escape errors match the dict engine exactly.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Any
 
 from repro.core.errors import StateSpaceTooLargeError
@@ -68,31 +70,29 @@ __all__ = [
 #: Mirrors ``check_closure``'s default ``max_witnesses``.
 _MAX_WITNESSES = 5
 
-#: ``bytes.translate`` table turning a 0/1 membership mask into its
-#: complement.
-_NEGATE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
 
 @dataclass(frozen=True)
 class FullSpaceCSR:
-    """The successor graph one packed verify swept over a closed state set.
+    """The successor graph one packed sweep produced and its verdict read.
 
     Row ``i`` is the state with code ``i`` on the full space, and the
     ``i``-th supplied state otherwise; its successor rows are
     ``targets[offsets[i]:offsets[i + 1]]`` in action order, produced by
     ``action_ids``. ``t_mask`` is ``None`` when ``T`` is ``TRUE``. The
-    vectorized sweep holds numpy arrays, the scalar sweep (``shards ==
-    0``) its ``array``/``bytearray`` buffers. It lives for one request:
-    never put it on a cached report, in a record, or in a pickle.
+    array type is the backend: numpy arrays from the vectorized sweep
+    (``shards`` > 0), ``array``/``bytearray`` buffers from the scalar row
+    loop (``shards == 0``). Both go through the same decision. It lives
+    for one request: never put it on a cached report, in a record, or in
+    a pickle.
 
     ``levels`` are the verdict's Kahn peel levels
     (:func:`~repro.kernel.sweeps.bad_region_acyclic`, or its numpy-free
-    twin :func:`~repro.kernel.sweeps.scalar_peel` on the scalar sweep),
-    indexed by row: the round each bad ``T``-state peels in, ``-1`` for
-    a bad state that never peels and for every good or non-span state.
-    Both sweeps set them whenever the verdict ran the peel, and leave
-    them ``None`` on a bad deadlock or when ``T`` is not closed, so a
-    quantify request over this CSR reads them instead of peeling again.
+    twin :func:`~repro.kernel.sweeps.scalar_peel`), indexed by row: the
+    round each bad ``T``-state peels in, ``-1`` for a bad state that
+    never peels and for every good or non-span state. The verdict sets
+    them whenever it ran the peel, and leaves them ``None`` on a bad
+    deadlock or when ``T`` is not closed, so a quantify request over
+    this CSR reads them instead of peeling again.
     """
 
     s_mask: Any
@@ -182,32 +182,65 @@ def check_tolerance_swept(
     """
     kernel = compile_program(program, tracer=tracer, metrics=metrics)
     table_entries_before = kernel.table_entries() if metrics is not None else 0
-    codec = kernel.codec
+    size = kernel.codec.size
+    csr = None
     if codes is None:
         # Same guard (comparison and message) as ``enumerate_states`` on
         # the dict path, with the caller's limit threaded through.
         limit = DEFAULT_MAX_STATES if max_states is None else max_states
-        if codec.size > limit:
+        if size > limit:
             raise StateSpaceTooLargeError(
-                f"state space has {codec.size} states, above the limit of "
-                f"{limit}"
+                f"state space has {size} states, above the limit of {limit}"
             )
-        swept = _vectorized_full_space(
-            kernel,
-            program,
-            invariant,
-            fault_span,
-            fairness=fairness,
-            shards=shards,
-            memory_budget=memory_budget,
-            tracer=tracer,
-            metrics=metrics,
+
+        def streamed(plan, ranges):
+            # Stream only above the budget; a streamed ``None`` (a
+            # witness must be decoded) materializes the CSR.
+            if (
+                memory_budget is None
+                or _materialized_bytes(plan, size) <= memory_budget
+            ):
+                return None
+            return _streaming_full_space(
+                kernel, program, invariant, fault_span, plan, ranges,
+                fairness=fairness, tracer=tracer, metrics=metrics,
+            )
+
+        csr = vectorized_csr(
+            kernel, invariant, fault_span,
+            shards=shards, metrics=metrics, streamed=streamed,
         )
-        if swept is not None:
-            _note_sweep_metrics(
-                kernel, metrics, table_entries_before, codec.size
-            )
-            return swept
+        if isinstance(csr, ToleranceReport):
+            _note_sweep_metrics(kernel, metrics, table_entries_before, size)
+            return csr, None  # streamed: no CSR to hand on
+    outside: list[tuple[int, State]] = []
+    if csr is None:
+        csr, outside = _scalar_csr(kernel, invariant, fault_span, codes)
+    else:
+        _emit_sweep(tracer, program, size, csr.shards, int(csr.offsets[-1]))
+    _note_sweep_metrics(kernel, metrics, table_entries_before, len(csr.s_mask))
+    return _decide(
+        kernel.codec, csr, codes, outside, invariant, fault_span,
+        fairness=fairness, tracer=tracer, metrics=metrics,
+    )
+
+
+def _scalar_csr(
+    kernel: PackedKernel,
+    invariant: Predicate,
+    fault_span: Predicate,
+    codes: Sequence[int] | None,
+) -> tuple[FullSpaceCSR, list[tuple[int, State]]]:
+    """The pure-Python row loop: ``(csr, outside)`` over the state set.
+
+    ``outside[k]`` is ``(row, successor)`` for the ``k``-th successor
+    that is no row (a code missing from ``codes``, or a raw
+    :class:`State` carrying an out-of-domain value); the CSR holds it
+    inline as target ``-(k + 1)``, so witness and escape order match
+    the dict engine.
+    """
+    codec = kernel.codec
+    if codes is None:
         count = codec.size
         rows = kernel.iter_space()
         row_of = None  # row == code
@@ -218,39 +251,29 @@ def check_tolerance_swept(
         row_of = {code: row for row, code in enumerate(codes)}
     s_fn = kernel.predicate_fn(invariant)
     # TRUE is the stabilization fault-span; skip 1 call/state for it.
-    t_always = fault_span is TRUE
-    t_fn = None if t_always else kernel.predicate_fn(fault_span)
+    t_fn = None if fault_span is TRUE else kernel.predicate_fn(fault_span)
     successor_fns = tuple(
         (action_id, action.successor)
         for action_id, action in enumerate(kernel.actions)
     )
-    names = kernel.action_names
-    # Rows index the span arrays below; the narrowest width that holds
-    # every row (the codec's own width on the full space).
-    row_typecode = "h" if count <= 1 << 15 else "i" if count <= 1 << 31 else "q"
-    # Successor buffers: ``entries[offsets[i]:offsets[i+1]]`` are row
-    # ``i``'s successors in action order; entry ``-(k+1)`` is
-    # ``outside[k]``, a successor that is no row (a code missing from the
-    # supplied set, or a raw State carrying an out-of-domain value), kept
-    # inline so escape/witness order is identical to the dict engine.
     # 32-bit whenever ``count * n_actions`` fits (which bounds rows, edge
-    # counts and sentinels alike), else 64-bit; never int16, because
-    # sentinels count edges, not rows.
+    # counts and ``outside`` sentinels alike), else 64-bit; never int16,
+    # because sentinels count edges, not rows.
     edge_bound = count * max(1, len(kernel.actions))
     typecode = "i" if edge_bound <= 2**31 - 1 else "q"
     offsets = array(typecode, [0])
     entries = array(typecode)
     action_ids = array("h")
-    outside: list[State] = []
+    outside: list[tuple[int, State]] = []
     entries_append = entries.append
     ids_append = action_ids.append
     offsets_append = offsets.append
     s_mask = bytearray(count)
-    t_mask = bytearray(b"\x01") * count if t_always else bytearray(count)
+    t_mask = None if t_fn is None else bytearray(count)
     for row, (code, digits, values) in enumerate(rows):
         if s_fn(values):
             s_mask[row] = 1
-        if not t_always and t_fn(values):
+        if t_fn is not None and t_fn(values):
             t_mask[row] = 1
         for action_id, successor_fn in successor_fns:
             successor = successor_fn(code, digits, values)
@@ -264,224 +287,199 @@ def check_tolerance_swept(
                     continue
                 successor = codec.decode_state(successor)
             entries_append(-len(outside) - 1)
-            outside.append(successor)
+            outside.append((row, successor))
             ids_append(action_id)
         offsets_append(len(entries))
-
-    def state_of(row: int) -> State:
-        return codec.decode_state(row if codes is None else codes[row])
-
-    implication_ok = t_always or all(
-        t_mask[row] for row in compress(range(count), s_mask)
+    csr = FullSpaceCSR(
+        s_mask, t_mask, offsets, entries, action_ids, kernel.action_names
     )
+    return csr, outside
+
+
+def _decide(
+    codec,
+    csr: FullSpaceCSR,
+    codes: Sequence[int] | None,
+    outside: list[tuple[int, State]],
+    invariant: Predicate,
+    fault_span: Predicate,
+    *,
+    fairness: str,
+    tracer,
+    metrics,
+) -> tuple[ToleranceReport, FullSpaceCSR | None]:
+    """The verdict over one swept :class:`FullSpaceCSR`, on either backend.
+
+    Implication; the ``S`` and ``T`` closure scans; the escape check;
+    the ``T``-span carve; the first bad deadlock; the Kahn peel; the
+    exact SCC analysis of the bad states the peel leaves behind; the
+    levels put back onto rows. Every step is one primitive of
+    :mod:`repro.kernel.sweeps`, looked up on the module per call, in its
+    numpy form for a vectorized CSR and its numpy-free form otherwise.
+    Returns the report and the CSR carrying the levels, or ``None`` in
+    the CSR's place when some successor is ``outside``.
+    """
+    s_mask, t_mask = csr.s_mask, csr.t_mask
+    offsets, targets, action_ids = csr.offsets, csr.targets, csr.action_ids
+    names = csr.action_names
+    count = len(s_mask)
+    if csr.vectorized:
+        count_rows, scan, carve, first_deadlock, unpeeled, by_row = (
+            sweeps.count_rows, sweeps.closure_scan, sweeps.carve_span,
+            sweeps.first_bad_deadlock, sweeps.unpeeled_rows, sweeps.levels_by_row,
+        )
+
+        def peel(bad, offsets, targets):
+            return sweeps.bad_region_acyclic(bad, offsets, targets, metrics=metrics)
+    else:
+        count_rows, scan, carve, first_deadlock, unpeeled, by_row = (
+            sweeps.scalar_count_rows, sweeps.scalar_closure_scan,
+            sweeps.scalar_carve_span, sweeps.scalar_first_bad_deadlock,
+            sweeps.scalar_unpeeled_rows, sweeps.scalar_levels_by_row,
+        )
+        peel = sweeps.scalar_peel
+
+    def state_of(row) -> State:
+        return codec.decode_state(int(row) if codes is None else codes[row])
+
+    def witness(edge: int) -> ClosureWitness:
+        target = targets[edge]
+        return ClosureWitness(
+            before=state_of(bisect_right(offsets, edge) - 1),
+            action_name=names[action_ids[edge]],
+            after=outside[-target - 1][1] if target < 0 else state_of(target),
+        )
 
     def closure(mask, predicate: Predicate) -> ClosureResult:
-        checked = 0
-        witnesses: list[ClosureWitness] = []
-        for row in compress(range(count), mask):
-            checked += 1
-            for k in range(offsets[row], offsets[row + 1]):
-                entry = entries[k]
-                if entry >= 0:
-                    if mask[entry]:
-                        continue
-                    after = state_of(entry)
-                else:
-                    after = outside[-entry - 1]
-                    if predicate(after):
-                        continue
-                witnesses.append(
-                    ClosureWitness(
-                        before=state_of(row),
-                        action_name=names[action_ids[k]],
-                        after=after,
-                    )
-                )
-                if len(witnesses) >= _MAX_WITNESSES:
-                    return ClosureResult(
-                        predicate_name=predicate.name,
-                        ok=False,
-                        checked=checked,
-                        witnesses=tuple(witnesses),
-                    )
+        if mask is None:
+            # TRUE holds on every successor (raw or not): the scan cannot
+            # produce a witness, and ``checked`` is the full state count.
+            return ClosureResult(
+                predicate_name=predicate.name, ok=True, checked=count, witnesses=()
+            )
+        # A successor that is no row is decided by the predicate itself,
+        # asked only when the scan reaches it, as the dict engine does.
+        holds = {"outside": lambda k: predicate(outside[k][1])} if outside else {}
+        ok, checked, edges = scan(
+            mask, offsets, targets, max_witnesses=_MAX_WITNESSES, **holds
+        )
         return ClosureResult(
             predicate_name=predicate.name,
-            ok=not witnesses,
+            ok=ok,
             checked=checked,
-            witnesses=tuple(witnesses),
+            witnesses=tuple(witness(edge) for edge in edges),
         )
 
+    implication_ok = t_mask is None or not count_rows(s_mask, t_mask)
     s_closure = closure(s_mask, invariant)
-    if t_always:
-        # TRUE holds on every successor (raw or not): the walk cannot
-        # produce a witness, and ``checked`` is the full state count.
-        t_closure = ClosureResult(
-            predicate_name=fault_span.name, ok=True, checked=count, witnesses=()
-        )
+    t_closure = closure(t_mask, fault_span)
+    if t_mask is None:
+        span_count, bad_count = count, count - count_rows(s_mask)
     else:
-        t_closure = closure(t_mask, fault_span)
-
-    # ------------------------------------------------------------------
-    # Carve the T-span transition system out of the cached graph.
-    # ------------------------------------------------------------------
-    span_rows: Sequence[int] = (
-        range(count) if t_always else list(compress(range(count), t_mask))
-    )
-    span_count = len(span_rows)
-    if span_count == count and not outside:
-        # Every row is a span state and every successor a row: reuse
-        # the arrays wholesale.
-        span_codes = (
-            array(codec.code_typecode, range(count)) if codes is None else codes
-        )
-        span_offsets, span_targets, span_action_ids = offsets, entries, action_ids
-        span_escapes: list[tuple[int, str, State]] = []
-    else:
-        if span_count == count:
-            span_of = None  # identity
-        else:
-            span_of = array(row_typecode, [-1]) * count
-            for span_row, row in enumerate(span_rows):
-                span_of[row] = span_row
-        span_codes = array(
-            codec.code_typecode,
-            span_rows if codes is None else (codes[row] for row in span_rows),
-        )
-        span_offsets = array(offsets.typecode, [0])
-        span_targets = array(row_typecode)
-        span_action_ids = array("h")
-        span_escapes = []
-        for span_row, row in enumerate(span_rows):
-            for k in range(offsets[row], offsets[row + 1]):
-                entry = entries[k]
-                if entry >= 0 and t_mask[entry]:
-                    span_targets.append(entry if span_of is None else span_of[entry])
-                    span_action_ids.append(action_ids[k])
-                    continue
-                span_escapes.append(
-                    (
-                        span_row,
-                        names[action_ids[k]],
-                        state_of(entry) if entry >= 0 else outside[-entry - 1],
-                    )
-                )
-            span_offsets.append(len(span_targets))
-
-    # The invariant was already evaluated on every span state: the bad
-    # span rows come straight from the mask.
-    if span_count == count:
-        bad = s_mask.translate(_NEGATE)
-    else:
-        bad = bytearray(not s_mask[row] for row in span_rows)
-    bad_count = bad.count(1)
-    levels = None  # per span row, once the peel has run
+        span_count, bad_count = count_rows(t_mask), count_rows(t_mask, s_mask)
+    held = [s_mask, t_mask, offsets, targets, action_ids]
     handed = 0
-    if span_escapes:
-        if t_closure.ok:
-            # T-states stepping outside the supplied set even though T is
-            # closed: the caller gave a strict subset of the instance.
-            raise ValueError(
-                "the supplied states do not contain every successor of a "
-                "T-state; pass the full extension of T on this instance"
-            )
+    if not t_closure.ok:
         # T is not closed, so convergence relative to T is undefined;
-        # report it failed without a cycle counterexample.
+        # report it failed without a counterexample.
         convergence = ConvergenceResult(
-            ok=False,
-            fairness=fairness,
-            span_states=span_count,
-            bad_states=bad_count,
+            ok=False, fairness=fairness, span_states=span_count, bad_states=bad_count
+        )
+    elif outside and (t_mask is None or any(t_mask[row] for row, _ in outside)):
+        # T-states stepping outside the supplied set even though T is
+        # closed: the caller gave a strict subset of the instance.
+        raise ValueError(
+            "the supplied states do not contain every successor of a "
+            "T-state; pass the full extension of T on this instance"
         )
     else:
-        # The vectorized verdict's prefilter, without numpy: when every
-        # bad state peels, convergence holds under any fairness and no
-        # SCC analysis runs; otherwise only the bad states that never
-        # peeled (deadlocks among them) are candidates.
-        levels = sweeps.scalar_peel(bad, span_offsets, span_targets)
-        stuck = [
-            span_row
-            for span_row in compress(range(span_count), bad)
-            if levels[span_row] < 0
-        ]
-        if not stuck:
+        span_rows, bad, span_offsets, span_targets, span_ids = carve(
+            s_mask, t_mask, offsets, targets, action_ids
+        )
+        held += [bad, span_offsets, span_targets, span_ids]
+        deadlock = first_deadlock(bad, span_offsets)
+        if deadlock is not None:
+            row = deadlock if span_rows is None else span_rows[deadlock]
             convergence = ConvergenceResult(
-                ok=True,
+                ok=False,
                 fairness=fairness,
                 span_states=span_count,
                 bad_states=bad_count,
-            )
-        else:
-            handed = len(stuck)
-            convergence = check_convergence(
-                TransitionSystem(
-                    None, span_offsets, span_targets, span_action_ids,
-                    names, codec=codec, codes=span_codes,
+                counterexample=ConvergenceCounterexample(
+                    kind="deadlock", states=(state_of(row),)
                 ),
-                fairness,
-                stuck,
-                bad_count,
             )
-    _note_tarjan(metrics, handed)
-    # The levels a quantify request over this CSR reads, indexed by row:
-    # only where the vectorized path keeps them (every successor a row,
-    # T closed, no bad deadlock).
-    csr_levels = None
-    if not outside and levels is not None and not _deadlocked(convergence):
-        if span_count == count:
-            csr_levels = levels
         else:
-            csr_levels = array(levels.typecode, [-1]) * count
-            for row, level in zip(span_rows, levels):
-                csr_levels[row] = level
-
-    masking = s_mask == t_mask
-    stabilizing = span_count == count
-    _note_sweep_metrics(kernel, metrics, table_entries_before, count)
-    span_shared = span_offsets is offsets
-    peak_bytes = (
-        len(s_mask)
-        + len(t_mask)
-        + _buffer_bytes(offsets)
-        + _buffer_bytes(entries)
-        + _buffer_bytes(action_ids)
-        + _buffer_bytes(span_codes)
-        + (
-            0
-            if span_shared
-            else _buffer_bytes(span_offsets)
-            + _buffer_bytes(span_targets)
-            + _buffer_bytes(span_action_ids)
-        )
-        + len(bad)
-        + (0 if levels is None else _buffer_bytes(levels))
-        + (
-            0
-            if csr_levels is None or csr_levels is levels
-            else _buffer_bytes(csr_levels)
-        )
-    )
+            # With no bad deadlock and no bad cycle convergence holds
+            # under any fairness. Otherwise only the bad states that
+            # never peeled can lie on a cycle, so only they reach the
+            # exact checker; the span system stays whole, so weak
+            # fairness still sees every labelled edge.
+            levels = peel(bad, span_offsets, span_targets)
+            stuck = unpeeled(bad, levels)
+            if stuck:
+                handed = len(stuck)
+                rows = range(count) if span_rows is None else span_rows
+                span_codes = rows if codes is None else [codes[row] for row in rows]
+                convergence = check_convergence(
+                    TransitionSystem(
+                        None, span_offsets, span_targets, span_ids, names,
+                        codec=codec, codes=span_codes,
+                    ),
+                    fairness,
+                    stuck,
+                    bad_count,
+                )
+            else:
+                convergence = ConvergenceResult(
+                    ok=True,
+                    fairness=fairness,
+                    span_states=span_count,
+                    bad_states=bad_count,
+                )
+            if not outside:
+                row_levels = (
+                    levels if span_rows is None
+                    else by_row(levels, span_rows, count)
+                )
+                csr = replace(csr, levels=row_levels)
+                held += [levels, row_levels]
+    _note_tarjan(metrics, handed)
+    distinct = {id(buffer): buffer for buffer in held if buffer is not None}
     _note_memory_metrics(
         metrics,
         tracer,
-        path="scalar",
-        peak_bytes=peak_bytes,
-        code_bytes=entries.itemsize,
+        path="vectorized" if csr.vectorized else "scalar",
+        peak_bytes=sum(_nbytes(buffer) for buffer in distinct.values()),
+        code_bytes=targets.itemsize,
     )
-    report = ToleranceReport(
+    report = _report(implication_ok, s_closure, t_closure, convergence, count)
+    return report, None if outside else csr
+
+
+def _report(
+    implication_ok: bool,
+    s_closure: ClosureResult,
+    t_closure: ClosureResult,
+    convergence: ConvergenceResult,
+    count: int,
+) -> ToleranceReport:
+    """The report of every packed verdict, materialized or streamed.
+
+    ``S = T`` (masking) exactly when ``S ⇒ T`` and no ``T``-state is
+    bad, and the span is the whole state set exactly when the program
+    stabilizes.
+    """
+    masking = implication_ok and not convergence.bad_states
+    return ToleranceReport(
         ok=implication_ok and s_closure.ok and t_closure.ok and convergence.ok,
         implication_ok=implication_ok,
         s_closure=s_closure,
         t_closure=t_closure,
         convergence=convergence,
         classification="masking" if masking else "nonmasking",
-        stabilizing=stabilizing,
+        stabilizing=convergence.span_states == count,
         total_states=count,
-    )
-    if outside:
-        return report, None
-    return report, FullSpaceCSR(
-        s_mask, None if t_always else t_mask, offsets, entries, action_ids,
-        names, levels=csr_levels,
     )
 
 
@@ -503,11 +501,6 @@ def check_convergence(
     return _converge(
         span, (), fairness, candidates=candidates, bad_count=bad_count
     )
-
-
-def _deadlocked(convergence: ConvergenceResult) -> bool:
-    counterexample = convergence.counterexample
-    return counterexample is not None and counterexample.kind == "deadlock"
 
 
 def _note_tarjan(metrics, handed: int) -> None:
@@ -540,9 +533,9 @@ def _note_sweep_metrics(
         metrics.counter("kernel.fallback_actions").add(modes["fallback"])
 
 
-def _buffer_bytes(buffer) -> int:
-    """Resident bytes of an ``array`` buffer."""
-    return buffer.itemsize * len(buffer)
+def _nbytes(buffer) -> int:
+    """Resident bytes of a numpy array, an ``array`` or a ``bytearray``."""
+    return getattr(buffer, "itemsize", 1) * len(buffer)
 
 
 def _note_memory_metrics(
@@ -591,30 +584,6 @@ def _emit_sweep(tracer, program: Program, states: int, shards: int, edges: int):
     )
     if shards > 1:
         tracer.emit(KERNEL_SHARD_MERGED, shards=shards)
-
-
-def _mask_report(
-    s_mask, t_mask, s_closure, t_closure, convergence, span_count: int
-) -> ToleranceReport:
-    """The report of a numpy full-space sweep (vectorized or streaming)."""
-    import numpy as np
-
-    count = s_mask.size
-    implication_ok = t_mask is None or not bool(np.any(s_mask & ~t_mask))
-    if t_mask is None:
-        masking = bool(s_mask.all())
-    else:
-        masking = bool(np.array_equal(s_mask, t_mask))
-    return ToleranceReport(
-        ok=implication_ok and s_closure.ok and t_closure.ok and convergence.ok,
-        implication_ok=implication_ok,
-        s_closure=s_closure,
-        t_closure=t_closure,
-        convergence=convergence,
-        classification="masking" if masking else "nonmasking",
-        stabilizing=span_count == count,
-        total_states=count,
-    )
 
 
 def _materialized_bytes(plan, size: int) -> int:
@@ -680,218 +649,6 @@ def vectorized_csr(
     except sweeps.SweepUnsupported:
         return None
     return FullSpaceCSR(*merged, kernel.action_names, shards=len(ranges))
-
-
-def _vectorized_full_space(
-    kernel: PackedKernel,
-    program: Program,
-    invariant: Predicate,
-    fault_span: Predicate,
-    *,
-    fairness: str,
-    shards: int | None,
-    memory_budget: int | None = None,
-    tracer=None,
-    metrics=None,
-) -> tuple[ToleranceReport, FullSpaceCSR | None] | None:
-    """The vectorized full-space verdict, over one or more code ranges.
-
-    Returns ``None`` when :func:`vectorized_csr` keeps the instance on
-    the scalar sweep. The produced report is bit-identical to the scalar
-    sweep's — same verdicts, witness order, counterexamples and counts —
-    which the differential suite pins.
-
-    When ``memory_budget`` is set and the materialized estimate exceeds
-    it, the streaming count-only path runs first; it returns ``None``
-    exactly when the verdict needs decoded witnesses (closure violations
-    or a bad cycle), in which case the materialized sweep below produces
-    them. A streamed verdict has no CSR to hand on.
-    """
-
-    def streamed(plan, ranges):
-        if (
-            memory_budget is None
-            or _materialized_bytes(plan, kernel.codec.size) <= memory_budget
-        ):
-            return None
-        return _streaming_full_space(
-            kernel, program, invariant, fault_span, plan, ranges,
-            fairness=fairness, tracer=tracer, metrics=metrics,
-        )
-
-    csr = vectorized_csr(
-        kernel, invariant, fault_span,
-        shards=shards, metrics=metrics, streamed=streamed,
-    )
-    if csr is None:
-        return None
-    if isinstance(csr, ToleranceReport):
-        return csr, None  # streamed: no CSR to hand on
-    import numpy as np
-
-    s_mask, t_mask = csr.s_mask, csr.t_mask
-    offsets, targets, action_ids = csr.offsets, csr.targets, csr.action_ids
-    codec = kernel.codec
-    names = kernel.action_names
-    count = codec.size
-    _emit_sweep(tracer, program, count, csr.shards, int(offsets[-1]))
-    mem_bytes = (
-        s_mask.nbytes
-        + (0 if t_mask is None else t_mask.nbytes)
-        + offsets.nbytes
-        + targets.nbytes
-        + action_ids.nbytes
-    )
-
-    def decode(code) -> State:
-        return codec.decode_state(int(code))
-
-    def closure_result(mask, predicate: Predicate) -> ClosureResult:
-        ok, checked, witness_edges = sweeps.closure_scan(
-            mask, offsets, targets, max_witnesses=_MAX_WITNESSES
-        )
-        witnesses = tuple(
-            ClosureWitness(
-                before=decode(
-                    np.searchsorted(offsets, k, side="right") - 1
-                ),
-                action_name=names[action_ids[k]],
-                after=decode(targets[k]),
-            )
-            for k in witness_edges
-        )
-        return ClosureResult(
-            predicate_name=predicate.name,
-            ok=ok,
-            checked=checked,
-            witnesses=witnesses,
-        )
-
-    s_closure = closure_result(s_mask, invariant)
-    if t_mask is None:
-        # TRUE holds on every successor: the scan cannot produce a
-        # witness, and ``checked`` is the full state count.
-        t_closure = ClosureResult(
-            predicate_name=fault_span.name, ok=True, checked=count, witnesses=()
-        )
-    else:
-        t_closure = closure_result(t_mask, fault_span)
-
-    # ------------------------------------------------------------------
-    # Convergence over the T-span.
-    # ------------------------------------------------------------------
-    levels = None  # per span position, once the peel has run
-    handed = 0
-    if t_mask is None:
-        span_rows = None
-        span_count = count
-        span_offsets, span_targets, span_ids = offsets, targets, action_ids
-        bad_mask = ~s_mask
-    else:
-        span_rows = np.flatnonzero(t_mask)
-        span_count = int(span_rows.size)
-    if t_mask is not None and not t_closure.ok:
-        # T is not closed (on the full space every closure witness is an
-        # escaping edge), so convergence relative to T is undefined;
-        # report it failed without a cycle counterexample — exactly the
-        # scalar engines' escape branch.
-        convergence = ConvergenceResult(
-            ok=False,
-            fairness=fairness,
-            span_states=span_count,
-            bad_states=int(np.count_nonzero(t_mask & ~s_mask)),
-        )
-    else:
-        if t_mask is not None:
-            # Carve the span-induced CSR; T is closed, so every edge out
-            # of a T-state stays inside the span.
-            span_of = np.cumsum(t_mask, dtype=np.int64) - 1
-            degrees = np.diff(offsets)
-            keep = np.repeat(t_mask, degrees)
-            span_targets = span_of[targets[keep]]
-            span_ids = action_ids[keep]
-            span_offsets = np.empty(span_count + 1, dtype=np.int64)
-            span_offsets[0] = 0
-            np.cumsum(degrees[span_rows], out=span_offsets[1:])
-            bad_mask = ~s_mask[span_rows]
-            mem_bytes += (
-                span_of.nbytes
-                + span_targets.nbytes
-                + span_ids.nbytes
-                + span_offsets.nbytes
-            )
-        bad_count = int(np.count_nonzero(bad_mask))
-        deadlock = sweeps.first_bad_deadlock(bad_mask, span_offsets)
-        if deadlock is not None:
-            state = decode(
-                deadlock if span_rows is None else span_rows[deadlock]
-            )
-            convergence = ConvergenceResult(
-                ok=False,
-                fairness=fairness,
-                span_states=span_count,
-                bad_states=bad_count,
-                counterexample=ConvergenceCounterexample(
-                    kind="deadlock", states=(state,)
-                ),
-            )
-        else:
-            levels = sweeps.bad_region_acyclic(
-                bad_mask, span_offsets, span_targets, metrics=metrics
-            )
-            stuck = bad_mask & (levels < 0)
-            if not stuck.any():
-                # No bad deadlock and no bad cycle: convergence holds
-                # under any fairness, with no SCC analysis and no span
-                # system.
-                convergence = ConvergenceResult(
-                    ok=True,
-                    fairness=fairness,
-                    span_states=span_count,
-                    bad_states=bad_count,
-                )
-            else:
-                # A bad cycle exists somewhere: hand the span to the
-                # exact checker for the scalar engines' counterexample.
-                # Only the bad states that never peeled can lie on a
-                # cycle, so only they are Tarjan candidates; the span
-                # system stays whole, so weak fairness still sees every
-                # labelled edge, peeled sinks included.
-                span_codes = (
-                    np.arange(count, dtype=np.int64)
-                    if span_rows is None
-                    else span_rows
-                )
-                candidates = np.flatnonzero(stuck).tolist()
-                handed = len(candidates)
-                convergence = check_convergence(
-                    TransitionSystem(
-                        None, span_offsets, span_targets, span_ids, names,
-                        codec=codec, codes=span_codes,
-                    ),
-                    fairness,
-                    candidates,
-                    bad_count,
-                )
-    _note_tarjan(metrics, handed)
-
-    if levels is not None:
-        if span_rows is not None:
-            span_levels = levels
-            levels = np.full(count, -1, dtype=span_levels.dtype)
-            levels[span_rows] = span_levels
-        mem_bytes += levels.nbytes
-        csr = replace(csr, levels=levels)
-    _note_memory_metrics(
-        metrics,
-        tracer,
-        path="vectorized",
-        peak_bytes=mem_bytes,
-        code_bytes=targets.dtype.itemsize,
-    )
-    return _mask_report(
-        s_mask, t_mask, s_closure, t_closure, convergence, span_count
-    ), csr
 
 
 def _streaming_full_space(
@@ -1015,10 +772,7 @@ def _streaming_full_space(
         witnesses=(),
     )
     t_closure = ClosureResult(
-        predicate_name=fault_span.name,
-        ok=True,
-        checked=count if t_mask is None else int(np.count_nonzero(t_mask)),
-        witnesses=(),
+        predicate_name=fault_span.name, ok=True, checked=span_count, witnesses=()
     )
 
     if deadlock_code is not None:
@@ -1077,6 +831,5 @@ def _streaming_full_space(
         streaming=True,
     )
 
-    return _mask_report(
-        s_mask, t_mask, s_closure, t_closure, convergence, span_count
-    )
+    implication_ok = t_mask is None or not sweeps.count_rows(s_mask, t_mask)
+    return _report(implication_ok, s_closure, t_closure, convergence, count)

@@ -6,8 +6,9 @@ Three layers:
   (closure scan, deadlock scan, Kahn acyclicity peel, frontier BFS, CSR
   fragment merging) against hand-built CSR graphs, plus properties of
   the shared Kahn peel on random graphs at every code dtype: its levels
-  are the longest path to an exit, and every acyclicity check built on
-  it agrees with Tarjan's SCCs;
+  are the longest path to an exit, every acyclicity check built on it
+  agrees with Tarjan's SCCs, and each verdict step's numpy primitive
+  returns what its numpy-free twin returns;
 - differential tests pinning the vectorized full-space path (forced by
   lowering ``VECTOR_MIN_STATES``) and the multi-range path bit-identical to
   the scalar packed sweep across the protocol library and crafted
@@ -18,9 +19,10 @@ Three layers:
 
 import multiprocessing
 import os
+from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -37,7 +39,7 @@ from repro.core.errors import StateSpaceTooLargeError
 from repro.core.predicates import TRUE
 from repro.kernel import sweeps
 from repro.kernel.shard import plan_shards
-from repro.kernel.verify import check_tolerance_packed
+from repro.kernel.verify import check_tolerance_packed, check_tolerance_swept
 from repro.observability.metrics import MetricsRegistry
 from repro.protocols.library import build_case, case_names
 from repro.protocols.token_ring import build_dijkstra_ring
@@ -398,6 +400,116 @@ class TestKahnPeel:
         )
 
 
+def _reachable(n, roots, edges):
+    """The rows reachable from ``roots`` (a 0/1 list), roots included."""
+    successors = [[] for _ in range(n)]
+    for source, sink in edges:
+        successors[source].append(sink)
+    seen = [bool(root) for root in roots]
+    stack = [row for row in range(n) if seen[row]]
+    while stack:
+        for sink in successors[stack.pop()]:
+            if not seen[sink]:
+                seen[sink] = True
+                stack.append(sink)
+    return seen
+
+
+#: The ``array`` typecode of each numpy code dtype.
+_TYPECODES = {"int16": "h", "int32": "i", "int64": "q"}
+
+
+def _listed(value):
+    """A primitive's result as plain Python values, for comparison."""
+    if value is None or isinstance(value, (bool, int)):
+        return value
+    return [int(item) for item in value]
+
+
+def _assert_backends_agree(n, region, edges, dtype):
+    """Each verdict step's numpy primitive and its numpy-free twin agree.
+
+    ``region`` is ``S``; ``T`` is everything ``S`` reaches (closed, as
+    the carve requires) or ``TRUE`` (``None``). Both sequences run the
+    verdict's steps on their own outputs, the way ``check_tolerance_swept``
+    chains them.
+    """
+    offsets, targets = _csr_of_edges(n, edges, dtype)
+    ids = np.arange(targets.size, dtype=np.int16) % 3
+    s_mask = np.asarray(region, dtype=bool)
+    buffers = (
+        array("i" if offsets.dtype == np.int32 else "q", offsets.tolist()),
+        array(_TYPECODES[dtype], targets.tolist()),
+        array("h", ids.tolist()),
+    )
+    s_bytes = bytearray(region)
+    every = len(edges) + 1
+    for limit in (5, every):
+        vector = sweeps.closure_scan(s_mask, offsets, targets, max_witnesses=limit)
+        scalar = sweeps.scalar_closure_scan(
+            s_bytes, *buffers[:2], max_witnesses=limit
+        )
+        assert scalar == vector
+    for span in (None, _reachable(n, region, edges)):
+        t_mask = None if span is None else np.asarray(span, dtype=bool)
+        t_bytes = None if span is None else bytearray(span)
+        assert sweeps.scalar_count_rows(s_bytes) == sweeps.count_rows(s_mask)
+        if span is not None:
+            assert sweeps.scalar_count_rows(t_bytes, s_bytes) == (
+                sweeps.count_rows(t_mask, s_mask)
+            )
+        vector = sweeps.carve_span(s_mask, t_mask, offsets, targets, ids)
+        scalar = sweeps.scalar_carve_span(s_bytes, t_bytes, *buffers)
+        assert [_listed(part) for part in scalar] == [
+            _listed(part) for part in vector
+        ]
+        (rows, bad, span_offsets, span_targets, _), scalar_carve = vector, scalar
+        scalar_bad, scalar_offsets, scalar_targets = scalar_carve[1:4]
+        assert sweeps.scalar_first_bad_deadlock(
+            scalar_bad, scalar_offsets
+        ) == sweeps.first_bad_deadlock(bad, span_offsets)
+        levels = sweeps.bad_region_acyclic(bad, span_offsets, span_targets)
+        scalar_levels = sweeps.scalar_peel(
+            scalar_bad, scalar_offsets, scalar_targets
+        )
+        assert list(scalar_levels) == levels.tolist()
+        assert sweeps.scalar_unpeeled_rows(
+            scalar_bad, scalar_levels
+        ) == sweeps.unpeeled_rows(bad, levels)
+        if rows is not None:
+            assert list(
+                sweeps.scalar_levels_by_row(scalar_levels, scalar_carve[0], n)
+            ) == sweeps.levels_by_row(levels, rows, n).tolist()
+
+
+@needs_numpy
+class TestBackendParity:
+    """The numpy and numpy-free forms of every verdict step agree."""
+
+    @pytest.mark.parametrize("dtype", CODE_DTYPES)
+    @settings(max_examples=100, deadline=None)
+    @given(_region_graphs())
+    @example((0, [], []))
+    @example((3, [True, False, False], [(0, 1), (0, 2), (1, 1)]))
+    # Seven failing edges, two of them from row 0: the early exit stops
+    # the walk at row 3, with rows 4 and 5 unchecked.
+    @example((7, [True] * 6 + [False], [(0, 6)] + [(i, 6) for i in range(6)]))
+    def test_random_graphs(self, dtype, graph):
+        _assert_backends_agree(*graph, dtype)
+
+    def test_int16_space_with_an_edge_into_its_last_state(self):
+        # 2^15 rows keep int16 codes: span rows, targets and levels all
+        # reach 32767, the dtype's maximum.
+        n = 1 << 15
+        region = [True] * n
+        region[0] = False
+        edges = [(1, n - 1), (n - 1, 0), (2, 2), (3, 1)]
+        _assert_backends_agree(n, region, edges, "int16")
+        region = [False] * n
+        region[1] = True
+        _assert_backends_agree(n, region, edges, "int16")
+
+
 class TestPlanShards:
     def test_auto_single_shard_below_threshold(self):
         assert plan_shards(1000) == [(0, 1000)]
@@ -578,6 +690,44 @@ class TestFailingVerdictsVectorized:
         report = self._both(program, invariant, span)
         assert report.ok
         assert not report.stabilizing
+
+
+@needs_numpy
+@pytest.mark.parametrize("fairness", ["weak", "none"])
+def test_bad_deadlock_is_decided_before_the_peel_on_both_backends(fairness):
+    # T = (n <= 2) is closed and holds two bad states: n = 2 steps to
+    # n = 1, which is a deadlock. The deadlock scan answers on both
+    # backends, so no state reaches Tarjan and no levels are kept.
+    down = Action(
+        "down",
+        Predicate(lambda s: s["n"] > 1, name="n > 1", support=("n",)),
+        Assignment({"n": lambda s: s["n"] - 1}),
+        reads=("n",),
+        process="p",
+    )
+    program = Program(
+        "stuck", [Variable("n", IntegerRangeDomain(0, 3), process="p")], [down]
+    )
+    invariant = Predicate(lambda s: s["n"] == 0, name="n = 0", support=("n",))
+    span = Predicate(lambda s: s["n"] <= 2, name="n <= 2", support=("n",))
+    reports = []
+    for options, vectorized in (({}, False), ({"shards": 1}, True)):
+        metrics = MetricsRegistry()
+        report, csr = check_tolerance_swept(
+            program, invariant, span, fairness=fairness, metrics=metrics,
+            **options,
+        )
+        counters = metrics.report().counters
+        assert csr.vectorized == vectorized
+        assert csr.levels is None
+        assert counters["kernel.converge.tarjan"] == 0
+        reports.append(report)
+    assert reports[0] == reports[1] == check_tolerance(
+        program, invariant, span, fairness=fairness, engine="dict"
+    )
+    assert reports[0].convergence.bad_states == 2
+    assert reports[0].convergence.counterexample.kind == "deadlock"
+    assert reports[0].convergence.counterexample.states == (State({"n": 1}),)
 
 
 @needs_numpy
